@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("plateaux", help="exact plateau report as JSON")
     _add_params_args(p)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_plateaux)
 

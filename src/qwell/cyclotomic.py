@@ -48,24 +48,6 @@ class IntPoly:
                     out[i + j] += c * d
         return IntPoly.from_coeffs(out)
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return IntPoly.from_coeffs(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPoly.from_coeffs(out)
-
 
 def _divexact_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Quotient of num by the monic polynomial den; raises if not exact."""
@@ -114,8 +96,9 @@ def cyclotomic_poly(order: int) -> IntPoly:
     return IntPoly.from_coeffs(rem)
 
 
-@lru_cache(maxsize=256)
-def _unit_roots(order: int) -> tuple[complex, ...]:
+@lru_cache(maxsize=512)
+def unit_roots(order: int) -> tuple[complex, ...]:
+    """Float table of e(j / order) for j = 0..order-1."""
     return tuple(cmath.exp(2j * cmath.pi * j / order) for j in range(order))
 
 
@@ -261,16 +244,8 @@ class CycInt:
 
     def to_complex(self) -> complex:
         """Float shadow: sum of coeffs[j] * e(j / order)."""
-        roots = _unit_roots(self.order)
+        roots = unit_roots(self.order)
         return sum((c * roots[j] for j, c in enumerate(self.coeffs) if c), 0j)
-
-
-def is_zero(z: CycInt) -> bool:
-    return z.is_zero()
-
-
-def to_complex(z: CycInt) -> complex:
-    return z.to_complex()
 
 
 def galois_conjugate(z: CycInt, m: int) -> CycInt:

@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclotomic import unit_roots
 from .rationals import mod_inverse
 
 SQRT2 = math.sqrt(2.0)
@@ -58,15 +59,10 @@ def _check_coprime(a: int, q: int) -> None:
         raise ValueError(f"gcd({a}, {q}) != 1: the sum needs an irreducible fraction")
 
 
-@lru_cache(maxsize=512)
-def _roots(q: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * j / q) for j in range(q))
-
-
 def gauss_sum_direct(a: int, k: int, q: int) -> complex:
     """The q-term sum, evaluated in floating point via a shared root table."""
     _check_coprime(a, q)
-    roots = _roots(q)
+    roots = unit_roots(q)
     total = 0j
     for l in range(q):
         total += roots[(a * l * l + k * l) % q]
@@ -88,23 +84,34 @@ def gauss_abs(a: int, k: int, q: int) -> float:
     return math.sqrt(gauss_abs_sq(a, k, q))
 
 
+@lru_cache(maxsize=1024)
+def coefficient_exponent(a: int, q: int) -> tuple[int, int]:
+    """(inv, modulus) with c(k) = e((inv k^2 mod modulus) / modulus), times
+    sqrt(2) for even q: inv(4a) mod q over q for odd q, and for even q the
+    mod-q inverse of a lifted to the modulus 4q.  Cached per (a, q)."""
+    if q % 2:
+        return mod_inverse(4 * a, q), q
+    return mod_inverse(a, q), 4 * q
+
+
+def contributing(ks: range, q: int) -> range:
+    """The k of ks with c(k) != 0: all of them for odd q, those with
+    k = q/2 (mod 2) for even q."""
+    return ks if q % 2 else ks[(ks.start + q // 2) % 2 :: 2]
+
+
 def coefficient_c(a: int, q: int, k: int) -> GaussCoefficient:
     """The exact k-dependent factor of conj(G(a, k, q)) / (sqrt(q) e^{i alpha}).
 
-    Odd q: e(inv(4a) k^2 / q), k taken mod q.  Even q: zero when k + q/2 is
-    odd, else sqrt(2) e(inv(a) k^2 / (4q)) with k taken mod 2q, which is the
-    period of k^2 mod 4q.  Both branches are invariant under k -> -k.
+    Odd q: e(inv(4a) k^2 / q).  Even q: zero when k + q/2 is odd, else
+    sqrt(2) e(inv(a) k^2 / (4q)).  Both branches are invariant under k -> -k.
     """
     _check_coprime(a, q)
-    if q % 2:
-        kk = k % q
-        inv = mod_inverse(4 * a, q)
-        return GaussCoefficient(CoeffKind.PLAIN, Fraction((inv * kk * kk) % q, q))
-    if (k + q // 2) % 2:
+    if q % 2 == 0 and (k + q // 2) % 2:
         return GaussCoefficient(CoeffKind.ZERO)
-    kk = k % (2 * q)
-    inv = mod_inverse(a, q)
-    return GaussCoefficient(CoeffKind.SQRT2, Fraction((inv * kk * kk) % (4 * q), 4 * q))
+    inv, modulus = coefficient_exponent(a, q)
+    kind = CoeffKind.PLAIN if q % 2 else CoeffKind.SQRT2
+    return GaussCoefficient(kind, Fraction((inv * k * k) % modulus, modulus))
 
 
 def phase_alpha(a: int, q: int) -> GaussPhase:

@@ -2,7 +2,10 @@
 
 The density at a fractional time is piecewise analytic on the open cells cut
 out of (0, 1/2) by the singular points where the window I(x) gains or loses
-a contributing integer.  On each cell the two windowed sums
+a contributing integer.  For lam = u/v these points are k/q +- 1/(2 lam),
+which all lie on the lattice 1/(2uq) with numerators 2uk +- vq; the cells are
+built from those integers, and each cell's members come from its two integer
+endpoints.  On each cell the two windowed sums
 
     S_pm = sum_{k in I} c(k) e(+-N lam k / q)
 
@@ -21,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycInt
-from .rationals import mod_inverse
-from .wavefield import WellParams
+from .gauss import coefficient_exponent, contributing
+from .wavefield import WellParams, window
 
 ZERO_LEVEL = "zero"
 POSITIVE_LEVEL = "positive"
@@ -67,64 +70,49 @@ class PlateauReport:
     zero_checks: int = 0  # exact-vs-float agreements verified while detecting
 
 
-def singular_points(params: WellParams) -> list[Fraction]:
-    """The x in (0, 1/2) where a window edge crosses a contributing integer:
-    xq +- q/(2 lam) integral for odd q, (xq +- q/(2 lam)) + q/2 an even
-    integer for even q.  Computed exactly."""
-    q = params.q
-    shift = Fraction(1, 2) / params.lam  # q/(2 lam) scaled back by 1/q
-    half = Fraction(1, 2)
-    points: set[Fraction] = set()
-    if q % 2:
-        # x = m/q -+ 1/(2 lam)
-        for sign in (1, -1):
-            m_lo = math.ceil(q * (0 - sign * shift))
-            m_hi = math.floor(q * (half - sign * shift))
-            for m in range(m_lo - 1, m_hi + 2):
-                x = Fraction(m, q) + sign * shift
-                if 0 < x < half:
-                    points.add(x)
-    else:
-        # x = (2m - q/2)/q -+ 1/(2 lam)
-        for sign in (1, -1):
-            for m in range(-q, q + 1):
-                x = Fraction(2 * m - q // 2, q) + sign * shift
-                if 0 < x < half:
-                    points.add(x)
-    return sorted(points)
-
-
-def _members(mid: Fraction, params: WellParams) -> tuple[int, ...]:
-    q = params.q
-    half = Fraction(1, 2) / params.lam
-    lo = q * (mid - half)
-    hi = q * (mid + half)
-    ks = range(math.ceil(lo), math.floor(hi) + 1)
-    if q % 2 == 0:
-        ks = [k for k in ks if (k + q // 2) % 2 == 0]
-    return tuple(ks)
+def _window_at(num: int, den: int, lam: Fraction, q: int) -> range:
+    """Contributing integers of the window at x = num/den, exactly."""
+    return contributing(window(num, den, lam, q), q)
 
 
 @lru_cache(maxsize=4096)
-def _cells_cached(lam: Fraction, q: int) -> tuple[Cell, ...]:
-    params = WellParams(lam, 1, Fraction(1, q) if q > 1 else Fraction(0))
-    bounds = [Fraction(0)] + singular_points(params) + [Fraction(1, 2)]
+def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
+    """Partition (0, 1/2) into cells of constant window membership.
+
+    Works on the lattice x = X / (2uq), lam = u/v: the contributing k (every
+    k for odd q, k = q/2 (mod 2) for even q) put window edges at
+    X = 2uk +- vq, and the open cell (X0, X1) holds exactly the k with
+    2uk - vq <= X0 and X1 <= 2uk + vq.  Each cell is validated at its
+    midpoint and both quarter points; only the reported endpoints are
+    Fractions.
+    """
+    u, v = lam.numerator, lam.denominator
+    den, half = 2 * u * q, u * q
+    ks = contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
+    edges = {2 * u * k + sign * v * q for k in ks for sign in (1, -1)}
+    bounds = [0, *sorted(x for x in edges if 0 < x < half), half]
     cells = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        mid = (lo + hi) / 2
-        members = _members(mid, params)
-        quarter = (3 * lo + hi) / 4
-        three_quarter = (lo + 3 * hi) / 4
-        if _members(quarter, params) != members or _members(three_quarter, params) != members:
-            raise ValueError(f"corrupt cell ({lo}, {hi}): window membership is not constant")
-        cells.append(Cell(lo, hi, members))
+    for x0, x1 in zip(bounds, bounds[1:]):
+        members = contributing(
+            range(window(x1, den, lam, q).start, window(x0, den, lam, q).stop), q
+        )
+        if (
+            _window_at(x0 + x1, 2 * den, lam, q) != members
+            or _window_at(3 * x0 + x1, 4 * den, lam, q) != members
+            or _window_at(x0 + 3 * x1, 4 * den, lam, q) != members
+        ):
+            raise ValueError(
+                f"corrupt cell ({Fraction(x0, den)}, {Fraction(x1, den)}):"
+                " window membership is not constant"
+            )
+        cells.append(Cell(Fraction(x0, den), Fraction(x1, den), tuple(members)))
     return tuple(cells)
 
 
-def build_cells(params: WellParams) -> tuple[Cell, ...]:
-    """Partition (0, 1/2) into cells of constant window membership; each cell
-    is validated at its midpoint and both quarter points."""
-    return _cells_cached(params.lam, params.q)
+def singular_points(lam: Fraction, q: int) -> list[Fraction]:
+    """The x in (0, 1/2) where a window edge crosses a contributing integer,
+    exactly: the inner cell boundaries of build_cells, x = (2uk +- vq)/(2uq)."""
+    return [cell.hi for cell in build_cells(lam, q)[:-1]]
 
 
 def cyclotomic_order(params: WellParams) -> int:
@@ -136,13 +124,14 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M].
 
     Exponent bookkeeping is pure integer arithmetic: the coefficient
-    contributes (inv(4a) k^2 mod q) / q for odd q or sqrt(2) times
-    (inv(a) k^2 mod 4q) / (4q) for even q, and the drift factor contributes
+    contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent,
+    times sqrt(2) for even q, and the drift factor contributes
     (+- n k mod s q) / (s q) with N lam = n / s reduced.  The float shadow of
     each assembled sum is compared against a direct complex summation.
     """
     a, q = params.a, params.q
-    if _members((cell.lo + cell.hi) / 2, params) != cell.members:
+    mid = cell.lo + cell.hi
+    if tuple(_window_at(mid.numerator, 2 * mid.denominator, params.lam, q)) != cell.members:
         raise ValueError(f"corrupt cell {cell}: members do not match its midpoint window")
     order = cyclotomic_order(params)
     n_lam = params.n_lam
@@ -150,12 +139,9 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     drift_scale = order // (s * q)
     drift_num = n_lam.numerator
     odd = q % 2 == 1
-    if odd:
-        inv = mod_inverse(4 * a, q)
-        coeff_scale = order // q
-    else:
-        inv = mod_inverse(a, q)
-        coeff_scale = order // (4 * q)
+    inv, modulus = coefficient_exponent(a, q)
+    coeff_scale = order // modulus
+    weight = 1.0 if odd else math.sqrt(2.0)
     eighth = order // 8
 
     plus = [0] * order
@@ -163,16 +149,9 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     shadow_plus = 0j
     shadow_minus = 0j
     for k in cell.members:
-        if odd:
-            coeff_num = (inv * k * k) % q
-            j_coeff = coeff_num * coeff_scale
-            coeff_frac = coeff_num / q
-            weight = 1.0
-        else:
-            coeff_num = (inv * k * k) % (4 * q)
-            j_coeff = coeff_num * coeff_scale
-            coeff_frac = coeff_num / (4 * q)
-            weight = math.sqrt(2.0)
+        coeff_num = (inv * k * k) % modulus
+        j_coeff = coeff_num * coeff_scale
+        coeff_frac = coeff_num / modulus
         drift_mod = (drift_num * k) % (s * q)
         j_drift = drift_mod * drift_scale
         drift_frac = drift_mod / (s * q)
@@ -233,7 +212,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
 
     verdicts: list[_CellVerdict] = []
     checks = 0
-    for cell in build_cells(params):
+    for cell in build_cells(lam, q):
         s_plus, s_minus = window_sums(cell, params)
         zp = _checked_is_zero(s_plus, params, cell)
         zm = _checked_is_zero(s_minus, params, cell)
@@ -265,21 +244,20 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
             j += 1
         lo = verdicts[i].cell.lo
         hi = verdicts[j].cell.hi
-        survivor = v.survivor
-        if v.side == SIDE_BOTH:
-            level = 0.0
-            kind = ZERO_LEVEL
-        else:
-            level = float(lam) / q * abs(survivor.to_complex()) ** 2
-            kind = POSITIVE_LEVEL
-        intervals.append(PlateauInterval(lo, hi, level, survivor, kind, v.side))
+        kind = ZERO_LEVEL if v.side == SIDE_BOTH else POSITIVE_LEVEL
+        level = _level(kind, v.survivor, params)
+        intervals.append(PlateauInterval(lo, hi, level, v.survivor, kind, v.side))
         i = j + 1
 
     return PlateauReport(params, tuple(intervals), fragmentation, checks)
 
 
+def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
+    if kind == ZERO_LEVEL:
+        return 0.0
+    return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
+
+
 def plateau_level(interval: PlateauInterval, params: WellParams) -> float:
     """(lam/q) |surviving sum|^2; exactly 0.0 for forbidden zones."""
-    if interval.kind == ZERO_LEVEL:
-        return 0.0
-    return float(params.lam) / params.q * abs(interval.level_exact.to_complex()) ** 2
+    return _level(interval.kind, interval.level_exact, params)

@@ -188,8 +188,8 @@ def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
     return ScanRecord(params, True, report, True)
 
 
-def _scan_chunk(args: tuple[Fraction, int, int, int]) -> list[ScanRecord]:
-    lam, q, n_max, _index = args
+def _scan_chunk(args: tuple[Fraction, int, int]) -> list[ScanRecord]:
+    lam, q, n_max = args
     records = []
     for n_state in range(1, n_max + 1):
         for a in range(1, q):
@@ -230,7 +230,7 @@ def conjecture_scan(
             threshold = Fraction(q) if q % 2 else Fraction(q, 2)
             if lam >= threshold:
                 continue
-            tasks.append((lam, q, n_max, len(tasks)))
+            tasks.append((lam, q, n_max))
 
     n_workers = scan_workers(workers)
     if n_workers == 1 or len(tasks) < 2:

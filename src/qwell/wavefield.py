@@ -96,6 +96,15 @@ def psi_fractional(x, params: WellParams) -> complex:
     return total * math.sqrt(2.0) / q
 
 
+def window(num: int, den: int, lam: Fraction, q: int) -> range:
+    """All integers k with |num/den - k/q| <= 1/(2 lam), by exact integer
+    floor division: with lam = u/v, k runs over
+    [(2uq num - vq den) / (2u den), (2uq num + vq den) / (2u den)]."""
+    u, v = lam.numerator, lam.denominator
+    centre, reach, scale = 2 * u * q * num, v * q * den, 2 * u * den
+    return range(-((reach - centre) // scale), (centre + reach) // scale + 1)
+
+
 def interval_I(x, params: WellParams) -> list[int]:
     """All integers k with |x - k/q| <= 1/(2 lam).
 
@@ -104,10 +113,8 @@ def interval_I(x, params: WellParams) -> list[int]:
     """
     q = params.q
     if isinstance(x, Fraction) or isinstance(x, int):
-        half = Fraction(1, 2) / params.lam
-        lo = q * (Fraction(x) - half)
-        hi = q * (Fraction(x) + half)
-        return list(range(math.ceil(lo), math.floor(hi) + 1))
+        x = Fraction(x)
+        return list(window(x.numerator, x.denominator, params.lam, q))
     half = 1.0 / (2.0 * float(params.lam))
     lo = q * (float(x) - half)
     hi = q * (float(x) + half)

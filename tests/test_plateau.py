@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,24 @@ GOLDEN_PLATEAUX = [
     (Fraction(3, 2), 3, Fraction(7, 18), Fraction(0), Fraction(1, 18), ZERO_LEVEL),
 ]
 
+# both parities of q, q = 1, fragmentation and q ~ 1000, beyond the golden set
+LATTICE_CASES = [
+    (Fraction(2), 1, Fraction(0)),
+    (Fraction(7, 3), 1, Fraction(3, 10)),
+    (Fraction(107, 10), 1, Fraction(2, 7)),
+    (Fraction(107, 10), 2, Fraction(1, 12)),
+    (Fraction(5, 2), 1, Fraction(1, 997)),
+    (Fraction(7, 3), 2, Fraction(1, 1000)),
+]
+
+
+def window_oracle(x, lam, q):
+    """Contributing k with |x - k/q| <= 1/(2 lam), in Fraction arithmetic:
+    every k for odd q, k + q/2 even for even q."""
+    half = Fraction(1, 2) / lam
+    ks = range(math.ceil(q * (x - half)), math.floor(q * (x + half)) + 1)
+    return tuple(k for k in ks if q % 2 or (k + q // 2) % 2 == 0)
+
 
 def enumerate_singular_by_brute_force(params, denominator_bound=3000):
     """Independent enumeration: walk candidate edge crossings directly."""
@@ -46,39 +65,58 @@ def enumerate_singular_by_brute_force(params, denominator_bound=3000):
 
 def test_singular_points_example_lam_5_2():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    assert singular_points(p) == [Fraction(2, 15), Fraction(1, 5), Fraction(7, 15)]
+    assert singular_points(p.lam, p.q) == [Fraction(2, 15), Fraction(1, 5), Fraction(7, 15)]
 
 
 def test_singular_points_q1():
     p = WellParams(Fraction(2), 1, Fraction(0))
-    assert singular_points(p) == [Fraction(1, 4)]
+    assert singular_points(p.lam, p.q) == [Fraction(1, 4)]
 
 
-@pytest.mark.parametrize("lam,n_state,tau", [(g[0], g[1], g[2]) for g in GOLDEN_PLATEAUX])
+@pytest.mark.parametrize(
+    "lam,n_state,tau", [(g[0], g[1], g[2]) for g in GOLDEN_PLATEAUX] + LATTICE_CASES
+)
 def test_singular_points_match_brute_force(lam, n_state, tau):
     p = WellParams(lam, n_state, tau)
-    assert singular_points(p) == enumerate_singular_by_brute_force(p)
+    assert singular_points(p.lam, p.q) == enumerate_singular_by_brute_force(p)
 
 
 def test_window_membership_jumps_at_singular_points():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     eps = Fraction(1, 10**6)
-    for x in singular_points(p):
+    for x in singular_points(p.lam, p.q):
         assert interval_I(x - eps, p) != interval_I(x + eps, p)
 
 
 def test_cells_partition_and_membership():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    cells = build_cells(p)
-    assert cells[0].lo == 0 and cells[-1].hi == Fraction(1, 2)
-    for left, right in zip(cells, cells[1:]):
-        assert left.hi == right.lo
-    assert [c.members for c in cells] == [(0,), (0, 1), (1,), (1, 2)]
+    assert [c.members for c in build_cells(p.lam, p.q)] == [(0,), (0, 1), (1,), (1, 2)]
+    for lam, _, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
+        q = tau.denominator
+        cells = build_cells(lam, q)
+        assert cells[0].lo == 0 and cells[-1].hi == Fraction(1, 2)
+        for left, right in zip(cells, cells[1:]):
+            assert left.lo < left.hi == right.lo
+        for cell in cells:
+            for x in (
+                (cell.lo + cell.hi) / 2,
+                (3 * cell.lo + cell.hi) / 4,
+                (cell.lo + 3 * cell.hi) / 4,
+            ):
+                assert cell.members == window_oracle(x, lam, q)
+
+
+def test_window_sums_rejects_members_off_the_midpoint_window():
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    cell = build_cells(p.lam, p.q)[1]
+    assert cell.members == (0, 1)
+    with pytest.raises(ValueError, match="midpoint window"):
+        window_sums(dataclasses.replace(cell, members=(0,)), p)
 
 
 def test_window_sums_empty_cell_is_double_zero():
     p = WellParams(Fraction(107, 10), 1, Fraction(2, 7))
-    gap = next(c for c in build_cells(p) if not c.members)
+    gap = next(c for c in build_cells(p.lam, p.q) if not c.members)
     s_plus, s_minus = window_sums(gap, p)
     assert s_plus.is_zero() and s_minus.is_zero()
 
@@ -86,7 +124,7 @@ def test_window_sums_empty_cell_is_double_zero():
 def test_window_sums_golden_cell_kills_minus_side():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = next(
-        c for c in build_cells(p) if c.lo < Fraction(1, 6) < c.hi
+        c for c in build_cells(p.lam, p.q) if c.lo < Fraction(1, 6) < c.hi
     )
     s_plus, s_minus = window_sums(cell, p)
     assert s_minus.is_zero()
@@ -95,7 +133,7 @@ def test_window_sums_golden_cell_kills_minus_side():
 
 def test_window_sums_generic_cell_both_alive():
     p = WellParams(Fraction(5, 2), 2, Fraction(1, 3))
-    cells = [c for c in build_cells(p) if c.members]
+    cells = [c for c in build_cells(p.lam, p.q) if c.members]
     assert cells
     for cell in cells:
         s_plus, s_minus = window_sums(cell, p)
@@ -156,7 +194,7 @@ def test_detector_vs_density_constancy(lam, n_state, tau, lo, hi, kind):
     ]
     assert max(inside) - min(inside) < 1e-9
     # every cell outside the plateau must witness non-constancy
-    for cell in build_cells(params):
+    for cell in build_cells(params.lam, params.q):
         if interval.lo <= cell.lo and cell.hi <= interval.hi:
             continue
         span = cell.hi - cell.lo
@@ -170,7 +208,7 @@ def test_detector_vs_density_constancy(lam, n_state, tau, lo, hi, kind):
 def test_vanishing_sums_are_galois_stable():
     for lam, n_state, tau, *_ in GOLDEN_PLATEAUX:
         params = WellParams(lam, n_state, tau)
-        for cell in build_cells(params):
+        for cell in build_cells(params.lam, params.q):
             for s in window_sums(cell, params):
                 if s.is_zero():
                     for m in range(2, s.order):

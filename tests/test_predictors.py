@@ -124,7 +124,7 @@ def test_critical_expansion_has_no_plateaux(lam, tau):
     report = detect_plateaux(params)
     assert report.intervals == ()
     # on every cell each windowed sum is a single surviving term
-    for cell in build_cells(params):
+    for cell in build_cells(params.lam, params.q):
         assert len(cell.members) == 1
 
 
