@@ -1,18 +1,22 @@
 """Exact arithmetic in Z[zeta_M], the ring of integer combinations of M-th
 roots of unity.
 
-Elements are dense integer coefficient vectors indexed by the exponent
-0..M-1.  The zero test reduces the corresponding polynomial modulo the M-th
-cyclotomic polynomial, which is the minimal polynomial of e(1/M) over the
-rationals; the reduction therefore certifies vanishing exactly, with no
-numeric thresholds.  sqrt(2) is representable as zeta_8 + zeta_8^7, so any
-order divisible by 8 also houses the sqrt(2)-weighted terms that show up in
-even-denominator Gauss coefficients.
+Elements are sparse: a canonical, sorted tuple of (exponent, coefficient)
+pairs, so arithmetic, the float shadow and the zero test cost the number of
+terms, not M.  The zero test decides vanishing exactly, with no numeric
+thresholds, by splitting the order one prime at a time (the structure of
+vanishing sums of roots of unity, Lam and Leung, J. Algebra 224, 2000).  The
+cyclotomic polynomials and the remainder modulo them (`reduced`) are kept as
+a canonical form and as an independent oracle for that test.  sqrt(2) is
+representable as zeta_8 + zeta_8^7, so any order divisible by 8 also houses
+the sqrt(2)-weighted terms that show up in even-denominator Gauss
+coefficients.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,14 +53,11 @@ class IntPoly:
         return IntPoly.from_coeffs(out)
 
 
-def _divexact_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of num by the monic polynomial den; raises if not exact."""
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder (deg den coefficients) of num by the monic
+    polynomial den; num is consumed."""
     dn = len(den) - 1
-    if len(num) - 1 < dn:
-        if any(num):
-            raise ArithmeticError("division is not exact")
-        return [0]
-    out = [0] * (len(num) - dn)
+    out = [0] * max(1, len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
@@ -64,9 +65,7 @@ def _divexact_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
             for j in range(dn):
                 num[i - dn + j] -= c * den[j]
             num[i] = 0
-    if any(num):
-        raise ArithmeticError("division is not exact")
-    return out
+    return out, (num + [0] * dn)[:dn]
 
 
 def _divisors(n: int) -> list[int]:
@@ -92,7 +91,9 @@ def cyclotomic_poly(order: int) -> IntPoly:
         raise ValueError("order must be positive")
     rem = [-1] + [0] * (order - 1) + [1]
     for d in _divisors(order)[:-1]:
-        rem = _divexact_monic(rem, cyclotomic_poly(d).coeffs)
+        rem, left = _divmod_monic(rem, cyclotomic_poly(d).coeffs)
+        if any(left):
+            raise ArithmeticError("division is not exact")
     return IntPoly.from_coeffs(rem)
 
 
@@ -102,72 +103,110 @@ def unit_roots(order: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * j / order) for j in range(order))
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], order: int) -> tuple[int, ...]:
-    """Remainder of sum(coeffs[j] x^j) modulo cyclotomic_poly(order)."""
-    cm = cyclotomic_poly(order).coeffs
-    dn = len(cm) - 1
-    r = list(coeffs)
-    deg = len(r) - 1
-    while deg >= 0 and r[deg] == 0:
-        deg -= 1
-    while deg >= dn:
-        c = r[deg]
-        if c:
-            base = deg - dn
-            for j in range(dn):
-                r[base + j] -= c * cm[j]
-            r[deg] = 0
-        deg -= 1
-        while deg >= 0 and r[deg] == 0:
-            deg -= 1
-    del r[dn:]
-    return tuple(r + [0] * (dn - len(r)))
+@lru_cache(maxsize=1024)
+def _split(order: int) -> tuple[int, int, int, int]:
+    """(p, m, u, w): the largest prime p of order > 1, m = order / p, and u = w = 0
+    if p | m, else u = m^-1 mod p and w = p^-1 mod m (zeta^j = zeta_p^ju zeta_m^jw)."""
+    n, p, f = order, 1, 2
+    while f * f <= n:
+        while n % f == 0:
+            n, p = n // f, f
+        f += 1
+    p = max(p, n)
+    m = order // p
+    if m % p == 0:
+        return p, m, 0, 0
+    return p, m, pow(m, -1, p), pow(p, -1, m)
+
+
+def _vanishes(order: int, terms) -> bool:
+    """Does sum c zeta_order^j over terms vanish?  terms are (j, c) pairs with
+    distinct j in [0, order) and nonzero c.
+
+    The exponents and the order are divided by their gcd, then the order is
+    split at its largest prime p, m = order / p.  If p | m, zeta^0..zeta^(p-1)
+    are a basis of Q(zeta_order) over Q(zeta_m), so each exponent class mod p
+    vanishes on its own.  Otherwise the sum is sum_a zeta_p^a B_a with B_a in
+    Z[zeta_m], and the only relation among the zeta_p^a over Q(zeta_m) is
+    their full sum, so it vanishes iff all p class sums B_a are equal (a
+    missing class counts as 0).  No cyclotomic polynomial is needed.
+    """
+    if len(terms) < 2:
+        return not terms
+    g = math.gcd(order, *(j for j, _ in terms))
+    p, m, u, w = _split(order // g)
+    classes: dict[int, dict[int, int]] = {}
+    for j, c in terms:
+        j //= g
+        a, k = (j * u % p, j * w % m) if u else (j % p, j // p)
+        classes.setdefault(a, {})[k] = c
+    base = classes[0] if u and len(classes) == p else {}
+    return all(_vanishes(m, _difference(b, base)) for b in classes.values())
+
+
+def _difference(b: dict[int, int], base: dict[int, int]) -> list[tuple[int, int]]:
+    out = dict(b)
+    for k, c in base.items():
+        out[k] = out.get(k, 0) - c
+    return [t for t in out.items() if t[1]]
 
 
 @dataclass(frozen=True)
 class CycInt:
-    """An element of Z[zeta_M]: coeffs[j] is the coefficient of zeta_M^j.
+    """An element of Z[zeta_M]: sum of c zeta_M^j over the (j, c) in terms.
 
-    Structural equality (same order, same vector) is not equality of the
-    represented complex numbers; use `equals` or compare `reduced()` forms
-    for that.
+    Any iterable of (exponent, coefficient) pairs may be passed, such as
+    enumerate(dense_coeffs); it is stored canonically, as (j mod M, total
+    coefficient) pairs sorted by j with the zero totals dropped.  Structural
+    equality (same order, same terms) is not equality of the represented
+    complex numbers; use `equals` for that.
     """
 
     order: int
-    coeffs: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.order < 1:
+        order = self.order
+        if order < 1:
             raise ValueError("order must be positive")
-        if len(self.coeffs) != self.order:
-            raise ValueError("coefficient vector length must equal the order")
+        terms = tuple(self.terms)
+        js, cs = tuple(zip(*terms)) or ((), ())
+        # already canonical (checked at C speed): keep; else merge and sort
+        if not (all(cs) and all(map(operator.lt, (-1,) + js, js + (order,)))):
+            acc: dict[int, int] = {}
+            for j, c in terms:
+                j %= order
+                acc[j] = acc.get(j, 0) + c
+            terms = tuple(sorted(t for t in acc.items() if t[1]))
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def zero(order: int) -> "CycInt":
-        return CycInt(order, (0,) * order)
+        return CycInt(order, ())
 
     @staticmethod
     def root(order: int, exponent: int) -> "CycInt":
         """zeta_order^exponent."""
-        cs = [0] * order
-        cs[exponent % order] = 1
-        return CycInt(order, tuple(cs))
+        return CycInt(order, ((exponent, 1),))
 
     @staticmethod
     def integer(order: int, n: int) -> "CycInt":
-        cs = [0] * order
-        cs[0] = n
-        return CycInt(order, tuple(cs))
+        return CycInt(order, ((0, n),))
 
     @staticmethod
     def sqrt_two(order: int) -> "CycInt":
         """sqrt(2) = zeta_8 + zeta_8^7; requires 8 | order."""
         if order % 8:
             raise ValueError("sqrt(2) needs an order divisible by 8")
-        cs = [0] * order
-        cs[order // 8] += 1
-        cs[7 * order // 8] += 1
-        return CycInt(order, tuple(cs))
+        return CycInt(order, ((order // 8, 1), (7 * order // 8, 1)))
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense view: coeffs[j] is the coefficient of zeta_M^j."""
+        out = [0] * self.order
+        for j, c in self.terms:
+            out[j] = c
+        return tuple(out)
 
     def _match(self, other: "CycInt") -> None:
         if self.order != other.order:
@@ -175,60 +214,28 @@ class CycInt:
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._match(other)
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.order, self.terms + other.terms)
 
     def __sub__(self, other: "CycInt") -> "CycInt":
-        self._match(other)
-        return CycInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "CycInt":
-        return CycInt(self.order, tuple(-a for a in self.coeffs))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.order, tuple(other * a for a in self.coeffs))
+            return CycInt(self.order, ((j, other * c) for j, c in self.terms))
         self._match(other)
-        # cyclic convolution: zeta^M = 1
-        out = [0] * self.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % self.order] += a * b
-        return CycInt(self.order, tuple(out))
+        # cyclic convolution over the supports: zeta^M = 1
+        return CycInt(
+            self.order, ((i + j, a * b) for i, a in self.terms for j, b in other.terms)
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        """Exact test: does this element equal 0 as a complex number?
-
-        Fast paths: an even order lets us fold zeta^(j+M/2) = -zeta^j, which
-        instantly clears sums that cancel in pairs; a single surviving term
-        is a nonzero root-of-unity multiple.  The general case divides by the
-        cyclotomic polynomial of the smallest order actually spanned by the
-        surviving exponents.
-        """
-        order = self.order
-        coeffs = self.coeffs
-        if order % 2 == 0:
-            half = order // 2
-            folded = [coeffs[j] - coeffs[j + half] for j in range(half)]
-        else:
-            folded = list(coeffs)
-        support = [j for j, c in enumerate(folded) if c]
-        if not support:
-            return True
-        if len(support) == 1:
-            return False
-        g = math.gcd(order, *support)
-        if g > 1:
-            sub = order // g
-            packed = [0] * sub
-            for j in support:
-                packed[j // g] = folded[j]
-            folded = packed
-            order = sub
-        return not any(_reduce_mod_cyclotomic(folded, order))
+        """Exact test: does this element equal 0 as a complex number?"""
+        return _vanishes(self.order, self.terms)
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical form: remainder modulo the order's cyclotomic polynomial.
@@ -236,16 +243,20 @@ class CycInt:
         Two elements of equal order represent the same complex number iff
         their reduced forms coincide.
         """
-        return _reduce_mod_cyclotomic(list(self.coeffs), self.order)
+        return tuple(_divmod_monic(list(self.coeffs), cyclotomic_poly(self.order).coeffs)[1])
 
     def equals(self, other: "CycInt") -> bool:
-        self._match(other)
         return (self - other).is_zero()
 
     def to_complex(self) -> complex:
-        """Float shadow: sum of coeffs[j] * e(j / order)."""
-        roots = unit_roots(self.order)
-        return sum((c * roots[j] for j, c in enumerate(self.coeffs) if c), 0j)
+        """Float shadow: sum of c * e(j / order) over the terms, in ascending j;
+        computed once per element."""
+        if "_value" not in self.__dict__:
+            # rect(c, x) is bit for bit c * exp(ix)
+            turn = 2 * math.pi
+            value = sum([cmath.rect(c, turn * j / self.order) for j, c in self.terms], 0j)
+            object.__setattr__(self, "_value", value)
+        return self.__dict__["_value"]
 
 
 def galois_conjugate(z: CycInt, m: int) -> CycInt:
@@ -257,11 +268,7 @@ def galois_conjugate(z: CycInt, m: int) -> CycInt:
     """
     if math.gcd(m, z.order) != 1:
         raise ValueError(f"gcd({m}, {z.order}) != 1: not a valid conjugation")
-    out = [0] * z.order
-    for j, c in enumerate(z.coeffs):
-        if c:
-            out[(m * j) % z.order] += c
-    return CycInt(z.order, tuple(out))
+    return CycInt(z.order, ((m * j, c) for j, c in z.terms))
 
 
 def embed(z: CycInt, target_order: int) -> CycInt:
@@ -269,8 +276,4 @@ def embed(z: CycInt, target_order: int) -> CycInt:
     if target_order % z.order:
         raise ValueError(f"{z.order} does not divide {target_order}")
     stride = target_order // z.order
-    out = [0] * target_order
-    for j, c in enumerate(z.coeffs):
-        if c:
-            out[j * stride] += c
-    return CycInt(target_order, tuple(out))
+    return CycInt(target_order, ((j * stride, c) for j, c in z.terms))

@@ -11,14 +11,16 @@ endpoints.  On each cell the two windowed sums
 
 are constants, and the density is constant on the cell iff one of them
 vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M] with
-M = lcm(8, 4q, q s), s the reduced denominator of N lam, so the criterion is
-decided by the exact cyclotomic zero test; every exact verdict is
-cross-checked against the float shadow and a disagreement raises.
+M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
+denominator of N lam, so the criterion is decided by the exact cyclotomic
+zero test; every exact verdict is cross-checked against the float shadow and
+a disagreement raises.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +36,10 @@ SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
 SIDE_BOTH = "both"
 
-FLOAT_ZERO_TOL = 1e-9
+# A window sum of n terms of modulus w (sqrt(2) for even q, else 1) may be off
+# by C n w eps in floats: the worst seen on the default scan is 9.5 n w eps, and
+# its smallest nonzero |S| (9.2e-3) is far above the bound.
+FLOAT_ERROR_C = 128
 
 
 class ExactFloatMismatch(RuntimeError):
@@ -75,6 +80,11 @@ def _window_at(num: int, den: int, lam: Fraction, q: int) -> range:
     return contributing(window(num, den, lam, q), q)
 
 
+def _contributing_ks(lam: Fraction, q: int) -> range:
+    """The contributing k whose window meets [0, 1/2]."""
+    return contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
+
+
 @lru_cache(maxsize=4096)
 def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     """Partition (0, 1/2) into cells of constant window membership.
@@ -88,8 +98,7 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     """
     u, v = lam.numerator, lam.denominator
     den, half = 2 * u * q, u * q
-    ks = contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
-    edges = {2 * u * k + sign * v * q for k in ks for sign in (1, -1)}
+    edges = {2 * u * k + sign * v * q for k in _contributing_ks(lam, q) for sign in (1, -1)}
     bounds = [0, *sorted(x for x in edges if 0 < x < half), half]
     cells = []
     for x0, x1 in zip(bounds, bounds[1:]):
@@ -116,65 +125,83 @@ def singular_points(lam: Fraction, q: int) -> list[Fraction]:
 
 
 def cyclotomic_order(params: WellParams) -> int:
-    """Common order housing every term of both windowed sums."""
+    """Common order housing every term of both windowed sums: q s for odd q;
+    even q also needs the modulus 4q and zeta_8 for sqrt(2) = zeta_8 + zeta_8^7."""
+    if params.q % 2:
+        return params.q * params.s
     return math.lcm(8, 4 * params.q, params.q * params.s)
 
 
-def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
-    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M].
+def _float_bound(cell: Cell, params: WellParams) -> float:
+    weight = 1.0 if params.q % 2 else math.sqrt(2.0)
+    return FLOAT_ERROR_C * len(cell.members) * weight * sys.float_info.epsilon
+
+
+@lru_cache(maxsize=16)
+def _member_terms(params: WellParams) -> tuple[int, dict[int, tuple]]:
+    """(M, table): table maps every k of build_cells to the exponents in
+    Z[zeta_M] of c(k) e(+N lam k / q) and of c(k) e(-N lam k / q), and to
+    both as floats.
 
     Exponent bookkeeping is pure integer arithmetic: the coefficient
     contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent,
-    times sqrt(2) for even q, and the drift factor contributes
-    (+- n k mod s q) / (s q) with N lam = n / s reduced.  The float shadow of
-    each assembled sum is compared against a direct complex summation.
+    times sqrt(2) = zeta_8 + zeta_8^7 for even q, and the drift factor
+    contributes (+- n k mod s q) / (s q) with N lam = n / s reduced.  The
+    floats come from the unscaled fractional exponents, so comparing them
+    with the exact sums exercises the order-M index arithmetic as well.
     """
-    a, q = params.a, params.q
-    mid = cell.lo + cell.hi
-    if tuple(_window_at(mid.numerator, 2 * mid.denominator, params.lam, q)) != cell.members:
-        raise ValueError(f"corrupt cell {cell}: members do not match its midpoint window")
+    q = params.q
     order = cyclotomic_order(params)
-    n_lam = params.n_lam
-    s = n_lam.denominator
-    drift_scale = order // (s * q)
-    drift_num = n_lam.numerator
-    odd = q % 2 == 1
-    inv, modulus = coefficient_exponent(a, q)
-    coeff_scale = order // modulus
-    weight = 1.0 if odd else math.sqrt(2.0)
-    eighth = order // 8
-
-    plus = [0] * order
-    minus = [0] * order
-    shadow_plus = 0j
-    shadow_minus = 0j
-    for k in cell.members:
+    drift_num, sq = params.n_lam.numerator, params.s * q
+    inv, modulus = coefficient_exponent(params.a, q)
+    shifts = (0,) if q % 2 else (order // 8, -order // 8)
+    weight = 1.0 if q % 2 else math.sqrt(2.0)
+    table = {}
+    for k in _contributing_ks(params.lam, q):
         coeff_num = (inv * k * k) % modulus
-        j_coeff = coeff_num * coeff_scale
-        coeff_frac = coeff_num / modulus
-        drift_mod = (drift_num * k) % (s * q)
-        j_drift = drift_mod * drift_scale
-        drift_frac = drift_mod / (s * q)
-        jp = (j_coeff + j_drift) % order
-        jm = (j_coeff - j_drift) % order
-        if odd:
-            plus[jp] += 1
-            minus[jm] += 1
-        else:
-            plus[(jp + eighth) % order] += 1
-            plus[(jp + 7 * eighth) % order] += 1
-            minus[(jm + eighth) % order] += 1
-            minus[(jm + 7 * eighth) % order] += 1
-        # shadow from the unscaled fractional exponents, so the comparison
-        # exercises the order-M index arithmetic as well
-        shadow_plus += weight * cmath.exp(2j * math.pi * (coeff_frac + drift_frac))
-        shadow_minus += weight * cmath.exp(2j * math.pi * (coeff_frac - drift_frac))
+        drift_mod = (drift_num * k) % sq
+        j_coeff, j_drift = coeff_num * (order // modulus), drift_mod * (order // sq)
+        coeff_frac, drift_frac = coeff_num / modulus, drift_mod / sq
+        table[k] = (
+            [(j_coeff + j_drift + t) % order for t in shifts],
+            [(j_coeff - j_drift + t) % order for t in shifts],
+            weight * cmath.exp(2j * math.pi * (coeff_frac + drift_frac)),
+            weight * cmath.exp(2j * math.pi * (coeff_frac - drift_frac)),
+        )
+    return order, table
 
-    s_plus = CycInt(order, tuple(plus))
-    s_minus = CycInt(order, tuple(minus))
+
+def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
+    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M] from the
+    terms of its members (see _member_terms).  The float shadow of each
+    assembled sum is compared against a direct complex summation.
+    """
+    mid = cell.lo + cell.hi
+    num, den = mid.numerator, mid.denominator
+    members = tuple(_window_at(num, 2 * den, params.lam, params.q))
+    if not 0 <= num <= den or members != cell.members:
+        raise ValueError(
+            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
+        )
+    order, table = _member_terms(params)
+    plus: dict[int, int] = {}
+    minus: dict[int, int] = {}
+    shadow_plus = shadow_minus = 0j
+    for k in cell.members:
+        terms_plus, terms_minus, direct_plus, direct_minus = table[k]
+        for j in terms_plus:
+            plus[j] = plus.get(j, 0) + 1
+        for j in terms_minus:
+            minus[j] = minus.get(j, 0) + 1
+        shadow_plus += direct_plus
+        shadow_minus += direct_minus
+
+    s_plus = CycInt(order, sorted(plus.items()))
+    s_minus = CycInt(order, sorted(minus.items()))
+    bound = _float_bound(cell, params)
     if (
-        abs(s_plus.to_complex() - shadow_plus) > FLOAT_ZERO_TOL
-        or abs(s_minus.to_complex() - shadow_minus) > FLOAT_ZERO_TOL
+        abs(s_plus.to_complex() - shadow_plus) > bound
+        or abs(s_minus.to_complex() - shadow_minus) > bound
     ):
         raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
     return s_plus, s_minus
@@ -182,7 +209,7 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
 
 def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
     exact = z.is_zero()
-    if exact != (abs(z.to_complex()) < FLOAT_ZERO_TOL):
+    if exact != (abs(z.to_complex()) <= _float_bound(cell, params)):
         raise ExactFloatMismatch(
             f"exact zero test disagrees with float shadow for {params} on {cell}"
         )
@@ -195,7 +222,6 @@ class _CellVerdict:
     qualifies: bool
     side: str = SIDE_BOTH
     survivor: CycInt | None = None
-    survivor_key: tuple[int, ...] = ()
 
 
 def detect_plateaux(params: WellParams) -> PlateauReport:
@@ -218,12 +244,11 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         zm = _checked_is_zero(s_minus, params, cell)
         checks += 2
         if zp and zm:
-            zero = CycInt.zero(s_plus.order)
-            verdicts.append(_CellVerdict(cell, True, SIDE_BOTH, zero, zero.reduced()))
+            verdicts.append(_CellVerdict(cell, True, SIDE_BOTH, CycInt.zero(s_plus.order)))
         elif zp:
-            verdicts.append(_CellVerdict(cell, True, SIDE_PLUS, s_minus, s_minus.reduced()))
+            verdicts.append(_CellVerdict(cell, True, SIDE_PLUS, s_minus))
         elif zm:
-            verdicts.append(_CellVerdict(cell, True, SIDE_MINUS, s_plus, s_plus.reduced()))
+            verdicts.append(_CellVerdict(cell, True, SIDE_MINUS, s_plus))
         else:
             verdicts.append(_CellVerdict(cell, False))
 
@@ -239,7 +264,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
             j + 1 < len(verdicts)
             and verdicts[j + 1].qualifies
             and verdicts[j + 1].side == v.side
-            and verdicts[j + 1].survivor_key == v.survivor_key
+            and verdicts[j + 1].survivor.equals(v.survivor)
         ):
             j += 1
         lo = verdicts[i].cell.lo

@@ -225,7 +225,7 @@ def test_criterion_10_cyclotomic_identities():
         mult = [0] * m
         for _ in range(rng.randint(1, 3)):
             mult[rng.randrange(m)] += rng.choice([-2, -1, 1, 2])
-        z = CycInt(m, tuple(base)) * CycInt(m, tuple(mult))
+        z = CycInt(m, enumerate(base)) * CycInt(m, enumerate(mult))
         if not z.is_zero():
             ok = False
             break

@@ -1,8 +1,10 @@
 import cmath
+import functools
 import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +74,7 @@ def test_product_of_divisor_polys(m):
 
 
 def test_is_zero_examples():
-    cube = CycInt(3, (1, 1, 1))  # full sum of cube roots of unity
+    cube = CycInt(3, enumerate((1, 1, 1)))  # full sum of cube roots of unity
     assert cube.is_zero()
     root2 = CycInt.sqrt_two(8)
     assert (root2 * root2 - CycInt.integer(8, 2)).is_zero()
@@ -86,14 +88,14 @@ def test_is_zero_matches_float_on_small_sums():
         coeffs = [0] * m
         for _ in range(rng.randint(0, 6)):
             coeffs[rng.randrange(m)] += rng.choice([-2, -1, 1, 2])
-        z = CycInt(m, tuple(coeffs))
+        z = CycInt(m, enumerate(coeffs))
         assert z.is_zero() == (abs(z.to_complex()) < 1e-9)
 
 
 def test_galois_conjugate_examples():
     z = CycInt.integer(3, 1) + CycInt.root(3, 1)
     assert galois_conjugate(z, 2).coeffs == (1, 0, 1)
-    full = CycInt(3, (1, 1, 1))
+    full = CycInt(3, enumerate((1, 1, 1)))
     assert galois_conjugate(full, 2).is_zero()
     with pytest.raises(ValueError):
         galois_conjugate(CycInt.root(6, 1), 3)
@@ -108,7 +110,7 @@ def random_zero_element(rng, m):
     mult = [0] * m
     for _ in range(rng.randint(1, 4)):
         mult[rng.randrange(m)] += rng.choice([-3, -2, -1, 1, 2, 3])
-    return CycInt(m, tuple(base)) * CycInt(m, tuple(mult))
+    return CycInt(m, enumerate(base)) * CycInt(m, enumerate(mult))
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 15, 24, 40])
@@ -132,7 +134,7 @@ def test_galois_conjugations_compose(m, m1, m2, data):
     if math.gcd(m1, m) != 1 or math.gcd(m2, m) != 1:
         return
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
-    z = CycInt(m, tuple(coeffs))
+    z = CycInt(m, enumerate(coeffs))
     left = galois_conjugate(galois_conjugate(z, m1), m2)
     right = galois_conjugate(z, (m1 * m2) % m)
     assert left == right
@@ -149,7 +151,7 @@ def test_embed_examples():
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=6), st.data())
 def test_embed_preserves_value(m, factor, data):
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
-    z = CycInt(m, tuple(coeffs))
+    z = CycInt(m, enumerate(coeffs))
     w = embed(z, m * factor)
     assert abs(z.to_complex() - w.to_complex()) < 1e-12
 
@@ -164,7 +166,7 @@ def test_to_complex_matches_term_by_term():
     for _ in range(50):
         m = rng.randint(1, 60)
         coeffs = tuple(rng.randint(-5, 5) for _ in range(m))
-        z = CycInt(m, coeffs)
+        z = CycInt(m, enumerate(coeffs))
         direct = sum(
             c * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(coeffs) if c
         )
@@ -172,7 +174,84 @@ def test_to_complex_matches_term_by_term():
 
 
 def test_reduced_equality_detects_equal_values():
-    ones = CycInt(3, (1, 1, 1))
+    ones = CycInt(3, enumerate((1, 1, 1)))
     assert ones.reduced() == CycInt.zero(3).reduced()
     assert ones.equals(CycInt.zero(3))
     assert not CycInt.root(3, 1).equals(CycInt.root(3, 2))
+
+
+# orders with p^2 | M, products of many primes, and the detector's sizes
+ORACLE_ORDERS = [2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 72, 105, 210, 1155]
+X = sympy.Symbol("x")
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_cyclotomic(m):
+    return sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+
+
+def sympy_is_zero(z):
+    poly = sympy.Poly(list(reversed(z.coeffs)), X)
+    return sympy.rem(poly, sympy_cyclotomic(z.order)).is_zero
+
+
+def shifted_zero(m, d, shift, c):
+    """c x^shift Phi_d(x^(m/d)) folded mod m, which vanishes at zeta_m for d | m."""
+    stride = m // d
+    coeffs = reversed(sympy_cyclotomic(d).all_coeffs())
+    return CycInt(m, ((shift + i * stride, c * int(a)) for i, a in enumerate(coeffs)))
+
+
+@st.composite
+def oracle_cases(draw, orders):
+    """(element, known_zero): random sparse sums, sums of shifted multiples of
+    Phi_d for d | m, and those zeros perturbed by +-1."""
+    m = draw(st.sampled_from(orders))
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    zero = CycInt.zero(m)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(divisors))
+        coefficient = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        zero = zero + shifted_zero(m, d, draw(st.integers(0, m - 1)), coefficient)
+    kind = draw(st.sampled_from(["zero", "perturbed", "random"]))
+    if kind == "zero":
+        return zero, True
+    if kind == "perturbed":
+        return zero + CycInt.root(m, draw(st.integers(0, m - 1))) * draw(st.sampled_from([-1, 1])), False
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-2, 2)), max_size=8))
+    return CycInt(m, terms), None
+
+
+def check_against_oracles(z, known_zero):
+    dense = not any(z.reduced())
+    assert z.is_zero() == dense == sympy_is_zero(z)
+    if known_zero is not None:
+        assert dense == known_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases(ORACLE_ORDERS))
+def test_is_zero_matches_dense_and_sympy_remainders(case):
+    check_against_oracles(*case)
+
+
+@settings(max_examples=6, deadline=None)
+@given(oracle_cases([1064, 4200]))
+def test_is_zero_matches_oracles_at_detector_orders(case):
+    check_against_oracles(*case)
+
+
+def test_sparse_arithmetic_matches_dense():
+    rng = random.Random(11)
+    for _ in range(100):
+        m = rng.choice([4, 9, 12, 30, 72])
+        a = CycInt(m, enumerate([rng.randint(-2, 2) for _ in range(m)]))
+        b = CycInt(m, enumerate([rng.randint(-2, 2) for _ in range(m)]))
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+        product = [0] * m
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                product[(i + j) % m] += x * y
+        assert (a * b).coeffs == tuple(product)
+        assert CycInt(m, enumerate(a.coeffs)) == a

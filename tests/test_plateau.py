@@ -1,14 +1,21 @@
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from qwell.cyclotomic import galois_conjugate
+from qwell import cyclotomic
+from qwell.cyclotomic import CycInt, galois_conjugate
+from qwell.gauss import coefficient_c
 from qwell.plateau import (
     POSITIVE_LEVEL,
+    ExactFloatMismatch,
+    SIDE_PLUS,
     ZERO_LEVEL,
+    Cell,
     build_cells,
+    cyclotomic_order,
     detect_plateaux,
     plateau_level,
     singular_points,
@@ -112,6 +119,9 @@ def test_window_sums_rejects_members_off_the_midpoint_window():
     assert cell.members == (0, 1)
     with pytest.raises(ValueError, match="midpoint window"):
         window_sums(dataclasses.replace(cell, members=(0,)), p)
+    outside = Cell(Fraction(2), Fraction(3), window_oracle(Fraction(5, 2), p.lam, p.q))
+    with pytest.raises(ValueError, match="outside"):
+        window_sums(outside, p)
 
 
 def test_window_sums_empty_cell_is_double_zero():
@@ -149,6 +159,7 @@ def test_detect_golden_intervals(lam, n_state, tau, lo, hi, kind):
     assert (interval.lo, interval.hi) == (lo, hi)
     assert interval.kind == kind
     assert not report.fragmentation
+    assert report.zero_checks == 2 * len(build_cells(lam, tau.denominator))
 
 
 def test_detect_fragmentation_gaps_odd_q():
@@ -222,3 +233,70 @@ def test_fragmentation_implies_zero_level_only():
         assert report.fragmentation
         assert report.intervals
         assert all(iv.kind == ZERO_LEVEL for iv in report.intervals)
+
+
+def test_cyclotomic_order_is_q_s_for_odd_q():
+    for lam, n_state, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
+        p = WellParams(lam, n_state, tau)
+        expected = p.q * p.s if p.q % 2 else math.lcm(8, 4 * p.q, p.q * p.s)
+        assert cyclotomic_order(p) == expected
+
+
+def e(x):
+    return cmath.exp(2j * cmath.pi * float(x % 1))
+
+
+@pytest.mark.parametrize(
+    "lam,n_state,tau",
+    [g[:3] for g in GOLDEN_PLATEAUX]
+    + [(Fraction(5, 2), 1, Fraction(1, 997)), (Fraction(7, 3), 2, Fraction(1, 1000))],
+)
+def test_window_sums_match_gauss_coefficient_sums(lam, n_state, tau):
+    """S_pm against sum c(k) e(+-N lam k / q) from the Fraction exponents of
+    gauss.coefficient_c, cell by cell."""
+    p = WellParams(lam, n_state, tau)
+    cells = build_cells(p.lam, p.q)
+    terms = {}
+    for k in {k for cell in cells for k in cell.members}:
+        c, drift = coefficient_c(p.a, p.q, k).value, p.n_lam * k / p.q
+        terms[k] = (c * e(drift), c * e(-drift))
+    for cell in cells:
+        s_plus, s_minus = window_sums(cell, p)
+        assert abs(s_plus.to_complex() - sum(terms[k][0] for k in cell.members)) < 1e-9
+        assert abs(s_minus.to_complex() - sum(terms[k][1] for k in cell.members)) < 1e-9
+
+
+def test_detect_large_q_pinned():
+    report = detect_plateaux(WellParams(Fraction(5, 2), 1, Fraction(1, 997)))
+    assert [(iv.lo, iv.hi, iv.kind, iv.vanishing_side) for iv in report.intervals] == [
+        (Fraction(2467, 4985), Fraction(2468, 4985), POSITIVE_LEVEL, SIDE_PLUS)
+    ]
+    assert report.zero_checks == 1996
+    report = detect_plateaux(WellParams(Fraction(7, 3), 2, Fraction(1, 1000)))
+    assert report.intervals == ()
+    assert report.zero_checks == 1002
+
+
+def test_detector_decides_on_the_sparse_terms_only(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", dense)
+    monkeypatch.setattr(CycInt, "reduced", dense)
+    monkeypatch.setattr(CycInt, "coeffs", property(dense))
+    for lam, n_state, tau, lo, hi, _ in GOLDEN_PLATEAUX:
+        interval = detect_plateaux(WellParams(lam, n_state, tau)).intervals[0]
+        assert (interval.lo, interval.hi) == (lo, hi)
+
+
+def test_flipped_verdict_or_shadow_drift_raises(monkeypatch):
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    is_zero, to_complex = CycInt.is_zero, CycInt.to_complex
+    monkeypatch.setattr(CycInt, "is_zero", lambda z: not is_zero(z))
+    with pytest.raises(ExactFloatMismatch, match="zero test"):
+        detect_plateaux(p)
+    monkeypatch.setattr(CycInt, "is_zero", is_zero)
+    # far below the old fixed 1e-9 tolerance, far above n w eps
+    monkeypatch.setattr(CycInt, "to_complex", lambda z: to_complex(z) + 1e-12)
+    with pytest.raises(ExactFloatMismatch, match="shadow"):
+        detect_plateaux(p)
