@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

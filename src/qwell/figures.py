@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .plateau import PlateauReport, detect_plateaux
 from .wavefield import WellParams, density_p
 
@@ -36,8 +38,8 @@ def density_samples(params: WellParams, samples: int) -> list[tuple[float, float
     singular points."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    step = 0.5 / samples
-    return [((i + 0.5) * step, density_p((i + 0.5) * step, params)) for i in range(samples)]
+    xs = (np.arange(samples) + 0.5) * (0.5 / samples)
+    return list(zip(xs.tolist(), density_p(xs, params).tolist()))
 
 
 def render_csv(rows: list[tuple[float, float]]) -> str:

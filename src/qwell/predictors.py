@@ -17,6 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
 from .rationals import dist_nearest_int
 from .wavefield import WellParams, density_p
@@ -138,11 +140,8 @@ def peak_count(params: WellParams) -> int:
 def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
     """Strict local maxima of the density on an offset grid over [0, 1/2];
     the numeric cross-check for peak_count."""
-    xs = [(i + 0.5) / (2.0 * samples) for i in range(samples)]
-    ps = [density_p(x, params) for x in xs]
-    return sum(
-        1 for i in range(1, samples - 1) if ps[i - 1] < ps[i] > ps[i + 1]
-    )
+    ps = density_p((np.arange(samples) + 0.5) / (2.0 * samples), params)
+    return int(np.count_nonzero((ps[:-2] < ps[1:-1]) & (ps[1:-1] > ps[2:])))
 
 
 def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:

@@ -50,11 +50,15 @@ def dist_nearest_int(x: Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "u/v", an integer string, or a decimal like "10.7" exactly."""
+    """Parse "u/v", an integer or a decimal like "10.7" exactly; refuse float overflow."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
+        float(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+    except OverflowError:
+        raise ValueError(f"too large for a float: {text!r}") from None
+    return value
 
 
 def format_rational(x: Fraction) -> str:

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -121,7 +122,7 @@ def interval_I(x, params: WellParams) -> list[int]:
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
 
-def density_p(x, params: WellParams) -> float:
+def density_p(x, params: WellParams) -> float | np.ndarray:
     """Normalized probability density at x in [0, 1/2]:
 
         p(x) = (4 lam / q) |sum_{k in I(x)} c(k) sin(2 pi N lam (x - k/q))|^2
@@ -129,22 +130,26 @@ def density_p(x, params: WellParams) -> float:
     which equals 2 lam |Psi(2 lam x, (a/q) T)|^2.  Terms whose window edge is
     grazed contribute a vanishing sine, so the value is continuous across
     cell boundaries.
+
+    A number x (a Fraction as float(x)) gives a float, a 1-D float array an
+    array; bit for bit the per-point loop (so hypot, and Python's float pow).
     """
     a, q = params.a, params.q
-    exact = isinstance(x, Fraction) or isinstance(x, int)
-    n_lam_f = float(params.n_lam)
-    total = 0j
-    for k in interval_I(x, params):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    n_lam_f, half = float(params.n_lam), 1.0 / (2.0 * float(params.lam))
+    k_lo, k_hi = np.ceil(q * (xs - half)), np.floor(q * (xs + half))
+    re, im = np.zeros_like(xs), np.zeros_like(xs)
+    for k in range(int(k_lo.min()), int(k_hi.max()) + 1) if xs.size else ():
         c = coefficient_c(a, q, k)
         if c.kind is CoeffKind.ZERO:
             continue
-        if exact:
-            arg = params.n_lam * (Fraction(x) - Fraction(k, q))
-            sine = math.sin(TWO_PI * float(arg % 1))
-        else:
-            sine = math.sin(TWO_PI * n_lam_f * (float(x) - k / q))
-        total += c.value * sine
-    return 4.0 * float(params.lam) / q * abs(total) ** 2
+        value, mask = c.value, (k_lo <= k) & (k <= k_hi)
+        sine = np.sin(TWO_PI * n_lam_f * (xs[mask] - k / q))
+        re[mask] += value.real * sine
+        im[mask] += value.imag * sine
+    h = np.hypot(re, im).tolist()
+    ps = 4.0 * float(params.lam) / q * np.fromiter(map(pow, h, repeat(2.0)), float, len(h))
+    return float(ps[0]) if np.ndim(x) == 0 else ps
 
 
 def well_overlap_coefficient(lam, n_state: int, n: int) -> float:

@@ -170,7 +170,7 @@ def test_criterion_06_special_time_identities():
 
 def simpson_integral(params, n=8001):
     xs = np.linspace(0.0, 0.5, n)
-    ps = np.array([density_p(float(x), params) for x in xs])
+    ps = density_p(xs, params)
     h = 0.5 / (n - 1)
     return h / 3 * (ps[0] + ps[-1] + 4 * ps[1:-1:2].sum() + 2 * ps[2:-1:2].sum())
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from qwell import figures
 from qwell.cli import main
 
 
@@ -125,3 +127,43 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# sha256 of CSV + SVG of each reference panel at the default 2000 samples
+PANEL_DIGESTS = {
+    "frag-a": "2c4a756edf8e3bc00daed95819f0d40dc7f7f7e36080c985e7a6038c527e8a90",
+    "frag-b": "72c0e99e2474018428eb033ff815c6951c2a369e533766519922918e414a1ba4",
+    "frag-c": "61eed1e381b4b7c476bdb935a292ad630a84d4536835a88b4ed04c357bb6f62e",
+    "plat-a": "cbcfcbbf98e37d06b71a09f6a48dc77476d159a421074a2696900a231d184473",
+    "plat-b": "ed3138c5a7b307f1e9b37d2533f42ad59d84c83c0bca25c0bfdb644ac2c20b15",
+    "plat-c": "a39b573247502415f3dc108bc010d5e3d4b74c10b4bdc35e536ebc594d9624d9",
+    "zero-a": "c008dbfbb3748a90e8c30e8c4796f7870c1699bd7a3b68dd140b7511fa488bc2",
+    "zero-b": "6274cf3d8cf13be62ceacf5be641086470b17ef162b9a347f215349ae5360898",
+    "zero-c": "503c93313994dbf95e0ef2c124463e5114113662e547115daaeb9b6263d61082",
+}
+
+
+def test_panel_bytes_pinned():
+    assert set(PANEL_DIGESTS) == set(figures.PANELS)
+    for panel, digest in PANEL_DIGESTS.items():
+        csv_text, svg_text = figures.render_panel(panel)
+        assert hashlib.sha256((csv_text + svg_text).encode()).hexdigest() == digest, panel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--lambda", "1e400", "--N", "1", "--tau", "1/3"),
+        ("plateaux", "--lambda", "1e400", "--N", "1", "--tau", "1/3"),
+        ("predict", "--lambda", "1e400", "--N", "1", "--tau", "1/3"),
+        ("plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1e400"),
+        ("density", "--lambda", "5/2", "--N", "1" + "0" * 400, "--tau", "1/3"),
+        ("scan", "--lambda-max", "1e400", "--out", "unused.json"),
+    ],
+)
+def test_rationals_beyond_float_range_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large for a float" in err

@@ -118,3 +118,8 @@ def test_parse_and_format_round_trip():
     assert format_rational(Fraction(0)) == "0/1"
     with pytest.raises(ValueError):
         parse_rational("x/y")
+    # values whose float() overflows are refused; tiny ones are kept exactly
+    for text in ("1e400", "-1e400", "10" * 200 + "/3"):
+        with pytest.raises(ValueError, match="too large for a float"):
+            parse_rational(text)
+    assert parse_rational("1e-400") == Fraction(1, 10**400)

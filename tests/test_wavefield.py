@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwell.figures import PANELS, density_samples, panel_params
+from qwell.gauss import CoeffKind, coefficient_c
 from qwell.wavefield import (
     WellParams,
     density_p,
@@ -89,6 +91,17 @@ def test_density_boundary_and_plateau():
     assert max(values) - min(values) < 1e-9
 
 
+# fragmentation at q = 7 and 12, even q, and q up to 40
+ARRAY_CASES = [
+    WellParams(Fraction(107, 10), 1, Fraction(2, 7)),
+    WellParams(Fraction(107, 10), 2, Fraction(5, 12)),
+    WellParams(Fraction(5, 2), 3, Fraction(13, 18)),
+    WellParams(Fraction(3, 2), 2, Fraction(1, 4)),
+    WellParams(Fraction(7, 3), 2, Fraction(3, 40)),
+    WellParams(Fraction(11, 4), 1, Fraction(39, 40)),
+]
+
+
 def test_density_matches_wave_square():
     rng = random.Random(5)
     for _ in range(40):
@@ -99,6 +112,50 @@ def test_density_matches_wave_square():
         x = rng.uniform(1e-3, 0.5 - 1e-3)
         direct = 2.0 * float(lam) * abs(psi_fractional(x, p)) ** 2
         assert abs(density_p(x, p) - direct) < 1e-9
+    for p in ARRAY_CASES:
+        xs = np.array([rng.uniform(1e-3, 0.5 - 1e-3) for _ in range(60)])
+        values = density_p(xs, p)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        for x, value in zip(xs, values):
+            direct = 2.0 * float(p.lam) * abs(psi_fractional(x, p)) ** 2
+            assert abs(value - direct) <= 1e-10 * max(1.0, direct)
+
+
+def density_by_point(x: float, params: WellParams) -> float:
+    """The per-point loop density_p used to run, kept as its reference: the
+    float window, c(k) sin(2 pi N lam (x - k/q)) summed as complex numbers in
+    ascending k, then abs() ** 2."""
+    a, q = params.a, params.q
+    half = 1.0 / (2.0 * float(params.lam))
+    n_lam_f = float(params.n_lam)
+    total = 0j
+    for k in range(math.ceil(q * (x - half)), math.floor(q * (x + half)) + 1):
+        c = coefficient_c(a, q, k)
+        if c.kind is CoeffKind.ZERO:
+            continue
+        total += c.value * math.sin(2.0 * math.pi * n_lam_f * (x - k / q))
+    return 4.0 * float(params.lam) / q * abs(total) ** 2
+
+
+def test_density_array_is_bit_identical_to_the_point_loop():
+    # no tolerance: the figure bytes depend on every last bit, zero-level
+    # samples included (they are pure rounding noise)
+    for panel in PANELS:
+        p = panel_params(panel)
+        for samples in (2, 37, 2000):
+            rows = density_samples(p, samples)
+            assert rows == [(x, density_by_point(x, p)) for x, _ in rows]
+    rng = random.Random(11)
+    for p in ARRAY_CASES:
+        rows = density_samples(p, 2000)
+        assert rows == [(x, density_by_point(x, p)) for x, _ in rows]
+        # unsorted points, including cell edges, one call or one point per call
+        edges = [float(Fraction(m, p.q) + s / (2 * p.lam)) for m in range(p.q) for s in (-1, 1)]
+        xs = np.array([rng.uniform(0.0, 0.5) for _ in range(200)] + edges)
+        expected = [density_by_point(x, p) for x in xs.tolist()]
+        assert density_p(xs, p).tolist() == expected
+        assert [density_p(x, p) for x in xs.tolist()] == expected
+        assert type(density_p(xs[0], p)) is float
 
 
 def test_overlap_single_mode_at_unit_expansion():
