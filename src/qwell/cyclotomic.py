@@ -7,14 +7,16 @@ terms, not M.  The zero test decides vanishing exactly, with no numeric
 thresholds, by splitting the order one prime at a time (the structure of
 vanishing sums of roots of unity, Lam and Leung, J. Algebra 224, 2000).  The
 cyclotomic polynomials and the remainder modulo them (`reduced`) are kept as
-a canonical form and as an independent oracle for that test.  sqrt(2) is
-representable as zeta_8 + zeta_8^7, so any order divisible by 8 also houses
-the sqrt(2)-weighted terms that show up in even-denominator Gauss
-coefficients.
+a canonical form and as an independent oracle for that test.  `image_root`
+gives a ring map Z[zeta_M] -> F_ell into a prime field, under which a nonzero
+image certifies a nonzero element.  sqrt(2) is representable as
+zeta_8 + zeta_8^7, so any order divisible by 8 also houses the
+sqrt(2)-weighted terms that show up in even-denominator Gauss coefficients.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -103,20 +105,78 @@ def unit_roots(order: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * j / order) for j in range(order))
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return primes + [n] if n > 1 else primes
+
+
 @lru_cache(maxsize=1024)
 def _split(order: int) -> tuple[int, int, int, int]:
     """(p, m, u, w): the largest prime p of order > 1, m = order / p, and u = w = 0
     if p | m, else u = m^-1 mod p and w = p^-1 mod m (zeta^j = zeta_p^ju zeta_m^jw)."""
-    n, p, f = order, 1, 2
-    while f * f <= n:
-        while n % f == 0:
-            n, p = n // f, f
-        f += 1
-    p = max(p, n)
+    p = _prime_factors(order)[-1]
     m = order // p
     if m % p == 0:
         return p, m, 0, 0
     return p, m, pow(m, -1, p), pow(p, -1, m)
+
+
+# Miller-Rabin on the first 13 primes as bases is deterministic below this
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=1024)
+def image_root(order: int) -> tuple[int, int]:
+    """(ell, r): the least prime ell > 2^61 with ell = 1 (mod order), and
+    r = g^((ell - 1) / order) mod ell for the least g >= 2 that makes the
+    multiplicative order of r exactly `order`.
+
+    Then Phi_order(r) = 0 (mod ell), so zeta_order -> r is a ring
+    homomorphism Z[zeta_order] -> F_ell: an element whose image is nonzero is
+    nonzero.  A zero image proves nothing (a nonzero element maps to 0 with a
+    chance of about 1/ell), so vanishing is still decided by `is_zero`.
+    """
+    ell = ((1 << 61) // order + 1) * order + 1
+    while not _is_prime(ell):
+        ell += order
+    primes = _prime_factors(order)
+    for g in itertools.count(2):
+        r = pow(g, (ell - 1) // order, ell)
+        if all(pow(r, order // p, ell) != 1 for p in primes):
+            return ell, r
 
 
 def _vanishes(order: int, terms) -> bool:

@@ -4,17 +4,21 @@ The density at a fractional time is piecewise analytic on the open cells cut
 out of (0, 1/2) by the singular points where the window I(x) gains or loses
 a contributing integer.  For lam = u/v these points are k/q +- 1/(2 lam),
 which all lie on the lattice 1/(2uq) with numerators 2uk +- vq; the cells are
-built from those integers, and each cell's members come from its two integer
-endpoints.  On each cell the two windowed sums
+built from those integers, and each cell's members, a range of k, come from
+its two integer endpoints.  On each cell the two windowed sums
 
     S_pm = sum_{k in I} c(k) e(+-N lam k / q)
 
 are constants, and the density is constant on the cell iff one of them
 vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M] with
 M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
-denominator of N lam, so the criterion is decided by the exact cyclotomic
-zero test; every exact verdict is cross-checked against the float shadow and
-a disagreement raises.
+denominator of N lam, so the criterion is decided exactly.  A nonzero
+verdict is certified by the image of the sum under the ring map
+Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), read in O(1) per
+cell from prefix sums of the term images; only a sum whose image vanishes is
+built in Z[zeta_M], and a zero verdict comes only from the exact cyclotomic
+zero test.  Every verdict is cross-checked against the float shadow and a
+disagreement raises.
 """
 from __future__ import annotations
 
@@ -24,8 +28,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, image_root
 from .gauss import coefficient_exponent, contributing
 from .wavefield import WellParams, window
 
@@ -54,7 +59,7 @@ class Cell:
 
     lo: Fraction
     hi: Fraction
-    members: tuple[int, ...]
+    members: range
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
                 f"corrupt cell ({Fraction(x0, den)}, {Fraction(x1, den)}):"
                 " window membership is not constant"
             )
-        cells.append(Cell(Fraction(x0, den), Fraction(x1, den), tuple(members)))
+        cells.append(Cell(Fraction(x0, den), Fraction(x1, den), members))
     return tuple(cells)
 
 
@@ -138,10 +143,11 @@ def _float_bound(cell: Cell, params: WellParams) -> float:
 
 
 @lru_cache(maxsize=16)
-def _member_terms(params: WellParams) -> tuple[int, dict[int, tuple]]:
-    """(M, table): table maps every k of build_cells to the exponents in
-    Z[zeta_M] of c(k) e(+N lam k / q) and of c(k) e(-N lam k / q), and to
-    both as floats.
+def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tuple[list, list]]:
+    """(M, ks, exponents, direct): ks are the contributing k of build_cells in
+    order; exponents[0][i] and exponents[1][i] list the exponents in
+    Z[zeta_M] of c(k) e(+N lam k / q) and of c(k) e(-N lam k / q) for
+    k = ks[i], and direct[0][i], direct[1][i] are both as floats.
 
     Exponent bookkeeping is pure integer arithmetic: the coefficient
     contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent,
@@ -156,19 +162,32 @@ def _member_terms(params: WellParams) -> tuple[int, dict[int, tuple]]:
     inv, modulus = coefficient_exponent(params.a, q)
     shifts = (0,) if q % 2 else (order // 8, -order // 8)
     weight = 1.0 if q % 2 else math.sqrt(2.0)
-    table = {}
-    for k in _contributing_ks(params.lam, q):
+    ks = _contributing_ks(params.lam, q)
+    plus, minus, direct_plus, direct_minus = [], [], [], []
+    for k in ks:
         coeff_num = (inv * k * k) % modulus
         drift_mod = (drift_num * k) % sq
         j_coeff, j_drift = coeff_num * (order // modulus), drift_mod * (order // sq)
         coeff_frac, drift_frac = coeff_num / modulus, drift_mod / sq
-        table[k] = (
-            [(j_coeff + j_drift + t) % order for t in shifts],
-            [(j_coeff - j_drift + t) % order for t in shifts],
-            weight * cmath.exp(2j * math.pi * (coeff_frac + drift_frac)),
-            weight * cmath.exp(2j * math.pi * (coeff_frac - drift_frac)),
+        plus.append([(j_coeff + j_drift + t) % order for t in shifts])
+        minus.append([(j_coeff - j_drift + t) % order for t in shifts])
+        direct_plus.append(weight * cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
+        direct_minus.append(weight * cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
+    return order, ks, (plus, minus), (direct_plus, direct_minus)
+
+
+def _member_slice(cell: Cell, params: WellParams, ks: range) -> tuple[int, int]:
+    """[i0, i1): the cell's members as a slice of ks, after checking them
+    against the window at the cell's midpoint (lo + hi) / 2 in integers."""
+    lo, hi, members = cell.lo, cell.hi, cell.members
+    num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    den = lo.denominator * hi.denominator
+    if not 0 <= num <= den or _window_at(num, 2 * den, params.lam, params.q) != members:
+        raise ValueError(
+            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
         )
-    return order, table
+    i0 = ks.index(members[0]) if members else 0
+    return i0, i0 + len(members)
 
 
 def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
@@ -176,35 +195,20 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     terms of its members (see _member_terms).  The float shadow of each
     assembled sum is compared against a direct complex summation.
     """
-    mid = cell.lo + cell.hi
-    num, den = mid.numerator, mid.denominator
-    members = tuple(_window_at(num, 2 * den, params.lam, params.q))
-    if not 0 <= num <= den or members != cell.members:
-        raise ValueError(
-            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
-        )
-    order, table = _member_terms(params)
-    plus: dict[int, int] = {}
-    minus: dict[int, int] = {}
-    shadow_plus = shadow_minus = 0j
-    for k in cell.members:
-        terms_plus, terms_minus, direct_plus, direct_minus = table[k]
-        for j in terms_plus:
-            plus[j] = plus.get(j, 0) + 1
-        for j in terms_minus:
-            minus[j] = minus.get(j, 0) + 1
-        shadow_plus += direct_plus
-        shadow_minus += direct_minus
-
-    s_plus = CycInt(order, sorted(plus.items()))
-    s_minus = CycInt(order, sorted(minus.items()))
+    order, ks, exponents, direct = _member_terms(params)
+    i0, i1 = _member_slice(cell, params, ks)
     bound = _float_bound(cell, params)
-    if (
-        abs(s_plus.to_complex() - shadow_plus) > bound
-        or abs(s_minus.to_complex() - shadow_minus) > bound
-    ):
-        raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
-    return s_plus, s_minus
+    sums = []
+    for side_exponents, side_direct in zip(exponents, direct):
+        counts: dict[int, int] = {}
+        for terms in side_exponents[i0:i1]:
+            for j in terms:
+                counts[j] = counts.get(j, 0) + 1
+        s = CycInt(order, sorted(counts.items()))
+        if abs(s.to_complex() - sum(side_direct[i0:i1], 0j)) > bound:
+            raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
+        sums.append(s)
+    return sums[0], sums[1]
 
 
 def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
@@ -228,23 +232,53 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
     constant-density intervals.
 
-    Adjacent qualifying cells merge only when the vanishing side matches and
-    the surviving sums are exactly equal as cyclotomic integers; reported
-    intervals are closures, clipped to [0, 1/2].
+    Per configuration, the images of the terms under zeta_M -> r in F_ell
+    (cyclotomic.image_root) are summed into prefix sums over ks, so each
+    cell's two images cost O(1); a nonzero image proves its sum nonzero.
+    Only a side whose image vanishes is built in Z[zeta_M] and decided by the
+    exact zero test.  Every verdict is cross-checked against the float
+    shadow.  Adjacent qualifying cells merge only when the vanishing side
+    matches and the surviving sums are exactly equal as cyclotomic integers;
+    reported intervals are closures, clipped to [0, 1/2].
     """
     lam, q = params.lam, params.q
-    threshold = params.threshold
-    fragmentation = lam > threshold
+    fragmentation = lam > params.threshold
+    order, ks, exponents, direct = _member_terms(params)
+    ell, root = image_root(order)
+    turn = 2 * math.pi
+    # per side: prefix sums of the images, the float terms from the order-M
+    # exponents, and the direct float terms
+    sides = [
+        (
+            list(accumulate((sum(pow(root, j, ell) for j in t) for t in side), initial=0)),
+            [sum([cmath.rect(1.0, turn * j / order) for j in t], 0j) for t in side],
+            side_direct,
+        )
+        for side, side_direct in zip(exponents, direct)
+    ]
 
     verdicts: list[_CellVerdict] = []
-    checks = 0
     for cell in build_cells(lam, q):
-        s_plus, s_minus = window_sums(cell, params)
-        zp = _checked_is_zero(s_plus, params, cell)
-        zm = _checked_is_zero(s_minus, params, cell)
-        checks += 2
+        i0, i1 = _member_slice(cell, params, ks)
+        bound = _float_bound(cell, params)
+        vanishing = []
+        for prefix, from_exponents, side_direct in sides:
+            shadow = sum(side_direct[i0:i1], 0j)
+            if abs(sum(from_exponents[i0:i1], 0j) - shadow) > bound:
+                raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
+            image = (prefix[i1] - prefix[i0]) % ell
+            if image and abs(shadow) <= bound:
+                raise ExactFloatMismatch(
+                    f"nonzero image in F_{ell} disagrees with float shadow for {params} on {cell}"
+                )
+            vanishing.append(not image)
+        zp = zm = False
+        if any(vanishing):
+            s_plus, s_minus = window_sums(cell, params)
+            zp = vanishing[0] and _checked_is_zero(s_plus, params, cell)
+            zm = vanishing[1] and _checked_is_zero(s_minus, params, cell)
         if zp and zm:
-            verdicts.append(_CellVerdict(cell, True, SIDE_BOTH, CycInt.zero(s_plus.order)))
+            verdicts.append(_CellVerdict(cell, True, SIDE_BOTH, CycInt.zero(order)))
         elif zp:
             verdicts.append(_CellVerdict(cell, True, SIDE_PLUS, s_minus))
         elif zm:
@@ -274,7 +308,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         intervals.append(PlateauInterval(lo, hi, level, v.survivor, kind, v.side))
         i = j + 1
 
-    return PlateauReport(params, tuple(intervals), fragmentation, checks)
+    return PlateauReport(params, tuple(intervals), fragmentation, 2 * len(verdicts))
 
 
 def _level(kind: str, survivor: CycInt, params: WellParams) -> float:

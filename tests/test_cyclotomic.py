@@ -14,6 +14,7 @@ from qwell.cyclotomic import (
     cyclotomic_poly,
     embed,
     galois_conjugate,
+    image_root,
 )
 
 
@@ -222,11 +223,19 @@ def oracle_cases(draw, orders):
     return CycInt(m, terms), None
 
 
+def image(z):
+    """z under zeta_M -> r in F_ell, term by term."""
+    ell, r = image_root(z.order)
+    return sum(c * pow(r, j, ell) for j, c in z.terms) % ell
+
+
 def check_against_oracles(z, known_zero):
     dense = not any(z.reduced())
     assert z.is_zero() == dense == sympy_is_zero(z)
     if known_zero is not None:
         assert dense == known_zero
+    # a ring map sends zero to zero: a nonzero image is never a zero
+    assert not dense or image(z) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,3 +264,38 @@ def test_sparse_arithmetic_matches_dense():
                 product[(i + j) % m] += x * y
         assert (a * b).coeffs == tuple(product)
         assert CycInt(m, enumerate(a.coeffs)) == a
+
+
+# the detector's large orders (q s for odd q, lcm(8, 4q, q s) for even q)
+IMAGE_ORDERS = [
+    1064, 4200, 7976, 12000,
+    math.lcm(8, 4 * 12, 12 * 5),    # lam = 107/10, N = 2, q = 12
+    math.lcm(8, 4 * 960, 960 * 2),  # lam = 5/2, N = 2, q = 960
+    math.lcm(8, 4 * 18, 18 * 2),    # lam = 5/2, N = 3, q = 18
+]
+
+
+@pytest.mark.parametrize("m", sorted({1, *ORACLE_ORDERS, *IMAGE_ORDERS}))
+def test_image_root_has_exact_order(m):
+    ell, r = image_root(m)
+    assert sympy.isprime(ell) and 2**61 < ell < 2**62
+    assert (ell - 1) % m == 0
+    assert pow(r, m, ell) == 1
+    assert all(pow(r, m // p, ell) != 1 for p in sympy.primefactors(m))
+    # hence r is a root of Phi_m mod ell
+    value = 0
+    for a in sympy_cyclotomic(m).all_coeffs():
+        value = (value * r + int(a)) % ell
+    assert value == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases(IMAGE_ORDERS))
+def test_image_map_at_detector_orders(case):
+    """Orders too large for the dense oracles: constructed zeros are zero and
+    map to 0; their perturbations are not zero; a zero never has a nonzero image."""
+    z, known_zero = case
+    zero = z.is_zero()
+    if known_zero is not None:
+        assert zero == known_zero
+    assert not zero or image(z) == 0

@@ -1,19 +1,27 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwell import cyclotomic
+from qwell import cyclotomic, plateau
 from qwell.cyclotomic import CycInt, galois_conjugate
 from qwell.gauss import coefficient_c
 from qwell.plateau import (
     POSITIVE_LEVEL,
     ExactFloatMismatch,
+    SIDE_BOTH,
+    SIDE_MINUS,
     SIDE_PLUS,
     ZERO_LEVEL,
     Cell,
+    PlateauInterval,
+    PlateauReport,
+    _checked_is_zero,
     build_cells,
     cyclotomic_order,
     detect_plateaux,
@@ -97,7 +105,7 @@ def test_window_membership_jumps_at_singular_points():
 
 def test_cells_partition_and_membership():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    assert [c.members for c in build_cells(p.lam, p.q)] == [(0,), (0, 1), (1,), (1, 2)]
+    assert [tuple(c.members) for c in build_cells(p.lam, p.q)] == [(0,), (0, 1), (1,), (1, 2)]
     for lam, _, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
         q = tau.denominator
         cells = build_cells(lam, q)
@@ -110,15 +118,15 @@ def test_cells_partition_and_membership():
                 (3 * cell.lo + cell.hi) / 4,
                 (cell.lo + 3 * cell.hi) / 4,
             ):
-                assert cell.members == window_oracle(x, lam, q)
+                assert tuple(cell.members) == window_oracle(x, lam, q)
 
 
 def test_window_sums_rejects_members_off_the_midpoint_window():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = build_cells(p.lam, p.q)[1]
-    assert cell.members == (0, 1)
+    assert tuple(cell.members) == (0, 1)
     with pytest.raises(ValueError, match="midpoint window"):
-        window_sums(dataclasses.replace(cell, members=(0,)), p)
+        window_sums(dataclasses.replace(cell, members=range(0, 1)), p)
     outside = Cell(Fraction(2), Fraction(3), window_oracle(Fraction(5, 2), p.lam, p.q))
     with pytest.raises(ValueError, match="outside"):
         window_sums(outside, p)
@@ -300,3 +308,143 @@ def test_flipped_verdict_or_shadow_drift_raises(monkeypatch):
     monkeypatch.setattr(CycInt, "to_complex", lambda z: to_complex(z) + 1e-12)
     with pytest.raises(ExactFloatMismatch, match="shadow"):
         detect_plateaux(p)
+
+
+def test_build_cells_memory_is_linear_in_q():
+    # members are ranges: a tuple per cell would hold about q^2 / lam ints
+    tracemalloc.start()
+    try:
+        cells = build_cells.__wrapped__(Fraction(5, 2), 10001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) > 10001
+    assert peak < 50 * 2**20
+
+
+def detect_by_cell(params):
+    """The all-exact detector loop detect_plateaux used to run, kept as its
+    reference: both window sums built in Z[zeta_M] for every cell, each
+    decided by the exact zero test and cross-checked against its float
+    shadow, adjacent cells merged on the side and on `equals`."""
+    verdicts = []
+    for cell in build_cells(params.lam, params.q):
+        s_plus, s_minus = window_sums(cell, params)
+        zp = _checked_is_zero(s_plus, params, cell)
+        zm = _checked_is_zero(s_minus, params, cell)
+        if zp and zm:
+            verdicts.append((cell, SIDE_BOTH, CycInt.zero(s_plus.order)))
+        elif zp:
+            verdicts.append((cell, SIDE_PLUS, s_minus))
+        elif zm:
+            verdicts.append((cell, SIDE_MINUS, s_plus))
+        else:
+            verdicts.append((cell, None, None))
+    intervals = []
+    i = 0
+    while i < len(verdicts):
+        cell, side, survivor = verdicts[i]
+        if side is None:
+            i += 1
+            continue
+        j = i
+        while (
+            j + 1 < len(verdicts)
+            and verdicts[j + 1][1] == side
+            and verdicts[j + 1][2].equals(survivor)
+        ):
+            j += 1
+        if side == SIDE_BOTH:
+            kind, level = ZERO_LEVEL, 0.0
+        else:
+            kind = POSITIVE_LEVEL
+            level = float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
+        intervals.append(
+            PlateauInterval(cell.lo, verdicts[j][0].hi, level, survivor, kind, side)
+        )
+        i = j + 1
+    return PlateauReport(
+        params, tuple(intervals), params.lam > params.threshold, 2 * len(verdicts)
+    )
+
+
+ORACLE_CASES = [g[:3] for g in GOLDEN_PLATEAUX] + [
+    (Fraction(107, 10), 1, Fraction(2, 7)),
+    (Fraction(107, 10), 2, Fraction(1, 12)),
+    (Fraction(9, 4), 3, Fraction(1, 20)),
+    (Fraction(7, 2), 1, Fraction(5, 8)),
+    (Fraction(3, 2), 1, Fraction(1, 160)),
+    (Fraction(5, 2), 1, Fraction(1, 997)),
+    (Fraction(7, 3), 2, Fraction(1, 1000)),
+]
+
+
+@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES)
+def test_detector_matches_the_all_exact_cell_loop(lam, n_state, tau):
+    p = WellParams(lam, n_state, tau)
+    assert detect_plateaux(p) == detect_by_cell(p)
+
+
+@st.composite
+def default_grid_params(draw):
+    """A configuration of the default scan grid: lam = u/v with v <= 8 and
+    1 < lam <= 6, a reduced a/q with q <= 20, N <= 3."""
+    v = draw(st.integers(1, 8))
+    lam = Fraction(draw(st.integers(v + 1, 6 * v)), v)
+    q = draw(st.integers(1, 20))
+    a = draw(st.sampled_from([a for a in range(q) if math.gcd(a, q) == 1]))
+    return WellParams(lam, draw(st.integers(1, 3)), Fraction(a, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(default_grid_params())
+def test_detector_matches_the_cell_loop_on_the_default_grid(p):
+    assert detect_plateaux(p) == detect_by_cell(p)
+
+
+def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
+    """With a root of order M/p the image map is no longer a ring map: a
+    vanishing sum may get a nonzero image, which its float shadow refutes,
+    and a nonzero sum may get a zero image, which the exact test overrules.
+    Either way no verdict changes."""
+    image_root = cyclotomic.image_root
+    raised = set()
+    for case in ORACLE_CASES:
+        p = WellParams(*case)
+        expected = detect_plateaux(p)
+        for prime in cyclotomic._prime_factors(cyclotomic_order(p)):
+
+            def bad_root(m, prime=prime):
+                ell, r = image_root(m)
+                return ell, pow(r, prime, ell)
+
+            monkeypatch.setattr(plateau, "image_root", bad_root)
+            try:
+                assert detect_plateaux(p) == expected
+            except ExactFloatMismatch as err:
+                assert "image" in str(err)
+                raised.add((*case, prime))
+            monkeypatch.setattr(plateau, "image_root", image_root)
+    # order M/2 sends the odd-q zeros zeta^j + zeta^(j + M/2) to 2 r^j
+    assert {
+        (Fraction(5, 2), 1, Fraction(1, 3), 2),
+        (Fraction(3, 2), 1, Fraction(5, 3), 2),
+        (Fraction(5, 2), 1, Fraction(1, 997), 2),
+    } <= raised
+
+
+def test_member_terms_exponent_off_by_one_raises(monkeypatch):
+    member_terms = plateau._member_terms
+    for lam, n_state, tau in ORACLE_CASES:
+        p = WellParams(lam, n_state, tau)
+        order, ks, (plus, minus), direct = member_terms(p)
+        for side in (0, 1):
+            exponents = [list(plus), list(minus)]
+            i = len(ks) // 2
+            exponents[side][i] = [(exponents[side][i][0] + 1) % order] + exponents[side][i][1:]
+            monkeypatch.setattr(
+                plateau, "_member_terms", lambda _, e=exponents: (order, ks, tuple(e), direct)
+            )
+            with pytest.raises(ExactFloatMismatch, match="shadow"):
+                detect_plateaux(p)
+            monkeypatch.setattr(plateau, "_member_terms", member_terms)
