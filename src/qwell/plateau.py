@@ -18,7 +18,10 @@ Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), read in O(1) per
 cell from prefix sums of the term images; only a sum whose image vanishes is
 built in Z[zeta_M], and a zero verdict comes only from the exact cyclotomic
 zero test.  Every verdict is cross-checked against the float shadow and a
-disagreement raises.
+disagreement raises.  The shadows are read in O(1) per cell as well: each
+float term is rounded to an integer multiple of 2^-60 and the rounded terms
+are prefix-summed exactly as Python ints, so the detector is linear in the
+number of cells and terms.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+
+import numpy as np
 
 from .cyclotomic import CycInt, image_root
 from .gauss import coefficient_exponent, contributing
@@ -44,7 +49,20 @@ SIDE_BOTH = "both"
 # A window sum of n terms of modulus w (sqrt(2) for even q, else 1) may be off
 # by C n w eps in floats: the worst seen on the default scan is 9.5 n w eps, and
 # its smallest nonzero |S| (9.2e-3) is far above the bound.
+#
+# The detector reads its shadows from exact prefix sums of the terms rounded
+# to integers at scale SHADOW_SCALE = 2^60 (see _shadow_prefixes).  Rounding
+# moves each component of a term by at most 2^-61, so a shadow of n terms
+# moves by at most n 2^-61 per component, and the exponent-minus-direct gap,
+# rounded on both sides, by at most n 2^-60.  With eps = 2^-52 and w >= 1 the
+# bound is C n w eps >= 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it to a
+# shadow and 2^-15 to a gap, so the bound stays as it is.  The prefix
+# differences are exact integers, compared with the bound times SHADOW_SCALE;
+# turning one into a float rounds correctly, adding at most
+# |S| eps / 2 <= n w eps / 2 per component, less than a float summation of
+# the same terms may.
 FLOAT_ERROR_C = 128
+SHADOW_SCALE = 1 << 60
 
 
 class ExactFloatMismatch(RuntimeError):
@@ -176,6 +194,50 @@ def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tu
     return order, ks, (plus, minus), (direct_plus, direct_minus)
 
 
+@lru_cache(maxsize=256)
+def _root_powers(order: int, ell: int, root: int) -> tuple[int, list[int], list[int]]:
+    """(h, low, high) with low[i] = root^i and high[i] = root^(i 2^h) mod ell,
+    both built by repeated multiplication, so that for 0 <= j < order
+    root^j = high[j >> h] low[j & (2^h - 1)].  Two tables of at most about
+    2 sqrt(order) entries each, where one table of every power would grow
+    with the order M = q s, that is with the denominator s of N lam as well
+    as with q."""
+    h = order.bit_length() // 2
+    low = [1] * (1 << h)
+    for i in range(1, len(low)):
+        low[i] = low[i - 1] * root % ell
+    step = low[-1] * root % ell
+    high = [1] * (((order - 1) >> h) + 1)
+    for i in range(1, len(high)):
+        high[i] = high[i - 1] * step % ell
+    return h, low, high
+
+
+def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]:
+    """Per side of _member_terms, the shadows and the gaps: exact prefix sums,
+    as Python ints, of the real and of the imaginary parts of its direct float
+    terms, and of its float terms from the order-M exponents minus the direct
+    ones.  Every part is rounded to an integer at SHADOW_SCALE (half to even,
+    as round does); |part| <= 2, so each integer and the difference of two
+    fit in int64."""
+    turn = 2 * math.pi
+    from_exponents = [
+        [sum([cmath.rect(1.0, turn * j / order) for j in t], 0j) for t in side]
+        for side in exponents
+    ]
+    # shape (direct or from exponents, side, 2n), real and imaginary interleaved
+    terms = np.array([direct, from_exponents], dtype=complex).reshape(2, 2, -1)
+    fixed = np.rint(terms.view(np.float64) * SHADOW_SCALE).astype(np.int64)
+    fixed[1] -= fixed[0]
+    return [
+        tuple(
+            (list(accumulate(parts[0::2], initial=0)), list(accumulate(parts[1::2], initial=0)))
+            for parts in (fixed[0, side].tolist(), fixed[1, side].tolist())
+        )
+        for side in (0, 1)
+    ]
+
+
 def _member_slice(cell: Cell, params: WellParams, ks: range) -> tuple[int, int]:
     """[i0, i1): the cell's members as a slice of ks, after checking them
     against the window at the cell's midpoint (lo + hi) / 2 in integers."""
@@ -232,42 +294,45 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
     constant-density intervals.
 
-    Per configuration, the images of the terms under zeta_M -> r in F_ell
-    (cyclotomic.image_root) are summed into prefix sums over ks, so each
-    cell's two images cost O(1); a nonzero image proves its sum nonzero.
-    Only a side whose image vanishes is built in Z[zeta_M] and decided by the
-    exact zero test.  Every verdict is cross-checked against the float
-    shadow.  Adjacent qualifying cells merge only when the vanishing side
-    matches and the surviving sums are exactly equal as cyclotomic integers;
-    reported intervals are closures, clipped to [0, 1/2].
+    Per configuration and side, three tables are prefix-summed over ks: the
+    images of the terms under zeta_M -> r in F_ell (cyclotomic.image_root,
+    each power of r read from _root_powers), the direct float terms and the
+    float terms from the order-M exponents minus the direct ones, both
+    rounded to integers at SHADOW_SCALE and summed exactly (_shadow_prefixes).
+    Each cell reads its two images, its two shadows and its two gaps as
+    prefix differences in O(1).  A gap above the float bound means the
+    exponent bookkeeping is off and raises.  A nonzero image proves its sum
+    nonzero, and its shadow must then exceed the bound.  Only a side whose
+    image vanishes is built in Z[zeta_M] and decided by the exact zero test,
+    cross-checked against that sum's own float shadow.  Adjacent qualifying
+    cells merge only when the vanishing side matches and the surviving sums
+    are exactly equal as cyclotomic integers; reported intervals are
+    closures, clipped to [0, 1/2].
     """
     lam, q = params.lam, params.q
     fragmentation = lam > params.threshold
     order, ks, exponents, direct = _member_terms(params)
     ell, root = image_root(order)
-    turn = 2 * math.pi
-    # per side: prefix sums of the images, the float terms from the order-M
-    # exponents, and the direct float terms
-    sides = [
-        (
-            list(accumulate((sum(pow(root, j, ell) for j in t) for t in side), initial=0)),
-            [sum([cmath.rect(1.0, turn * j / order) for j in t], 0j) for t in side],
-            side_direct,
-        )
-        for side, side_direct in zip(exponents, direct)
+    h, low, high = _root_powers(order, ell, root)
+    mask = (1 << h) - 1
+    # per side: prefix sums of the term images, then the shadow and gap prefixes
+    images = [
+        list(accumulate((sum([high[j >> h] * low[j & mask] for j in t]) % ell for t in side),
+                        initial=0))
+        for side in exponents
     ]
+    sides = list(zip(images, _shadow_prefixes(order, exponents, direct)))
 
     verdicts: list[_CellVerdict] = []
     for cell in build_cells(lam, q):
         i0, i1 = _member_slice(cell, params, ks)
-        bound = _float_bound(cell, params)
+        scaled_bound = _float_bound(cell, params) * SHADOW_SCALE
         vanishing = []
-        for prefix, from_exponents, side_direct in sides:
-            shadow = sum(side_direct[i0:i1], 0j)
-            if abs(sum(from_exponents[i0:i1], 0j) - shadow) > bound:
+        for side_images, ((s_re, s_im), (g_re, g_im)) in sides:
+            if abs(complex(g_re[i1] - g_re[i0], g_im[i1] - g_im[i0])) > scaled_bound:
                 raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
-            image = (prefix[i1] - prefix[i0]) % ell
-            if image and abs(shadow) <= bound:
+            image = (side_images[i1] - side_images[i0]) % ell
+            if image and abs(complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0])) <= scaled_bound:
                 raise ExactFloatMismatch(
                     f"nonzero image in F_{ell} disagrees with float shadow for {params} on {cell}"
                 )

@@ -222,9 +222,10 @@ def conjecture_scan(
     Results come back in deterministic grid order regardless of worker
     scheduling.  Inconsistent records are returned, never raised.
     """
-    lambda_max = Fraction(lambda_max)
     tasks = []
-    for lam in _lambda_grid(lambda_dens, lambda_max):
+    # every lam >= threshold(q) is skipped and threshold(q) <= q <= q_max, so
+    # the grid stops at q_max however large lambda_max is
+    for lam in _lambda_grid(lambda_dens, min(Fraction(lambda_max), Fraction(q_max))):
         for q in range(2, q_max + 1):
             threshold = Fraction(q) if q % 2 else Fraction(q, 2)
             if lam >= threshold:

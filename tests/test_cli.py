@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qwell import figures
-from qwell.cli import main
+from qwell.cli import MAX_Q, main
 
 
 def run_cli(capsys, *argv):
@@ -167,3 +167,62 @@ def test_rationals_beyond_float_range_exit_2(tmp_path, monkeypatch, capsys, argv
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "too large for a float" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/" + "1" + "0" * 30),
+        ("plateaux", "--lambda", "5/2", "--N", "1", "--tau", f"2/{MAX_Q + 1}"),
+        ("density", "--lambda", "5/2", "--N", "1", "--tau", "1/" + "1" + "0" * 30),
+        ("density", "--lambda", "5/2", "--N", "1", "--tau", f"1/{MAX_Q + 1}", "--out", "svg"),
+        ("gauss", "1", "0", "1000000000000"),
+        ("gauss", "1", "0", str(MAX_Q + 1)),
+    ],
+)
+def test_q_beyond_max_q_exits_2_before_any_work(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"MAX_Q = {MAX_Q}" in err
+
+
+def test_predict_takes_any_q(capsys):
+    code, out, _ = run_cli(
+        capsys, "predict", "--lambda", "5/2", "--N", "1", "--tau", "1/" + "1" + "0" * 30
+    )
+    assert code == 0
+    assert json.loads(out)["regime"] == "uniform"
+
+
+def test_scan_lambda_grid_stops_at_qmax(tmp_path, capsys):
+    def records(lambda_max):
+        out_file = tmp_path / f"scan-{lambda_max}.json"
+        code, _, _ = run_cli(
+            capsys, "scan", "--lambda-den", "2", "--qmax", "4", "--nmax", "1",
+            "--lambda-max", lambda_max, "--out", str(out_file),
+        )
+        assert code == 0
+        return json.loads(out_file.read_text())
+
+    huge, capped = records("1e300"), records("4")
+    assert huge["grid"]["lambda_max"] == "1" + "0" * 300 + "/1"
+    assert huge["records"] == capped["records"] and huge["total"] == capped["total"] > 0
+
+
+# sha256 of `plateaux --lambda 5/2 --N 1 --tau 1/q` at large q
+LARGE_Q_REPORT_DIGESTS = {
+    10001: "12e6bb516af07de5c8622dcd4ac95322e7ff3b1a7c1780a3979f98059720d07f",
+    20001: "63d71c536ed79b2a4ade793985ba3aa56344ff3ef9e3addae9d0fae4d9bb9526",
+}
+
+
+@pytest.mark.parametrize("q", sorted(LARGE_Q_REPORT_DIGESTS))
+def test_large_q_report_bytes_pinned(tmp_path, capsys, q):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "plateaux", "--lambda", "5/2", "--N", "1", "--tau", f"1/{q}",
+        "--output", str(out_file),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == LARGE_Q_REPORT_DIGESTS[q]

@@ -1,8 +1,11 @@
 import cmath
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -448,3 +451,64 @@ def test_member_terms_exponent_off_by_one_raises(monkeypatch):
             with pytest.raises(ExactFloatMismatch, match="shadow"):
                 detect_plateaux(p)
             monkeypatch.setattr(plateau, "_member_terms", member_terms)
+
+
+def load_large_q_cases():
+    """The 40 (lam, N, tau) of the benchmark's large-q workload, seed 0."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [
+        (Fraction(c["lambda"]), c["n_state"], Fraction(c["tau"]))
+        for c in module.configs("large-q", 0, False)
+    ]
+
+
+def float_slice_shadows(params):
+    """Per side, the direct float terms and the float terms from the order-M
+    exponents, as detect_plateaux summed them slice by slice per cell before
+    it read them from exact integer prefix sums."""
+    order, _, exponents, direct = plateau._member_terms(params)
+    from_exponents = [
+        [sum([cmath.rect(1.0, 2 * math.pi * j / order) for j in t], 0j) for t in side]
+        for side in exponents
+    ]
+    return list(zip(direct, from_exponents))
+
+
+def read_prefix(prefix, i0, i1):
+    """Terms i0..i1-1 of a _shadow_prefixes table as the complex they sum to."""
+    re, im = prefix
+    scale = plateau.SHADOW_SCALE
+    return complex((re[i1] - re[i0]) / scale, (im[i1] - im[i0]) / scale)
+
+
+@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + load_large_q_cases())
+def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
+    # worst seen over these 53 configurations: 0.72 n w eps for a shadow and
+    # 0.86 n w eps for a gap, against the detector's bound of 128 n w eps
+    p = WellParams(lam, n_state, tau)
+    order, ks, exponents, direct = plateau._member_terms(p)
+    weight = 1.0 if p.q % 2 else math.sqrt(2.0)
+    prefixes = plateau._shadow_prefixes(order, exponents, direct)
+    for cell in build_cells(p.lam, p.q):
+        i0, i1 = plateau._member_slice(cell, p, ks)
+        tol = (i1 - i0) * weight * sys.float_info.epsilon
+        for (shadows, gaps), (side_direct, side_exponents) in zip(
+            prefixes, float_slice_shadows(p)
+        ):
+            shadow = sum(side_direct[i0:i1], 0j)
+            assert abs(read_prefix(shadows, i0, i1) - shadow) <= tol
+            gap = sum(side_exponents[i0:i1], 0j) - shadow
+            assert abs(read_prefix(gaps, i0, i1) - gap) <= tol
+
+
+def test_root_powers_match_pow():
+    for order in (1, 2, 3, 8, 120, 997, 4200):
+        ell, root = cyclotomic.image_root(order)
+        h, low, high = plateau._root_powers(order, ell, root)
+        assert len(low) * len(high) >= order and len(low) + len(high) <= 4 * math.isqrt(order) + 2
+        assert [high[j >> h] * low[j & (1 << h) - 1] % ell for j in range(order)] == [
+            pow(root, j, ell) for j in range(order)
+        ]
