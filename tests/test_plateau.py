@@ -454,11 +454,16 @@ def test_member_terms_exponent_off_by_one_raises(monkeypatch):
 
 
 def load_large_q_cases():
-    """The 40 (lam, N, tau) of the benchmark's large-q workload, seed 0."""
+    """The 40 (lam, N, tau) of the benchmark's large-q workload, seed 0,
+    imported without writing bytecode next to bench/workloads.py."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
     return [
         (Fraction(c["lambda"]), c["n_state"], Fraction(c["tau"]))
         for c in module.configs("large-q", 0, False)
