@@ -198,10 +198,9 @@ def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tu
 def _root_powers(order: int, ell: int, root: int) -> tuple[int, list[int], list[int]]:
     """(h, low, high) with low[i] = root^i and high[i] = root^(i 2^h) mod ell,
     both built by repeated multiplication, so that for 0 <= j < order
-    root^j = high[j >> h] low[j & (2^h - 1)].  Two tables of at most about
-    2 sqrt(order) entries each, where one table of every power would grow
-    with the order M = q s, that is with the denominator s of N lam as well
-    as with q."""
+    root^j = high[j >> h] low[j & (2^h - 1)].  Two tables of about
+    sqrt(order) entries each, where one table of every power would hold
+    all M of them."""
     h = order.bit_length() // 2
     low = [1] * (1 << h)
     for i in range(1, len(low)):
@@ -211,6 +210,24 @@ def _root_powers(order: int, ell: int, root: int) -> tuple[int, list[int], list[
     for i in range(1, len(high)):
         high[i] = high[i - 1] * step % ell
     return h, low, high
+
+
+def _image_prefixes(order: int, ell: int, root: int, exponents) -> list[list[int]]:
+    """Per side of _member_terms, the prefix sums mod ell of its term images
+    sum_j root^j.  The powers come from _root_powers when its two tables hold
+    no more entries than there are exponents, and from pow(root, j, ell)
+    otherwise: M = q s grows with the denominator s of N lam, which no input
+    bound limits (lam = 2.00000000000001 at q = 1001 gives M ~ 1e17 and tables
+    of 2^28 entries), and this keeps the memory linear in the number of terms."""
+    h = order.bit_length() // 2
+    if (1 << h) + ((order - 1) >> h) + 1 <= sum(len(t) for side in exponents for t in side):
+        h, low, high = _root_powers(order, ell, root)
+        mask = (1 << h) - 1
+        sums = [[sum([high[j >> h] * low[j & mask] for j in t]) for t in side]
+                for side in exponents]
+    else:
+        sums = [[sum([pow(root, j, ell) for j in t]) for t in side] for side in exponents]
+    return [list(accumulate((total % ell for total in side), initial=0)) for side in sums]
 
 
 def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]:
@@ -296,9 +313,9 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
 
     Per configuration and side, three tables are prefix-summed over ks: the
     images of the terms under zeta_M -> r in F_ell (cyclotomic.image_root,
-    each power of r read from _root_powers), the direct float terms and the
-    float terms from the order-M exponents minus the direct ones, both
-    rounded to integers at SHADOW_SCALE and summed exactly (_shadow_prefixes).
+    _image_prefixes), the direct float terms and the float terms from the
+    order-M exponents minus the direct ones, both rounded to integers at
+    SHADOW_SCALE and summed exactly (_shadow_prefixes).
     Each cell reads its two images, its two shadows and its two gaps as
     prefix differences in O(1).  A gap above the float bound means the
     exponent bookkeeping is off and raises.  A nonzero image proves its sum
@@ -313,15 +330,9 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     fragmentation = lam > params.threshold
     order, ks, exponents, direct = _member_terms(params)
     ell, root = image_root(order)
-    h, low, high = _root_powers(order, ell, root)
-    mask = (1 << h) - 1
     # per side: prefix sums of the term images, then the shadow and gap prefixes
-    images = [
-        list(accumulate((sum([high[j >> h] * low[j & mask] for j in t]) % ell for t in side),
-                        initial=0))
-        for side in exponents
-    ]
-    sides = list(zip(images, _shadow_prefixes(order, exponents, direct)))
+    sides = list(zip(_image_prefixes(order, ell, root, exponents),
+                     _shadow_prefixes(order, exponents, direct)))
 
     verdicts: list[_CellVerdict] = []
     for cell in build_cells(lam, q):

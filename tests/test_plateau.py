@@ -1,11 +1,9 @@
 import cmath
 import dataclasses
-import importlib.util
 import math
 import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -453,21 +451,28 @@ def test_member_terms_exponent_off_by_one_raises(monkeypatch):
             monkeypatch.setattr(plateau, "_member_terms", member_terms)
 
 
-def load_large_q_cases():
-    """The 40 (lam, N, tau) of the benchmark's large-q workload, seed 0,
-    imported without writing bytecode next to bench/workloads.py."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return [
-        (Fraction(c["lambda"]), c["n_state"], Fraction(c["tau"]))
-        for c in module.configs("large-q", 0, False)
+# The 40 configurations of the benchmark's large-q workload at seed 0 (q 150
+# to 960, order M 263 to 3840), written out so that these tests do not
+# depend on the benchmark's code.
+LARGE_Q_CASES = [
+    (Fraction(lam), n_state, Fraction(tau))
+    for lam, n_state, tau in [
+        ("3/2", 1, "29/152"), ("5/2", 2, "89/164"), ("5/2", 1, "37/150"),
+        ("5/2", 1, "127/151"), ("3/2", 3, "55/184"), ("7/6", 3, "15/158"),
+        ("7/2", 1, "55/156"), ("3/2", 1, "137/180"), ("5/2", 2, "239/248"),
+        ("4/3", 3, "79/162"), ("4/3", 3, "191/296"), ("3/2", 3, "103/224"),
+        ("4/3", 3, "27/196"), ("5/2", 1, "199/216"), ("9/4", 1, "89/200"),
+        ("3/2", 3, "25/154"), ("9/4", 1, "109/252"), ("7/6", 3, "51/232"),
+        ("7/2", 1, "109/288"), ("11/4", 1, "95/168"), ("5/2", 2, "283/304"),
+        ("9/4", 1, "162/211"), ("5/2", 2, "160/263"), ("5/4", 2, "87/155"),
+        ("3/2", 1, "109/220"), ("9/4", 1, "233/257"), ("5/4", 2, "134/225"),
+        ("7/2", 1, "181/230"), ("9/8", 1, "19/208"), ("5/2", 1, "127/270"),
+        ("5/4", 2, "36/185"), ("5/2", 1, "307/336"), ("7/6", 3, "337/368"),
+        ("11/4", 1, "176/331"), ("7/3", 1, "73/175"), ("5/2", 2, "113/198"),
+        ("11/4", 1, "115/204"), ("3/2", 1, "39/272"), ("5/2", 2, "313/960"),
+        ("7/2", 1, "179/190"),
     ]
+]
 
 
 def float_slice_shadows(params):
@@ -489,7 +494,7 @@ def read_prefix(prefix, i0, i1):
     return complex((re[i1] - re[i0]) / scale, (im[i1] - im[i0]) / scale)
 
 
-@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + load_large_q_cases())
+@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
     # worst seen over these 53 configurations: 0.72 n w eps for a shadow and
     # 0.86 n w eps for a gap, against the detector's bound of 128 n w eps
@@ -517,3 +522,20 @@ def test_root_powers_match_pow():
         assert [high[j >> h] * low[j & (1 << h) - 1] % ell for j in range(order)] == [
             pow(root, j, ell) for j in range(order)
         ]
+
+
+def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
+    """lam = 2.00000001 at q = 1001 has the order M = 1001 * 10^8: the two
+    tables of _root_powers would hold about 640,000 entries (about 28 MB) for
+    2,002 exponents, so the images come from pow and the detector's peak
+    stays small.  The report is the cell loop's."""
+    p = WellParams(Fraction("2.00000001"), 1, Fraction(1, 1001))
+    assert cyclotomic_order(p) == 1001 * 10**8
+    tracemalloc.start()
+    try:
+        report = detect_plateaux(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert report == detect_by_cell(p)
