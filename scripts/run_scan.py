@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the default conjecture scan and write scan.json next to this script.
+"""Run the default conjecture scan and write scan.json to the current directory.
 
 Any inconsistent record would be a counterexample to the uniqueness picture,
 so the scan runs strict: a nonzero exit means look at the output file.

@@ -19,6 +19,7 @@ from . import figures
 from .gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from .plateau import PlateauReport, detect_plateaux
 from .predictors import (
+    MAX_SCAN_CONFIGS,
     ScanRecord,
     conjecture_scan,
     fragmentation_layout,
@@ -37,7 +38,7 @@ from .wavefield import WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 10 s and 330 MB, density --out csv about 12 s and 35 MB"
+    " takes about 7-8 s and 280 MB, density --out csv about 12-14 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 
@@ -167,27 +168,31 @@ def _record_json(record: ScanRecord) -> dict:
     return out
 
 
-def _cmd_scan(args) -> int:
-    records = conjecture_scan(
-        lambda_dens=args.lambda_den,
-        lambda_max=parse_rational(args.lambda_max),
-        q_max=args.qmax,
-        n_max=args.nmax,
-    )
-    bad = [r for r in records if not r.consistent]
+def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
+               q_max: int, n_max: int) -> str:
+    """The `scan --out` file for the records of that grid."""
     payload = {
         "grid": {
-            "lambda_den": args.lambda_den,
-            "lambda_max": format_rational(parse_rational(args.lambda_max)),
-            "q_max": args.qmax,
-            "n_max": args.nmax,
+            "lambda_den": lambda_den,
+            "lambda_max": format_rational(lambda_max),
+            "q_max": q_max,
+            "n_max": n_max,
         },
         "total": len(records),
-        "inconsistent": len(bad),
+        "inconsistent": sum(not r.consistent for r in records),
         "zero_checks": sum(r.detected.zero_checks for r in records),
         "records": [_record_json(r) for r in records],
     }
-    _write_text(args.out, _dump(payload, compact=True))
+    return _dump(payload, compact=True)
+
+
+def _cmd_scan(args) -> int:
+    lambda_max = parse_rational(args.lambda_max)
+    records = conjecture_scan(
+        lambda_dens=args.lambda_den, lambda_max=lambda_max, q_max=args.qmax, n_max=args.nmax
+    )
+    bad = [r for r in records if not r.consistent]
+    _write_text(args.out, _scan_json(records, args.lambda_den, lambda_max, args.qmax, args.nmax))
     summary = f"{len(records)} configurations scanned, {len(bad)} inconsistent\n"
     sys.stderr.write(summary)
     if bad and args.strict:
@@ -260,7 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_predict)
 
-    p = subs.add_parser("scan", help="conjecture scan over a parameter grid")
+    p = subs.add_parser(
+        "scan", help="conjecture scan over a parameter grid",
+        description=f"at most {MAX_SCAN_CONFIGS} configurations, counted before any"
+        " work as (L - 1) D (D + 1) / 2 * nmax * qmax (qmax - 1) / 2 with D the"
+        " --lambda-den and L the --lambda-max capped at --qmax",
+    )
     p.add_argument("--lambda-den", type=int, default=8)
     p.add_argument("--lambda-max", default="6")
     p.add_argument("--qmax", type=int, default=20)

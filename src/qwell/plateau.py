@@ -28,7 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -46,21 +47,22 @@ SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
 SIDE_BOTH = "both"
 
-# A window sum of n terms of modulus w (sqrt(2) for even q, else 1) may be off
-# by C n w eps in floats: the worst seen on the default scan is 9.5 n w eps, and
-# its smallest nonzero |S| (9.2e-3) is far above the bound.
+# A window sum of n terms of modulus w may be off by C n w eps in floats: the
+# worst seen on the default scan is 9.5 n w eps, and its smallest nonzero |S|
+# (9.2e-3) is far above the bound.  The detector's shadows sum the unit-modulus
+# terms of _member_terms (w = 1); the CycInts of window_sums carry the sqrt(2)
+# of even q (w = sqrt(2)).
 #
 # The detector reads its shadows from exact prefix sums of the terms rounded
 # to integers at scale SHADOW_SCALE = 2^60 (see _shadow_prefixes).  Rounding
 # moves each component of a term by at most 2^-61, so a shadow of n terms
 # moves by at most n 2^-61 per component, and the exponent-minus-direct gap,
-# rounded on both sides, by at most n 2^-60.  With eps = 2^-52 and w >= 1 the
-# bound is C n w eps >= 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it to a
-# shadow and 2^-15 to a gap, so the bound stays as it is.  The prefix
-# differences are exact integers, compared with the bound times SHADOW_SCALE;
-# turning one into a float rounds correctly, adding at most
-# |S| eps / 2 <= n w eps / 2 per component, less than a float summation of
-# the same terms may.
+# rounded on both sides, by at most n 2^-60.  With eps = 2^-52 the bound is
+# C n eps = 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it to a shadow and
+# 2^-15 to a gap, so the bound stays as it is.  The prefix differences are
+# exact integers, compared with the bound times SHADOW_SCALE; turning one into
+# a float rounds correctly, adding at most |S| eps / 2 <= n eps / 2 per
+# component, less than a float summation of the same terms may.
 FLOAT_ERROR_C = 128
 SHADOW_SCALE = 1 << 60
 
@@ -163,23 +165,21 @@ def _float_bound(cell: Cell, params: WellParams) -> float:
 @lru_cache(maxsize=16)
 def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tuple[list, list]]:
     """(M, ks, exponents, direct): ks are the contributing k of build_cells in
-    order; exponents[0][i] and exponents[1][i] list the exponents in
-    Z[zeta_M] of c(k) e(+N lam k / q) and of c(k) e(-N lam k / q) for
-    k = ks[i], and direct[0][i], direct[1][i] are both as floats.
+    order; exponents[0][i] and exponents[1][i] are the exponents j in
+    Z[zeta_M] of the unit roots c(k) e(+N lam k / q) / w and
+    c(k) e(-N lam k / q) / w for k = ks[i], w = |c(k)| (sqrt(2) for even q,
+    else 1), and direct[0][i], direct[1][i] are both as floats.
 
     Exponent bookkeeping is pure integer arithmetic: the coefficient
-    contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent,
-    times sqrt(2) = zeta_8 + zeta_8^7 for even q, and the drift factor
-    contributes (+- n k mod s q) / (s q) with N lam = n / s reduced.  The
-    floats come from the unscaled fractional exponents, so comparing them
+    contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent
+    and the drift factor (+- n k mod s q) / (s q) with N lam = n / s reduced.
+    The floats come from the unscaled fractional exponents, so comparing them
     with the exact sums exercises the order-M index arithmetic as well.
     """
     q = params.q
     order = cyclotomic_order(params)
     drift_num, sq = params.n_lam.numerator, params.s * q
     inv, modulus = coefficient_exponent(params.a, q)
-    shifts = (0,) if q % 2 else (order // 8, -order // 8)
-    weight = 1.0 if q % 2 else math.sqrt(2.0)
     ks = _contributing_ks(params.lam, q)
     plus, minus, direct_plus, direct_minus = [], [], [], []
     for k in ks:
@@ -187,10 +187,10 @@ def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tu
         drift_mod = (drift_num * k) % sq
         j_coeff, j_drift = coeff_num * (order // modulus), drift_mod * (order // sq)
         coeff_frac, drift_frac = coeff_num / modulus, drift_mod / sq
-        plus.append([(j_coeff + j_drift + t) % order for t in shifts])
-        minus.append([(j_coeff - j_drift + t) % order for t in shifts])
-        direct_plus.append(weight * cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
-        direct_minus.append(weight * cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
+        plus.append((j_coeff + j_drift) % order)
+        minus.append((j_coeff - j_drift) % order)
+        direct_plus.append(cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
+        direct_minus.append(cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
     return order, ks, (plus, minus), (direct_plus, direct_minus)
 
 
@@ -214,20 +214,23 @@ def _root_powers(order: int, ell: int, root: int) -> tuple[int, list[int], list[
 
 def _image_prefixes(order: int, ell: int, root: int, exponents) -> list[list[int]]:
     """Per side of _member_terms, the prefix sums mod ell of its term images
-    sum_j root^j.  The powers come from _root_powers when its two tables hold
-    no more entries than there are exponents, and from pow(root, j, ell)
+    root^j.  The powers come from _root_powers when its two tables hold no
+    more entries than there are exponents, and from pow(root, j, ell)
     otherwise: M = q s grows with the denominator s of N lam, which no input
     bound limits (lam = 2.00000000000001 at q = 1001 gives M ~ 1e17 and tables
-    of 2^28 entries), and this keeps the memory linear in the number of terms."""
+    of 2^28 entries), and this keeps the memory linear in the number of terms.
+
+    For even q the terms leave out the factor sqrt(2) = zeta_8 + zeta_8^-1 of
+    c(k), whose image t = r^(M/8) + r^(-M/8) has t^2 = 2 + r^(-M/4) (r^(M/2) + 1)
+    = 2 != 0 in F_ell, so a sum's image vanishes exactly when t times it does."""
     h = order.bit_length() // 2
-    if (1 << h) + ((order - 1) >> h) + 1 <= sum(len(t) for side in exponents for t in side):
+    if (1 << h) + ((order - 1) >> h) + 1 <= sum(map(len, exponents)):
         h, low, high = _root_powers(order, ell, root)
         mask = (1 << h) - 1
-        sums = [[sum([high[j >> h] * low[j & mask] for j in t]) for t in side]
-                for side in exponents]
+        images = [[high[j >> h] * low[j & mask] for j in side] for side in exponents]
     else:
-        sums = [[sum([pow(root, j, ell) for j in t]) for t in side] for side in exponents]
-    return [list(accumulate((total % ell for total in side), initial=0)) for side in sums]
+        images = [[pow(root, j, ell) for j in side] for side in exponents]
+    return [list(accumulate((image % ell for image in side), initial=0)) for side in images]
 
 
 def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]:
@@ -235,13 +238,10 @@ def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]
     as Python ints, of the real and of the imaginary parts of its direct float
     terms, and of its float terms from the order-M exponents minus the direct
     ones.  Every part is rounded to an integer at SHADOW_SCALE (half to even,
-    as round does); |part| <= 2, so each integer and the difference of two
+    as round does); |part| <= 1, so each integer and the difference of two
     fit in int64."""
     turn = 2 * math.pi
-    from_exponents = [
-        [sum([cmath.rect(1.0, turn * j / order) for j in t], 0j) for t in side]
-        for side in exponents
-    ]
+    from_exponents = [[cmath.rect(1.0, turn * j / order) for j in side] for side in exponents]
     # shape (direct or from exponents, side, 2n), real and imaginary interleaved
     terms = np.array([direct, from_exponents], dtype=complex).reshape(2, 2, -1)
     fixed = np.rint(terms.view(np.float64) * SHADOW_SCALE).astype(np.int64)
@@ -255,36 +255,35 @@ def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]
     ]
 
 
-def _member_slice(cell: Cell, params: WellParams, ks: range) -> tuple[int, int]:
-    """[i0, i1): the cell's members as a slice of ks, after checking them
-    against the window at the cell's midpoint (lo + hi) / 2 in integers."""
-    lo, hi, members = cell.lo, cell.hi, cell.members
-    num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
-    den = lo.denominator * hi.denominator
-    if not 0 <= num <= den or _window_at(num, 2 * den, params.lam, params.q) != members:
-        raise ValueError(
-            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
-        )
+def _member_slice(members: range, ks: range) -> tuple[int, int]:
+    """[i0, i1): members, a run of ks, as a slice of ks."""
     i0 = ks.index(members[0]) if members else 0
     return i0, i0 + len(members)
 
 
 def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M] from the
-    terms of its members (see _member_terms).  The float shadow of each
+    terms of its members (see _member_terms), with c(k)'s factor
+    sqrt(2) = zeta_8 + zeta_8^-1 for even q.  The members are first checked
+    against the window at the cell's midpoint, and the float shadow of each
     assembled sum is compared against a direct complex summation.
     """
+    mid = (cell.lo + cell.hi) / 2
+    if not 0 <= mid <= Fraction(1, 2) or (
+        _window_at(mid.numerator, mid.denominator, params.lam, params.q) != cell.members
+    ):
+        raise ValueError(
+            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
+        )
     order, ks, exponents, direct = _member_terms(params)
-    i0, i1 = _member_slice(cell, params, ks)
+    i0, i1 = _member_slice(cell.members, ks)
+    weight, shifts = (1.0, (0,)) if params.q % 2 else (math.sqrt(2.0), (order // 8, -order // 8))
     bound = _float_bound(cell, params)
     sums = []
     for side_exponents, side_direct in zip(exponents, direct):
-        counts: dict[int, int] = {}
-        for terms in side_exponents[i0:i1]:
-            for j in terms:
-                counts[j] = counts.get(j, 0) + 1
+        counts = Counter((j + t) % order for j in side_exponents[i0:i1] for t in shifts)
         s = CycInt(order, sorted(counts.items()))
-        if abs(s.to_complex() - sum(side_direct[i0:i1], 0j)) > bound:
+        if abs(s.to_complex() - weight * sum(side_direct[i0:i1], 0j)) > bound:
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
         sums.append(s)
     return sums[0], sums[1]
@@ -299,17 +298,9 @@ def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
     return exact
 
 
-@dataclass
-class _CellVerdict:
-    cell: Cell
-    qualifies: bool
-    side: str = SIDE_BOTH
-    survivor: CycInt | None = None
-
-
 def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
-    constant-density intervals.
+    constant-density intervals in one pass over the cells.
 
     Per configuration and side, three tables are prefix-summed over ks: the
     images of the terms under zeta_M -> r in F_ell (cyclotomic.image_root,
@@ -321,23 +312,26 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     exponent bookkeeping is off and raises.  A nonzero image proves its sum
     nonzero, and its shadow must then exceed the bound.  Only a side whose
     image vanishes is built in Z[zeta_M] and decided by the exact zero test,
-    cross-checked against that sum's own float shadow.  Adjacent qualifying
-    cells merge only when the vanishing side matches and the surviving sums
-    are exactly equal as cyclotomic integers; reported intervals are
-    closures, clipped to [0, 1/2].
+    cross-checked against that sum's own float shadow.  A qualifying cell
+    extends the interval of the cell before it when that one qualified too,
+    the vanishing side matches and the surviving sums are exactly equal as
+    cyclotomic integers; reported intervals are closures, clipped to [0, 1/2].
     """
     lam, q = params.lam, params.q
-    fragmentation = lam > params.threshold
     order, ks, exponents, direct = _member_terms(params)
     ell, root = image_root(order)
     # per side: prefix sums of the term images, then the shadow and gap prefixes
     sides = list(zip(_image_prefixes(order, ell, root, exponents),
                      _shadow_prefixes(order, exponents, direct)))
+    # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
+    unit_bound = FLOAT_ERROR_C * sys.float_info.epsilon * SHADOW_SCALE
 
-    verdicts: list[_CellVerdict] = []
-    for cell in build_cells(lam, q):
-        i0, i1 = _member_slice(cell, params, ks)
-        scaled_bound = _float_bound(cell, params) * SHADOW_SCALE
+    cells = build_cells(lam, q)
+    intervals: list[PlateauInterval] = []
+    extends = False  # did the cell before this one qualify?
+    for cell in cells:
+        i0, i1 = _member_slice(cell.members, ks)
+        scaled_bound = (i1 - i0) * unit_bound
         vanishing = []
         for side_images, ((s_re, s_im), (g_re, g_im)) in sides:
             if abs(complex(g_re[i1] - g_re[i0], g_im[i1] - g_im[i0])) > scaled_bound:
@@ -354,37 +348,27 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
             zp = vanishing[0] and _checked_is_zero(s_plus, params, cell)
             zm = vanishing[1] and _checked_is_zero(s_minus, params, cell)
         if zp and zm:
-            verdicts.append(_CellVerdict(cell, True, SIDE_BOTH, CycInt.zero(order)))
+            side, survivor = SIDE_BOTH, CycInt.zero(order)
         elif zp:
-            verdicts.append(_CellVerdict(cell, True, SIDE_PLUS, s_minus))
+            side, survivor = SIDE_PLUS, s_minus
         elif zm:
-            verdicts.append(_CellVerdict(cell, True, SIDE_MINUS, s_plus))
+            side, survivor = SIDE_MINUS, s_plus
         else:
-            verdicts.append(_CellVerdict(cell, False))
-
-    intervals: list[PlateauInterval] = []
-    i = 0
-    while i < len(verdicts):
-        v = verdicts[i]
-        if not v.qualifies:
-            i += 1
+            extends = False
             continue
-        j = i
-        while (
-            j + 1 < len(verdicts)
-            and verdicts[j + 1].qualifies
-            and verdicts[j + 1].side == v.side
-            and verdicts[j + 1].survivor.equals(v.survivor)
+        if (
+            extends
+            and intervals[-1].vanishing_side == side
+            and survivor.equals(intervals[-1].level_exact)
         ):
-            j += 1
-        lo = verdicts[i].cell.lo
-        hi = verdicts[j].cell.hi
-        kind = ZERO_LEVEL if v.side == SIDE_BOTH else POSITIVE_LEVEL
-        level = _level(kind, v.survivor, params)
-        intervals.append(PlateauInterval(lo, hi, level, v.survivor, kind, v.side))
-        i = j + 1
+            intervals[-1] = replace(intervals[-1], hi=cell.hi)
+        else:
+            kind = ZERO_LEVEL if side == SIDE_BOTH else POSITIVE_LEVEL
+            level = _level(kind, survivor, params)
+            intervals.append(PlateauInterval(cell.lo, cell.hi, level, survivor, kind, side))
+        extends = True
 
-    return PlateauReport(params, tuple(intervals), fragmentation, 2 * len(verdicts))
+    return PlateauReport(params, tuple(intervals), lam > params.threshold, 2 * len(cells))
 
 
 def _level(kind: str, survivor: CycInt, params: WellParams) -> float:

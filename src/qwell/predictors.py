@@ -23,6 +23,10 @@ from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
 from .rationals import dist_nearest_int
 from .wavefield import WellParams, density_p
 
+# The most configurations conjecture_scan accepts, by the closed-form bound it
+# checks before building the grid.
+MAX_SCAN_CONFIGS = 10_000_000
+
 CASE_ODD = "odd"
 CASE_MOD4 = "0mod4"
 CASE_MOD4_PLUS2 = "2mod4"
@@ -145,14 +149,12 @@ def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
 
 
 def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
-    grid = set()
-    for v in range(1, lambda_dens + 1):
-        u = v + 1
-        while Fraction(u, v) <= lambda_max:
-            if math.gcd(u, v) == 1:
-                grid.add(Fraction(u, v))
-            u += 1
-    return sorted(grid)
+    return sorted(
+        Fraction(u, v)
+        for v in range(1, lambda_dens + 1)
+        for u in range(v + 1, math.floor(lambda_max * v) + 1)
+        if math.gcd(u, v) == 1
+    )
 
 
 def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
@@ -220,12 +222,23 @@ def conjecture_scan(
     interval / zero-level picture.
 
     Results come back in deterministic grid order regardless of worker
-    scheduling.  Inconsistent records are returned, never raised.
+    scheduling.  Inconsistent records are returned, never raised.  A grid
+    whose closed-form bound on configurations exceeds MAX_SCAN_CONFIGS raises
+    ValueError before any work starts.
     """
-    tasks = []
     # every lam >= threshold(q) is skipped and threshold(q) <= q <= q_max, so
     # the grid stops at q_max however large lambda_max is
-    for lam in _lambda_grid(lambda_dens, min(Fraction(lambda_max), Fraction(q_max))):
+    lambda_max = min(Fraction(lambda_max), Fraction(q_max))
+    # at most (lambda_max - 1) v fractions u/v per v, and q - 1 fractions a/q per q
+    fractions = (lambda_max - 1) * lambda_dens * (lambda_dens + 1) / 2
+    bound = fractions * n_max * q_max * (q_max - 1) / 2
+    if bound > MAX_SCAN_CONFIGS:
+        raise ValueError(
+            f"the scan grid may hold up to {math.floor(bound)} configurations, beyond"
+            f" the supported limit MAX_SCAN_CONFIGS = {MAX_SCAN_CONFIGS}"
+        )
+    tasks = []
+    for lam in _lambda_grid(lambda_dens, lambda_max):
         for q in range(2, q_max + 1):
             threshold = Fraction(q) if q % 2 else Fraction(q, 2)
             if lam >= threshold:

@@ -107,19 +107,10 @@ def window(num: int, den: int, lam: Fraction, q: int) -> range:
 
 
 def interval_I(x, params: WellParams) -> list[int]:
-    """All integers k with |x - k/q| <= 1/(2 lam).
-
-    Endpoint comparisons are exact when x is a Fraction; float x gets the
-    float version (adequate for sampling grids kept off the window edges).
-    """
-    q = params.q
-    if isinstance(x, Fraction) or isinstance(x, int):
-        x = Fraction(x)
-        return list(window(x.numerator, x.denominator, params.lam, q))
-    half = 1.0 / (2.0 * float(params.lam))
-    lo = q * (float(x) - half)
-    hi = q * (float(x) + half)
-    return list(range(math.ceil(lo), math.floor(hi) + 1))
+    """All integers k with |x - k/q| <= 1/(2 lam), exactly; a float x is the
+    Fraction it equals."""
+    x = Fraction(x)
+    return list(window(x.numerator, x.denominator, params.lam, params.q))
 
 
 def density_p(x, params: WellParams) -> float | np.ndarray:

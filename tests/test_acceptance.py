@@ -3,6 +3,7 @@ and enforcing the stated tolerance and runtime budget.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the lines live.
 """
+import hashlib
 import math
 import random
 import time
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qwell.cli import _scan_json
 from qwell.cyclotomic import CycInt, IntPoly, cyclotomic_poly, galois_conjugate
 from qwell.gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from qwell.plateau import ZERO_LEVEL, detect_plateaux
@@ -202,6 +204,16 @@ def test_criterion_09_exact_float_agreement(default_scan):
     checks = sum(r.detected.zero_checks for r in records)
     report(9, "exact/float zero-test agreement on every windowed sum",
            checks > 0, f" ({checks} checks, 0 disagreements)")
+
+
+# sha256 of the default `qwell scan` output file
+DEFAULT_SCAN_DIGEST = "189b59b3a3ca09b44cb832be24644b8defccba9ce2fbf78b0204c923454b4835"
+
+
+def test_default_scan_output_bytes_pinned(default_scan):
+    records, _ = default_scan
+    text = _scan_json(records, 8, Fraction(6), 20, 3)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SCAN_DIGEST
 
 
 def test_criterion_10_cyclotomic_identities():

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from qwell import figures
 from qwell.cli import MAX_Q, main
+from qwell.predictors import MAX_SCAN_CONFIGS
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +210,20 @@ def test_scan_lambda_grid_stops_at_qmax(tmp_path, capsys):
     huge, capped = records("1e300"), records("4")
     assert huge["grid"]["lambda_max"] == "1" + "0" * 300 + "/1"
     assert huge["records"] == capped["records"] and huge["total"] == capped["total"] > 0
+
+
+def test_scan_grid_beyond_max_scan_configs_exits_2_before_any_work(tmp_path, capsys):
+    # the grid alone would walk about 5e9 fractions u/v before any configuration
+    out_file = tmp_path / "scan.json"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "scan", "--lambda-den", "100000", "--qmax", "2", "--nmax", "1",
+        "--lambda-max", "2", "--out", str(out_file),
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err.startswith("error:") and f"MAX_SCAN_CONFIGS = {MAX_SCAN_CONFIGS}" in err
 
 
 # sha256 of `plateaux --lambda 5/2 --N 1 --tau 1/q` at large q

@@ -380,7 +380,31 @@ ORACLE_CASES = [g[:3] for g in GOLDEN_PLATEAUX] + [
 ]
 
 
-@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES)
+# The 40 configurations of the benchmark's large-q workload at seed 0 (q 150
+# to 960, order M 263 to 3840), written out so that these tests do not
+# depend on the benchmark's code.
+LARGE_Q_CASES = [
+    (Fraction(lam), n_state, Fraction(tau))
+    for lam, n_state, tau in [
+        ("3/2", 1, "29/152"), ("5/2", 2, "89/164"), ("5/2", 1, "37/150"),
+        ("5/2", 1, "127/151"), ("3/2", 3, "55/184"), ("7/6", 3, "15/158"),
+        ("7/2", 1, "55/156"), ("3/2", 1, "137/180"), ("5/2", 2, "239/248"),
+        ("4/3", 3, "79/162"), ("4/3", 3, "191/296"), ("3/2", 3, "103/224"),
+        ("4/3", 3, "27/196"), ("5/2", 1, "199/216"), ("9/4", 1, "89/200"),
+        ("3/2", 3, "25/154"), ("9/4", 1, "109/252"), ("7/6", 3, "51/232"),
+        ("7/2", 1, "109/288"), ("11/4", 1, "95/168"), ("5/2", 2, "283/304"),
+        ("9/4", 1, "162/211"), ("5/2", 2, "160/263"), ("5/4", 2, "87/155"),
+        ("3/2", 1, "109/220"), ("9/4", 1, "233/257"), ("5/4", 2, "134/225"),
+        ("7/2", 1, "181/230"), ("9/8", 1, "19/208"), ("5/2", 1, "127/270"),
+        ("5/4", 2, "36/185"), ("5/2", 1, "307/336"), ("7/6", 3, "337/368"),
+        ("11/4", 1, "176/331"), ("7/3", 1, "73/175"), ("5/2", 2, "113/198"),
+        ("11/4", 1, "115/204"), ("3/2", 1, "39/272"), ("5/2", 2, "313/960"),
+        ("7/2", 1, "179/190"),
+    ]
+]
+
+
+@pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_detector_matches_the_all_exact_cell_loop(lam, n_state, tau):
     p = WellParams(lam, n_state, tau)
     assert detect_plateaux(p) == detect_by_cell(p)
@@ -442,7 +466,7 @@ def test_member_terms_exponent_off_by_one_raises(monkeypatch):
         for side in (0, 1):
             exponents = [list(plus), list(minus)]
             i = len(ks) // 2
-            exponents[side][i] = [(exponents[side][i][0] + 1) % order] + exponents[side][i][1:]
+            exponents[side][i] = (exponents[side][i] + 1) % order
             monkeypatch.setattr(
                 plateau, "_member_terms", lambda _, e=exponents: (order, ks, tuple(e), direct)
             )
@@ -451,38 +475,13 @@ def test_member_terms_exponent_off_by_one_raises(monkeypatch):
             monkeypatch.setattr(plateau, "_member_terms", member_terms)
 
 
-# The 40 configurations of the benchmark's large-q workload at seed 0 (q 150
-# to 960, order M 263 to 3840), written out so that these tests do not
-# depend on the benchmark's code.
-LARGE_Q_CASES = [
-    (Fraction(lam), n_state, Fraction(tau))
-    for lam, n_state, tau in [
-        ("3/2", 1, "29/152"), ("5/2", 2, "89/164"), ("5/2", 1, "37/150"),
-        ("5/2", 1, "127/151"), ("3/2", 3, "55/184"), ("7/6", 3, "15/158"),
-        ("7/2", 1, "55/156"), ("3/2", 1, "137/180"), ("5/2", 2, "239/248"),
-        ("4/3", 3, "79/162"), ("4/3", 3, "191/296"), ("3/2", 3, "103/224"),
-        ("4/3", 3, "27/196"), ("5/2", 1, "199/216"), ("9/4", 1, "89/200"),
-        ("3/2", 3, "25/154"), ("9/4", 1, "109/252"), ("7/6", 3, "51/232"),
-        ("7/2", 1, "109/288"), ("11/4", 1, "95/168"), ("5/2", 2, "283/304"),
-        ("9/4", 1, "162/211"), ("5/2", 2, "160/263"), ("5/4", 2, "87/155"),
-        ("3/2", 1, "109/220"), ("9/4", 1, "233/257"), ("5/4", 2, "134/225"),
-        ("7/2", 1, "181/230"), ("9/8", 1, "19/208"), ("5/2", 1, "127/270"),
-        ("5/4", 2, "36/185"), ("5/2", 1, "307/336"), ("7/6", 3, "337/368"),
-        ("11/4", 1, "176/331"), ("7/3", 1, "73/175"), ("5/2", 2, "113/198"),
-        ("11/4", 1, "115/204"), ("3/2", 1, "39/272"), ("5/2", 2, "313/960"),
-        ("7/2", 1, "179/190"),
-    ]
-]
-
-
 def float_slice_shadows(params):
     """Per side, the direct float terms and the float terms from the order-M
     exponents, as detect_plateaux summed them slice by slice per cell before
     it read them from exact integer prefix sums."""
     order, _, exponents, direct = plateau._member_terms(params)
     from_exponents = [
-        [sum([cmath.rect(1.0, 2 * math.pi * j / order) for j in t], 0j) for t in side]
-        for side in exponents
+        [cmath.rect(1.0, 2 * math.pi * j / order) for j in side] for side in exponents
     ]
     return list(zip(direct, from_exponents))
 
@@ -496,15 +495,15 @@ def read_prefix(prefix, i0, i1):
 
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
-    # worst seen over these 53 configurations: 0.72 n w eps for a shadow and
-    # 0.86 n w eps for a gap, against the detector's bound of 128 n w eps
+    # worst seen over these 53 configurations: 0.72 n eps for a shadow and
+    # 0.90 n eps for a gap of n unit-modulus terms, against the detector's
+    # bound of 128 n eps
     p = WellParams(lam, n_state, tau)
     order, ks, exponents, direct = plateau._member_terms(p)
-    weight = 1.0 if p.q % 2 else math.sqrt(2.0)
     prefixes = plateau._shadow_prefixes(order, exponents, direct)
     for cell in build_cells(p.lam, p.q):
-        i0, i1 = plateau._member_slice(cell, p, ks)
-        tol = (i1 - i0) * weight * sys.float_info.epsilon
+        i0, i1 = plateau._member_slice(cell.members, ks)
+        tol = (i1 - i0) * sys.float_info.epsilon
         for (shadows, gaps), (side_direct, side_exponents) in zip(
             prefixes, float_slice_shadows(p)
         ):
@@ -522,6 +521,23 @@ def test_root_powers_match_pow():
         assert [high[j >> h] * low[j & (1 << h) - 1] % ell for j in range(order)] == [
             pow(root, j, ell) for j in range(order)
         ]
+
+
+def test_sqrt2_image_is_a_unit_of_square_2():
+    """For even q the detector's terms leave out the factor
+    sqrt(2) = zeta_8 + zeta_8^-1 of c(k).  Its image t = r^(M/8) + r^(-M/8)
+    has t^2 = 2 in F_ell, so a sum's image vanishes exactly when t times it
+    does."""
+    orders = {
+        cyclotomic_order(p)
+        for p in (WellParams(*case) for case in ORACLE_CASES + LARGE_Q_CASES)
+        if p.q % 2 == 0
+    }
+    assert len(orders) > 20
+    for order in sorted(orders):
+        ell, root = cyclotomic.image_root(order)
+        t = pow(root, order // 8, ell) + pow(root, -order // 8, ell)
+        assert t * t % ell == 2
 
 
 def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():

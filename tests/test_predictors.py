@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qwell import predictors
 from qwell.plateau import ZERO_LEVEL, build_cells, detect_plateaux
 from qwell.predictors import (
     CASE_MOD4,
@@ -175,3 +176,11 @@ def test_scan_covers_squarefree_composite_even_drift():
             hits += 1
             assert r.detected.intervals == ()
     assert hits > 0
+
+
+def test_scan_bound_admits_the_default_and_a_larger_grid(monkeypatch):
+    # the default grid, and v <= 16, q <= 60, N <= 5 (2,185,490 configurations);
+    # a task is one (lam, q) pair of the grid
+    monkeypatch.setattr(predictors, "_scan_chunk", lambda task: [task])
+    for grid, tasks in [((8, Fraction(6), 20, 3), 1665), ((16, Fraction(6), 60, 5), 22073)]:
+        assert len(conjecture_scan(*grid, workers=1)) == tasks

@@ -83,6 +83,14 @@ def test_interval_window_examples():
     assert 0 in interval_I(Fraction(0), p)
 
 
+def test_interval_of_a_float_is_that_of_its_exact_fraction():
+    # float(1/5) lies just above the window edge 1/(2 lam) = 1/5 of k = 0
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    assert interval_I(0.2, p) == interval_I(Fraction(0.2), p) == [1]
+    for x in (0.0, 2 / 15, 1 / 6, 0.25, 7 / 15, 0.5):
+        assert interval_I(x, p) == interval_I(Fraction(x), p)
+
+
 def test_density_boundary_and_plateau():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     assert density_p(Fraction(0), p) == 0.0
