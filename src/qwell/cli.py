@@ -33,13 +33,22 @@ from .rationals import format_rational, parse_rational
 from .wavefield import WellParams
 
 # The largest q that plateaux, density and gauss accept, checked before any
-# work starts; their work grows linearly in q.  predict is closed form and
-# takes any q.
+# work starts; their work grows linearly in q.  predict is closed form, but
+# in the fragmentation regime it lists about q/2 intervals, so it takes any q
+# only outside that regime.
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 7-8 s and 280 MB, density --out csv about 12-14 s and 33 MB"
+    " takes about 6-8 s and 240 MB, density --out csv about 12-14 s and 33 MB"
     " (2 cores, Python 3.11)"
+)
+# The most density samples that density and figures accept; density's work
+# grows as samples * q, which may reach MAX_Q times the default 4000 samples.
+MAX_SAMPLES = 1_000_000
+MAX_DENSITY_WORK = MAX_Q * 4000
+SAMPLES_HELP = (
+    f"number of samples, at most {MAX_SAMPLES}; for density also samples * q at most"
+    f" {MAX_DENSITY_WORK}"
 )
 
 
@@ -60,6 +69,18 @@ def _params_from(args) -> WellParams:
 def _check_q(q: int) -> None:
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the supported limit MAX_Q = {MAX_Q}")
+
+
+def _check_samples(samples: int, q: int = 1) -> None:
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"{samples} samples exceed the supported limit MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+    if samples * q > MAX_DENSITY_WORK:
+        raise ValueError(
+            f"samples * q = {samples * q} exceeds the supported limit"
+            f" MAX_Q * 4000 = {MAX_DENSITY_WORK}"
+        )
 
 
 def _bounded_params_from(args) -> WellParams:
@@ -103,6 +124,7 @@ def _write_text(path: str | None, content: str) -> None:
 
 def _cmd_density(args) -> int:
     params = _bounded_params_from(args)
+    _check_samples(args.samples, params.q)
     rows = figures.density_samples(params, args.samples)
     if args.out == "csv":
         _write_text(args.output, figures.render_csv(rows))
@@ -122,6 +144,7 @@ def _cmd_predict(args) -> int:
     params = _params_from(args)
     out = _params_json(params)
     if has_fragmentation(params):
+        _check_q(params.q)
         layout = fragmentation_layout(params)
         out.update(
             {
@@ -220,6 +243,7 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    _check_samples(args.samples)
     panels = list(figures.PANELS) if args.panel == "all" else [args.panel]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -249,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("density", help="sample the density over [0, 1/2]",
                         description=MAX_Q_HELP)
     _add_params_args(p)
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--samples", type=int, default=4000, help=SAMPLES_HELP)
     p.add_argument("--out", choices=["csv", "svg"], default="csv", help="output format")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_density)
@@ -260,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_plateaux)
 
-    p = subs.add_parser("predict", help="closed-form plateau prediction as JSON")
+    p = subs.add_parser("predict", help="closed-form plateau prediction as JSON",
+                        description="q of tau = a/q: any in the uniform and critical"
+                        f" regimes, at most {MAX_Q} in the fragmentation regime, whose"
+                        " layout lists about q/2 intervals")
     _add_params_args(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_predict)
@@ -291,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("figures", help="regenerate the reference panels")
     p.add_argument("--panel", choices=list(figures.PANELS) + ["all"], default="all")
     p.add_argument("--outdir", default="figures")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=2000,
+                   help=f"number of samples per panel, at most {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_figures)
     return parser
 

@@ -15,13 +15,12 @@ M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
 denominator of N lam, so the criterion is decided exactly.  A nonzero
 verdict is certified by the image of the sum under the ring map
 Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), read in O(1) per
-cell from prefix sums of the term images; only a sum whose image vanishes is
-built in Z[zeta_M], and a zero verdict comes only from the exact cyclotomic
-zero test.  Every verdict is cross-checked against the float shadow and a
-disagreement raises.  The shadows are read in O(1) per cell as well: each
-float term is rounded to an integer multiple of 2^-60 and the rounded terms
-are prefix-summed exactly as Python ints, so the detector is linear in the
-number of cells and terms.
+cell from prefix sums of the term images; only a sum whose image vanishes
+is built in Z[zeta_M], and a zero verdict comes only from the exact
+cyclotomic zero test.  Every verdict is cross-checked against the float
+shadow, read in O(1) per cell as well from exact prefix sums of the float
+terms rounded to multiples of 2^-60, and a disagreement raises, so the
+detector is linear in the number of cells and terms.
 """
 from __future__ import annotations
 
@@ -53,16 +52,21 @@ SIDE_BOTH = "both"
 # terms of _member_terms (w = 1); the CycInts of window_sums carry the sqrt(2)
 # of even q (w = sqrt(2)).
 #
-# The detector reads its shadows from exact prefix sums of the terms rounded
-# to integers at scale SHADOW_SCALE = 2^60 (see _shadow_prefixes).  Rounding
-# moves each component of a term by at most 2^-61, so a shadow of n terms
-# moves by at most n 2^-61 per component, and the exponent-minus-direct gap,
-# rounded on both sides, by at most n 2^-60.  With eps = 2^-52 the bound is
-# C n eps = 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it to a shadow and
-# 2^-15 to a gap, so the bound stays as it is.  The prefix differences are
-# exact integers, compared with the bound times SHADOW_SCALE; turning one into
-# a float rounds correctly, adding at most |S| eps / 2 <= n eps / 2 per
-# component, less than a float summation of the same terms may.
+# C eps also bounds each single term of _member_terms (_shadow_prefixes): its
+# direct float exp(2 pi i x), |x| < 2, and its float from the exponent,
+# rect(1, 2 pi j / M), each lie within about |arg| eps of the true root; the
+# worst gap seen over the default grid and the large-q cases is 13.2 eps
+# (lam = 8/7, tau = 8/19).
+#
+# The detector reads its shadows from exact prefix sums of the direct terms
+# rounded to integers at scale SHADOW_SCALE = 2^60 (see _shadow_prefixes).
+# Rounding moves each component of a term by at most 2^-61, so a shadow of n
+# terms moves by at most n 2^-61 per component.  With eps = 2^-52 the bound
+# is C n eps = 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it, so the bound
+# stays as it is.  The prefix differences are exact integers, compared with
+# the bound times SHADOW_SCALE; turning one into a float rounds correctly,
+# adding at most |S| eps / 2 <= n eps / 2 per component, less than a float
+# summation of the same terms may.
 FLOAT_ERROR_C = 128
 SHADOW_SCALE = 1 << 60
 
@@ -194,64 +198,56 @@ def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tu
     return order, ks, (plus, minus), (direct_plus, direct_minus)
 
 
-@lru_cache(maxsize=256)
-def _root_powers(order: int, ell: int, root: int) -> tuple[int, list[int], list[int]]:
-    """(h, low, high) with low[i] = root^i and high[i] = root^(i 2^h) mod ell,
-    both built by repeated multiplication, so that for 0 <= j < order
-    root^j = high[j >> h] low[j & (2^h - 1)].  Two tables of about
-    sqrt(order) entries each, where one table of every power would hold
-    all M of them."""
-    h = order.bit_length() // 2
-    low = [1] * (1 << h)
-    for i in range(1, len(low)):
-        low[i] = low[i - 1] * root % ell
-    step = low[-1] * root % ell
-    high = [1] * (((order - 1) >> h) + 1)
-    for i in range(1, len(high)):
-        high[i] = high[i - 1] * step % ell
-    return h, low, high
-
-
 def _image_prefixes(order: int, ell: int, root: int, exponents) -> list[list[int]]:
     """Per side of _member_terms, the prefix sums mod ell of its term images
-    root^j.  The powers come from _root_powers when its two tables hold no
-    more entries than there are exponents, and from pow(root, j, ell)
-    otherwise: M = q s grows with the denominator s of N lam, which no input
-    bound limits (lam = 2.00000000000001 at q = 1001 gives M ~ 1e17 and tables
-    of 2^28 entries), and this keeps the memory linear in the number of terms.
+    root^j.  The exponents are A k^2 +- B k (mod M) with k running over ks,
+    an arithmetic progression, so their second difference is a constant:
+    pow gives the first image, the first ratio and the constant step, and
+    each further image costs two multiplications mod ell, for any M.  Only
+    the first three exponents are read; _shadow_prefixes checks every one.
 
     For even q the terms leave out the factor sqrt(2) = zeta_8 + zeta_8^-1 of
     c(k), whose image t = r^(M/8) + r^(-M/8) has t^2 = 2 + r^(-M/4) (r^(M/2) + 1)
     = 2 != 0 in F_ell, so a sum's image vanishes exactly when t times it does."""
-    h = order.bit_length() // 2
-    if (1 << h) + ((order - 1) >> h) + 1 <= sum(map(len, exponents)):
-        h, low, high = _root_powers(order, ell, root)
-        mask = (1 << h) - 1
-        images = [[high[j >> h] * low[j & mask] for j in side] for side in exponents]
-    else:
-        images = [[pow(root, j, ell) for j in side] for side in exponents]
-    return [list(accumulate((image % ell for image in side), initial=0)) for side in images]
+    prefixes = []
+    for side in exponents:
+        images = []
+        if side:
+            j0 = side[0]
+            j1 = side[1] if len(side) > 1 else j0
+            j2 = side[2] if len(side) > 2 else 2 * j1 - j0
+            image, ratio, step = (
+                pow(root, j % order, ell) for j in (j0, j1 - j0, j2 - 2 * j1 + j0)
+            )
+            for _ in side:
+                images.append(image)
+                image = image * ratio % ell
+                ratio = ratio * step % ell
+        prefixes.append(list(accumulate(images, initial=0)))
+    return prefixes
 
 
-def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[tuple, tuple]]:
-    """Per side of _member_terms, the shadows and the gaps: exact prefix sums,
-    as Python ints, of the real and of the imaginary parts of its direct float
-    terms, and of its float terms from the order-M exponents minus the direct
-    ones.  Every part is rounded to an integer at SHADOW_SCALE (half to even,
-    as round does); |part| <= 1, so each integer and the difference of two
-    fit in int64."""
+def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[list[int], list[int]]]:
+    """Per side of _member_terms, the shadows: exact prefix sums, as Python
+    ints, of the real and of the imaginary parts of its direct float terms,
+    each rounded to an integer at SHADOW_SCALE (half to even, as round does);
+    |part| <= 1, so each integer and the difference of two fit in int64.
+
+    First every float term from an order-M exponent must lie within
+    FLOAT_ERROR_C eps of its direct term, else the exponent bookkeeping is
+    off and this raises: the images and the CycInts of window_sums are built
+    from the exponents, the shadows from the direct terms."""
     turn = 2 * math.pi
-    from_exponents = [[cmath.rect(1.0, turn * j / order) for j in side] for side in exponents]
-    # shape (direct or from exponents, side, 2n), real and imaginary interleaved
-    terms = np.array([direct, from_exponents], dtype=complex).reshape(2, 2, -1)
-    fixed = np.rint(terms.view(np.float64) * SHADOW_SCALE).astype(np.int64)
-    fixed[1] -= fixed[0]
+    terms = np.array(direct, dtype=complex)
+    from_exponents = np.array(
+        [[cmath.rect(1.0, turn * j / order) for j in side] for side in exponents], dtype=complex
+    )
+    if np.any(np.abs(from_exponents - terms) > FLOAT_ERROR_C * sys.float_info.epsilon):
+        raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
+    fixed = np.rint(terms.view(np.float64) * SHADOW_SCALE).astype(np.int64).tolist()
     return [
-        tuple(
-            (list(accumulate(parts[0::2], initial=0)), list(accumulate(parts[1::2], initial=0)))
-            for parts in (fixed[0, side].tolist(), fixed[1, side].tolist())
-        )
-        for side in (0, 1)
+        (list(accumulate(parts[0::2], initial=0)), list(accumulate(parts[1::2], initial=0)))
+        for parts in fixed
     ]
 
 
@@ -302,17 +298,15 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
     constant-density intervals in one pass over the cells.
 
-    Per configuration and side, three tables are prefix-summed over ks: the
-    images of the terms under zeta_M -> r in F_ell (cyclotomic.image_root,
-    _image_prefixes), the direct float terms and the float terms from the
-    order-M exponents minus the direct ones, both rounded to integers at
-    SHADOW_SCALE and summed exactly (_shadow_prefixes).
-    Each cell reads its two images, its two shadows and its two gaps as
-    prefix differences in O(1).  A gap above the float bound means the
-    exponent bookkeeping is off and raises.  A nonzero image proves its sum
-    nonzero, and its shadow must then exceed the bound.  Only a side whose
+    Per configuration and side, two tables are prefix-summed over ks: the
+    term images under zeta_M -> r in F_ell (_image_prefixes) and the direct
+    float terms (_shadow_prefixes, which first checks every term's exponent
+    against its direct float).  Each cell reads its two images and its two
+    shadows in O(1).  A nonzero image proves its sum nonzero, and its shadow
+    must then exceed the float bound, else this raises.  Only a side whose
     image vanishes is built in Z[zeta_M] and decided by the exact zero test,
-    cross-checked against that sum's own float shadow.  A qualifying cell
+    cross-checked against that sum's own float shadow, so a wrong image can
+    only raise or be overruled, never change a verdict.  A qualifying cell
     extends the interval of the cell before it when that one qualified too,
     the vanishing side matches and the surviving sums are exactly equal as
     cyclotomic integers; reported intervals are closures, clipped to [0, 1/2].
@@ -320,7 +314,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     lam, q = params.lam, params.q
     order, ks, exponents, direct = _member_terms(params)
     ell, root = image_root(order)
-    # per side: prefix sums of the term images, then the shadow and gap prefixes
+    # per side: prefix sums of the term images, then the shadow prefixes
     sides = list(zip(_image_prefixes(order, ell, root, exponents),
                      _shadow_prefixes(order, exponents, direct)))
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
@@ -333,9 +327,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         i0, i1 = _member_slice(cell.members, ks)
         scaled_bound = (i1 - i0) * unit_bound
         vanishing = []
-        for side_images, ((s_re, s_im), (g_re, g_im)) in sides:
-            if abs(complex(g_re[i1] - g_re[i0], g_im[i1] - g_im[i0])) > scaled_bound:
-                raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
+        for side_images, (s_re, s_im) in sides:
             image = (side_images[i1] - side_images[i0]) % ell
             if image and abs(complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0])) <= scaled_bound:
                 raise ExactFloatMismatch(

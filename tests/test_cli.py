@@ -5,7 +5,7 @@ import time
 import pytest
 
 from qwell import figures
-from qwell.cli import MAX_Q, main
+from qwell.cli import MAX_DENSITY_WORK, MAX_Q, MAX_SAMPLES, _check_samples, main
 from qwell.predictors import MAX_SCAN_CONFIGS
 
 
@@ -180,10 +180,15 @@ def test_rationals_beyond_float_range_exit_2(tmp_path, monkeypatch, capsys, argv
         ("density", "--lambda", "5/2", "--N", "1", "--tau", f"1/{MAX_Q + 1}", "--out", "svg"),
         ("gauss", "1", "0", "1000000000000"),
         ("gauss", "1", "0", str(MAX_Q + 1)),
+        # fragmentation: the layout would list about q/2 intervals
+        ("predict", "--lambda", "1e31", "--N", "1", "--tau", "1/" + "1" + "0" * 30),
+        ("predict", "--lambda", "10000000", "--N", "1", "--tau", "1/2000001"),
     ],
 )
 def test_q_beyond_max_q_exits_2_before_any_work(capsys, argv):
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and f"MAX_Q = {MAX_Q}" in err
@@ -195,6 +200,37 @@ def test_predict_takes_any_q(capsys):
     )
     assert code == 0
     assert json.loads(out)["regime"] == "uniform"
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3",
+          "--samples", str(10**9)), f"MAX_SAMPLES = {MAX_SAMPLES}"),
+        (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--out", "svg",
+          "--samples", str(MAX_SAMPLES + 1)), f"MAX_SAMPLES = {MAX_SAMPLES}"),
+        # 4001 samples at q = 199999 is just over MAX_Q times the default 4000
+        (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/199999",
+          "--samples", "4001"), f"MAX_Q * 4000 = {MAX_DENSITY_WORK}"),
+        (("figures", "--panel", "all", "--outdir", "panels",
+          "--samples", str(10**9)), f"MAX_SAMPLES = {MAX_SAMPLES}"),
+    ],
+)
+def test_samples_beyond_the_limits_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                          argv, limit):
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == "" and not any(tmp_path.iterdir())
+    assert err.startswith("error:") and limit in err
+
+
+def test_samples_at_the_limits_are_accepted():
+    # the default 4000 samples at q = MAX_Q, and MAX_SAMPLES with and without a q
+    for samples, q in ((4000, MAX_Q), (MAX_SAMPLES, 800), (MAX_SAMPLES, 1)):
+        _check_samples(samples, q)
 
 
 def test_scan_lambda_grid_stops_at_qmax(tmp_path, capsys):

@@ -4,7 +4,9 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -495,32 +497,56 @@ def read_prefix(prefix, i0, i1):
 
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
-    # worst seen over these 53 configurations: 0.72 n eps for a shadow and
-    # 0.90 n eps for a gap of n unit-modulus terms, against the detector's
-    # bound of 128 n eps
+    # worst seen over these 53 configurations: 0.72 n eps for a shadow of n
+    # unit-modulus terms, against the detector's bound of 128 n eps; and
+    # 11.4 eps for a single term from its exponent against its direct term
+    # (13.2 eps over the whole default grid, at lam = 8/7, tau = 8/19),
+    # against the per-term bound of 128 eps
     p = WellParams(lam, n_state, tau)
     order, ks, exponents, direct = plateau._member_terms(p)
     prefixes = plateau._shadow_prefixes(order, exponents, direct)
+    for side_direct, side_exponents in float_slice_shadows(p):
+        worst = np.abs(np.subtract(side_exponents, side_direct)).max(initial=0.0)
+        assert worst <= 16 * sys.float_info.epsilon
     for cell in build_cells(p.lam, p.q):
         i0, i1 = plateau._member_slice(cell.members, ks)
         tol = (i1 - i0) * sys.float_info.epsilon
-        for (shadows, gaps), (side_direct, side_exponents) in zip(
-            prefixes, float_slice_shadows(p)
-        ):
+        for shadows, (side_direct, _) in zip(prefixes, float_slice_shadows(p)):
             shadow = sum(side_direct[i0:i1], 0j)
             assert abs(read_prefix(shadows, i0, i1) - shadow) <= tol
-            gap = sum(side_exponents[i0:i1], 0j) - shadow
-            assert abs(read_prefix(gaps, i0, i1) - gap) <= tol
 
 
-def test_root_powers_match_pow():
-    for order in (1, 2, 3, 8, 120, 997, 4200):
+def test_member_terms_exponent_outside_every_cell_raises(monkeypatch):
+    """k = -1 at lam = 5/2, tau = 1/5 reaches [0, 1/2] only at x = 0, so no
+    open cell holds it; its exponent is still checked."""
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 5))
+    member_terms = plateau._member_terms
+    order, ks, (plus, minus), direct = member_terms(p)
+    assert ks[0] == -1
+    assert all(-1 not in cell.members for cell in build_cells(p.lam, p.q))
+    corrupt = [(plus[0] + 1) % order, *plus[1:]]
+    monkeypatch.setattr(
+        plateau, "_member_terms", lambda _: (order, ks, (corrupt, minus), direct)
+    )
+    with pytest.raises(ExactFloatMismatch, match="term shadow"):
+        detect_plateaux(p)
+
+
+def test_image_prefixes_match_pow():
+    # both parities of q, and the order M = 1001 * 10^8 of the last case
+    parities = set()
+    for case in ORACLE_CASES + LARGE_Q_CASES + [(Fraction("2.00000001"), 1, Fraction(1, 1001))]:
+        p = WellParams(*case)
+        parities.add(p.q % 2)
+        order, _, exponents, _ = plateau._member_terms(p)
         ell, root = cyclotomic.image_root(order)
-        h, low, high = plateau._root_powers(order, ell, root)
-        assert len(low) * len(high) >= order and len(low) + len(high) <= 4 * math.isqrt(order) + 2
-        assert [high[j >> h] * low[j & (1 << h) - 1] % ell for j in range(order)] == [
-            pow(root, j, ell) for j in range(order)
-        ]
+        # the first n terms of each side, n = 0 to 3, and then every term
+        for n in (0, 1, 2, 3, None):
+            sides = [side[:n] for side in exponents]
+            assert plateau._image_prefixes(order, ell, root, sides) == [
+                list(accumulate((pow(root, j, ell) for j in side), initial=0)) for side in sides
+            ]
+    assert parities == {0, 1}
 
 
 def test_sqrt2_image_is_a_unit_of_square_2():
@@ -541,10 +567,9 @@ def test_sqrt2_image_is_a_unit_of_square_2():
 
 
 def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
-    """lam = 2.00000001 at q = 1001 has the order M = 1001 * 10^8: the two
-    tables of _root_powers would hold about 640,000 entries (about 28 MB) for
-    2,002 exponents, so the images come from pow and the detector's peak
-    stays small.  The report is the cell loop's."""
+    """lam = 2.00000001 at q = 1001 has the order M = 1001 * 10^8: a table
+    of the powers of the root would be huge next to the 2,002 exponents, and
+    the detector's peak stays small.  The report is the cell loop's."""
     p = WellParams(Fraction("2.00000001"), 1, Fraction(1, 1001))
     assert cyclotomic_order(p) == 1001 * 10**8
     tracemalloc.start()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -44,6 +45,18 @@ def test_well_params_validation():
     assert (p.a, p.q, p.s) == (13, 18, 2)
     assert p.threshold == Fraction(9)
     assert WellParams(Fraction(5, 2), 1, Fraction(1, 3)).threshold == 3
+
+
+def test_n_lam_is_computed_once_and_params_compare_as_before():
+    p = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
+    fresh = pickle.dumps(p)
+    assert p.n_lam is p.n_lam == Fraction(15, 2)
+    twin = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
+    assert p == twin and hash(p) == hash(twin)
+    # the cached value stays out of the pickle
+    assert pickle.dumps(p) == fresh
+    back = pickle.loads(fresh)
+    assert back == p and hash(back) == hash(p) and (back.n_lam, back.s) == (p.n_lam, 2)
 
 
 def test_initial_g_examples():
