@@ -39,7 +39,7 @@ from .wavefield import WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 6-8 s and 240 MB, density --out csv about 12-14 s and 33 MB"
+    " takes about 6-7 s and 220 MB, density --out csv about 9-12 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work
@@ -47,8 +47,8 @@ MAX_Q_HELP = (
 MAX_SAMPLES = 1_000_000
 MAX_DENSITY_WORK = MAX_Q * 4000
 SAMPLES_HELP = (
-    f"number of samples, at most {MAX_SAMPLES}; for density also samples * q at most"
-    f" {MAX_DENSITY_WORK}"
+    f"number of samples, at least 2 and at most {MAX_SAMPLES}; for density also"
+    f" samples * q at most {MAX_DENSITY_WORK}"
 )
 
 
@@ -72,6 +72,8 @@ def _check_q(q: int) -> None:
 
 
 def _check_samples(samples: int, q: int = 1) -> None:
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"{samples} samples exceed the supported limit MAX_SAMPLES = {MAX_SAMPLES}"
@@ -125,12 +127,11 @@ def _write_text(path: str | None, content: str) -> None:
 def _cmd_density(args) -> int:
     params = _bounded_params_from(args)
     _check_samples(args.samples, params.q)
+    # the detector refuses some inputs that sampling takes, so it runs first
+    report = detect_plateaux(params) if args.out == "svg" else None
     rows = figures.density_samples(params, args.samples)
-    if args.out == "csv":
-        _write_text(args.output, figures.render_csv(rows))
-    else:
-        report = detect_plateaux(params)
-        _write_text(args.output, figures.render_svg(rows, report))
+    _write_text(args.output, figures.render_csv(rows) if report is None
+                else figures.render_svg(rows, report))
     return 0
 
 
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", choices=list(figures.PANELS) + ["all"], default="all")
     p.add_argument("--outdir", default="figures")
     p.add_argument("--samples", type=int, default=2000,
-                   help=f"number of samples per panel, at most {MAX_SAMPLES}")
+                   help=f"number of samples per panel, at least 2 and at most {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_figures)
     return parser
 

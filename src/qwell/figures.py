@@ -35,9 +35,7 @@ def panel_params(panel: str) -> WellParams:
 
 def density_samples(params: WellParams, samples: int) -> list[tuple[float, float]]:
     """Density on a half-step offset grid over [0, 1/2], away from the exact
-    singular points."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    singular points; the CLI refuses fewer than 2 samples."""
     xs = (np.arange(samples) + 0.5) * (0.5 / samples)
     return list(zip(xs.tolist(), density_p(xs, params).tolist()))
 

@@ -12,22 +12,23 @@ its two integer endpoints.  On each cell the two windowed sums
 are constants, and the density is constant on the cell iff one of them
 vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M] with
 M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
-denominator of N lam, so the criterion is decided exactly.  A nonzero
-verdict is certified by the image of the sum under the ring map
-Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), read in O(1) per
-cell from prefix sums of the term images; only a sum whose image vanishes
-is built in Z[zeta_M], and a zero verdict comes only from the exact
-cyclotomic zero test.  Every verdict is cross-checked against the float
-shadow, read in O(1) per cell as well from exact prefix sums of the float
-terms rounded to multiples of 2^-60, and a disagreement raises, so the
-detector is linear in the number of cells and terms.
+denominator of N lam, so the criterion is decided exactly.  Each term is
+|c(k)| zeta_M^(A k^2 +- B k), one exponent rule (A, B) per configuration,
+and one cached term table per configuration holds, per side, the prefix
+sums of the term images under the ring map Z[zeta_M] -> F_ell,
+zeta_M -> r (cyclotomic.image_root), and of the float terms rounded to
+multiples of 2^-60.  A nonzero verdict is certified by a cell's image, read
+in O(1) from the table; only a sum whose image vanishes is built in
+Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
+test.  Every verdict is cross-checked against the float shadow, read in
+O(1) as well, and a disagreement raises, so the detector is linear in the
+number of cells and terms.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -48,25 +49,26 @@ SIDE_BOTH = "both"
 
 # A window sum of n terms of modulus w may be off by C n w eps in floats: the
 # worst seen on the default scan is 9.5 n w eps, and its smallest nonzero |S|
-# (9.2e-3) is far above the bound.  The detector's shadows sum the unit-modulus
-# terms of _member_terms (w = 1); the CycInts of window_sums carry the sqrt(2)
-# of even q (w = sqrt(2)).
+# (9.2e-3) is far above the bound.  The shadows of the term table sum
+# unit-modulus terms (w = 1); the CycInts of window_sums carry the sqrt(2) of
+# even q (w = sqrt(2)).
 #
-# C eps also bounds each single term of _member_terms (_shadow_prefixes): its
-# direct float exp(2 pi i x), |x| < 2, and its float from the exponent,
-# rect(1, 2 pi j / M), each lie within about |arg| eps of the true root; the
+# C eps also bounds each single term of the table (_member_terms): its direct
+# float exp(2 pi i x), |x| < 2, and its float from the rule exponent,
+# rect(1, 2 pi e / M), each lie within about |arg| eps of the true root; the
 # worst gap seen over the default grid and the large-q cases is 13.2 eps
-# (lam = 8/7, tau = 8/19).
+# (lam = 8/7, tau = 8/19).  An exponent off by one moves its root by 2 pi / M,
+# inside this bound once M is above about 2e14, so every rule exponent is also
+# checked exactly against the per-k reductions.
 #
-# The detector reads its shadows from exact prefix sums of the direct terms
-# rounded to integers at scale SHADOW_SCALE = 2^60 (see _shadow_prefixes).
-# Rounding moves each component of a term by at most 2^-61, so a shadow of n
-# terms moves by at most n 2^-61 per component.  With eps = 2^-52 the bound
-# is C n eps = 128 n 2^-52 = n 2^-45: rounding adds 2^-16 of it, so the bound
-# stays as it is.  The prefix differences are exact integers, compared with
-# the bound times SHADOW_SCALE; turning one into a float rounds correctly,
-# adding at most |S| eps / 2 <= n eps / 2 per component, less than a float
-# summation of the same terms may.
+# The shadows are exact prefix sums of the direct terms rounded to integers at
+# scale SHADOW_SCALE = 2^60.  Rounding moves each component of a term by at
+# most 2^-61, so a shadow of n terms moves by at most n 2^-61 per component.
+# With eps = 2^-52 the bound is C n eps = 128 n 2^-52 = n 2^-45: rounding adds
+# 2^-16 of it, so the bound stays as it is.  The prefix differences are exact
+# integers, compared with the bound times SHADOW_SCALE; turning one into a
+# float rounds correctly, adding at most |S| eps / 2 <= n eps / 2 per
+# component, less than a float summation of the same terms may.
 FLOAT_ERROR_C = 128
 SHADOW_SCALE = 1 << 60
 
@@ -166,89 +168,87 @@ def _float_bound(cell: Cell, params: WellParams) -> float:
     return FLOAT_ERROR_C * len(cell.members) * weight * sys.float_info.epsilon
 
 
+@dataclass(frozen=True)
+class _TermTable:
+    """The terms of both windowed sums of a configuration (_member_terms)."""
+
+    order: int
+    ks: range
+    rule: tuple[int, int]
+    ell: int
+    images: tuple[list[int], list[int]]
+    shadows: tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]
+
+
+def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
+    """(A, B) with c(k) e(+-N lam k / q) / |c(k)| = zeta_M^(A k^2 +- B k), M = order."""
+    inv, modulus = coefficient_exponent(params.a, params.q)
+    drift_step = order // (params.s * params.q)
+    return inv * (order // modulus) % order, params.n_lam.numerator * drift_step % order
+
+
 @lru_cache(maxsize=16)
-def _member_terms(params: WellParams) -> tuple[int, range, tuple[list, list], tuple[list, list]]:
-    """(M, ks, exponents, direct): ks are the contributing k of build_cells in
-    order; exponents[0][i] and exponents[1][i] are the exponents j in
-    Z[zeta_M] of the unit roots c(k) e(+N lam k / q) / w and
-    c(k) e(-N lam k / q) / w for k = ks[i], w = |c(k)| (sqrt(2) for even q,
-    else 1), and direct[0][i], direct[1][i] are both as floats.
-
-    Exponent bookkeeping is pure integer arithmetic: the coefficient
-    contributes (inv k^2 mod modulus) / modulus from gauss.coefficient_exponent
-    and the drift factor (+- n k mod s q) / (s q) with N lam = n / s reduced.
-    The floats come from the unscaled fractional exponents, so comparing them
-    with the exact sums exercises the order-M index arithmetic as well.
+def _member_terms(params: WellParams) -> _TermTable:
+    """The term table: the order M, ks (the contributing k of build_cells, in
+    order), the exponent rule (A, B), ell of image_root(M), and per side (+,
+    then -) prefix sums over ks of the images r^e(k) in F_ell and of the
+    shadows of the unit roots c(k) e(+-N lam k / q) / |c(k)| = zeta_M^e(k),
+    e(k) = (A k^2 +- B k) mod M.  ks steps by d, so the image ratios change by
+    the constant r^(2 A d^2) and each image costs two multiplications mod ell.
+    For even q the terms leave out the sqrt(2) of c(k), whose image
+    t = r^(M/8) + r^(-M/8) has t^2 = 2 != 0, so t times a sum's image vanishes
+    iff the image does.  The shadows sum the parts of the direct floats
+    e(coeff / modulus +- drift / (s q)), rounded at SHADOW_SCALE (half to
+    even; |part| <= 1, so a difference of two fits in int64), with coeff =
+    inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.  Before
+    anything is kept, each e(k) must equal coeff M / modulus +- drift M / (s q)
+    (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps of
+    its direct float, else this raises ExactFloatMismatch.
     """
-    q = params.q
-    order = cyclotomic_order(params)
-    drift_num, sq = params.n_lam.numerator, params.s * q
+    q, order = params.q, cyclotomic_order(params)
+    try:
+        ell, root = image_root(order)
+    except ValueError as err:  # no certified prime ell = 1 (mod M) in range
+        raise ValueError(f"the cyclotomic order M = {order} is beyond the range of the"
+                         " F_ell images: the denominator of N lambda is too large") from err
     inv, modulus = coefficient_exponent(params.a, q)
+    drift_num, sq = params.n_lam.numerator, params.s * q
+    a_rule, b_rule = _exponent_rule(params, order)
     ks = _contributing_ks(params.lam, q)
-    plus, minus, direct_plus, direct_minus = [], [], [], []
+    k0, d = ks.start, ks.step
+    coeff_step, drift_step, turn = order // modulus, order // sq, 2 * math.pi
+    direct, from_rule = ([], []), ([], [])  # per side
     for k in ks:
-        coeff_num = (inv * k * k) % modulus
-        drift_mod = (drift_num * k) % sq
-        j_coeff, j_drift = coeff_num * (order // modulus), drift_mod * (order // sq)
+        coeff_num, drift_mod = inv * k * k % modulus, drift_num * k % sq
+        j_coeff, j_drift = coeff_num * coeff_step, drift_mod * drift_step
+        quad, lin = a_rule * k * k, b_rule * k
+        j_plus, j_minus = (quad + lin) % order, (quad - lin) % order
+        if j_plus != (j_coeff + j_drift) % order or j_minus != (j_coeff - j_drift) % order:
+            raise ExactFloatMismatch(f"exponent rule of order {order} is off at k = {k}")
         coeff_frac, drift_frac = coeff_num / modulus, drift_mod / sq
-        plus.append((j_coeff + j_drift) % order)
-        minus.append((j_coeff - j_drift) % order)
-        direct_plus.append(cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
-        direct_minus.append(cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
-    return order, ks, (plus, minus), (direct_plus, direct_minus)
-
-
-def _image_prefixes(order: int, ell: int, root: int, exponents) -> list[list[int]]:
-    """Per side of _member_terms, the prefix sums mod ell of its term images
-    root^j.  The exponents are A k^2 +- B k (mod M) with k running over ks,
-    an arithmetic progression, so their second difference is a constant:
-    pow gives the first image, the first ratio and the constant step, and
-    each further image costs two multiplications mod ell, for any M.  Only
-    the first three exponents are read; _shadow_prefixes checks every one.
-
-    For even q the terms leave out the factor sqrt(2) = zeta_8 + zeta_8^-1 of
-    c(k), whose image t = r^(M/8) + r^(-M/8) has t^2 = 2 + r^(-M/4) (r^(M/2) + 1)
-    = 2 != 0 in F_ell, so a sum's image vanishes exactly when t times it does."""
-    prefixes = []
-    for side in exponents:
-        images = []
-        if side:
-            j0 = side[0]
-            j1 = side[1] if len(side) > 1 else j0
-            j2 = side[2] if len(side) > 2 else 2 * j1 - j0
-            image, ratio, step = (
-                pow(root, j % order, ell) for j in (j0, j1 - j0, j2 - 2 * j1 + j0)
-            )
-            for _ in side:
-                images.append(image)
-                image = image * ratio % ell
-                ratio = ratio * step % ell
-        prefixes.append(list(accumulate(images, initial=0)))
-    return prefixes
-
-
-def _shadow_prefixes(order: int, exponents, direct) -> list[tuple[list[int], list[int]]]:
-    """Per side of _member_terms, the shadows: exact prefix sums, as Python
-    ints, of the real and of the imaginary parts of its direct float terms,
-    each rounded to an integer at SHADOW_SCALE (half to even, as round does);
-    |part| <= 1, so each integer and the difference of two fit in int64.
-
-    First every float term from an order-M exponent must lie within
-    FLOAT_ERROR_C eps of its direct term, else the exponent bookkeeping is
-    off and this raises: the images and the CycInts of window_sums are built
-    from the exponents, the shadows from the direct terms."""
-    turn = 2 * math.pi
-    terms = np.array(direct, dtype=complex)
-    from_exponents = np.array(
-        [[cmath.rect(1.0, turn * j / order) for j in side] for side in exponents], dtype=complex
-    )
-    if np.any(np.abs(from_exponents - terms) > FLOAT_ERROR_C * sys.float_info.epsilon):
+        direct[0].append(cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
+        direct[1].append(cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
+        from_rule[0].append(cmath.rect(1.0, turn * j_plus / order))
+        from_rule[1].append(cmath.rect(1.0, turn * j_minus / order))
+    direct = np.array(direct, dtype=complex)
+    if np.any(np.abs(np.array(from_rule) - direct) > FLOAT_ERROR_C * sys.float_info.epsilon):
         raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
-    fixed = np.rint(terms.view(np.float64) * SHADOW_SCALE).astype(np.int64).tolist()
-    return [
-        (list(accumulate(parts[0::2], initial=0)), list(accumulate(parts[1::2], initial=0)))
-        for parts in fixed
-    ]
+    fixed = np.rint(direct.view(np.float64) * SHADOW_SCALE).astype(np.int64).tolist()
+    shadows = tuple(tuple(list(accumulate(parts[i::2], initial=0)) for i in (0, 1))
+                    for parts in fixed)
+    images = []
+    for sign in (1, -1):
+        image, ratio, step = (
+            pow(root, j % order, ell)
+            for j in (a_rule * k0 * k0 + sign * b_rule * k0,
+                      a_rule * (2 * k0 + d) * d + sign * b_rule * d, 2 * a_rule * d * d)
+        )
+        side_images = []
+        for _ in ks:
+            side_images.append(image)
+            image, ratio = image * ratio % ell, ratio * step % ell
+        images.append(list(accumulate(side_images, initial=0)))
+    return _TermTable(order, ks, (a_rule, b_rule), ell, tuple(images), shadows)
 
 
 def _member_slice(members: range, ks: range) -> tuple[int, int]:
@@ -258,11 +258,12 @@ def _member_slice(members: range, ks: range) -> tuple[int, int]:
 
 
 def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
-    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M] from the
-    terms of its members (see _member_terms), with c(k)'s factor
-    sqrt(2) = zeta_8 + zeta_8^-1 for even q.  The members are first checked
-    against the window at the cell's midpoint, and the float shadow of each
-    assembled sum is compared against a direct complex summation.
+    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
+    zeta_M^(A k^2 +- B k) of the exponent rule over its members (see
+    _member_terms), times sqrt(2) = zeta_8 + zeta_8^-1 for even q.  The
+    members are first checked against the window at the cell's midpoint, and
+    the float shadow of each assembled sum is compared against the cell's
+    shadow in the term table, read in O(1).
     """
     mid = (cell.lo + cell.hi) / 2
     if not 0 <= mid <= Fraction(1, 2) or (
@@ -271,15 +272,16 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
         raise ValueError(
             f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
         )
-    order, ks, exponents, direct = _member_terms(params)
-    i0, i1 = _member_slice(cell.members, ks)
-    weight, shifts = (1.0, (0,)) if params.q % 2 else (math.sqrt(2.0), (order // 8, -order // 8))
-    bound = _float_bound(cell, params)
+    terms = _member_terms(params)
+    order, (a, b) = terms.order, terms.rule
+    i0, i1 = _member_slice(cell.members, terms.ks)
+    weight = 1.0 if params.q % 2 else math.sqrt(2.0)
     sums = []
-    for side_exponents, side_direct in zip(exponents, direct):
-        counts = Counter((j + t) % order for j in side_exponents[i0:i1] for t in shifts)
-        s = CycInt(order, sorted(counts.items()))
-        if abs(s.to_complex() - weight * sum(side_direct[i0:i1], 0j)) > bound:
+    for sign, (s_re, s_im) in zip((1, -1), terms.shadows):
+        s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in cell.members))
+        s = s if params.q % 2 else s * CycInt.sqrt_two(order)
+        shadow = complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0]) * (weight / SHADOW_SCALE)
+        if abs(s.to_complex() - shadow) > _float_bound(cell, params):
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
         sums.append(s)
     return sums[0], sums[1]
@@ -298,25 +300,21 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
     constant-density intervals in one pass over the cells.
 
-    Per configuration and side, two tables are prefix-summed over ks: the
-    term images under zeta_M -> r in F_ell (_image_prefixes) and the direct
-    float terms (_shadow_prefixes, which first checks every term's exponent
-    against its direct float).  Each cell reads its two images and its two
-    shadows in O(1).  A nonzero image proves its sum nonzero, and its shadow
-    must then exceed the float bound, else this raises.  Only a side whose
-    image vanishes is built in Z[zeta_M] and decided by the exact zero test,
-    cross-checked against that sum's own float shadow, so a wrong image can
-    only raise or be overruled, never change a verdict.  A qualifying cell
-    extends the interval of the cell before it when that one qualified too,
-    the vanishing side matches and the surviving sums are exactly equal as
-    cyclotomic integers; reported intervals are closures, clipped to [0, 1/2].
+    Each cell reads its two term images and its two shadows from the term
+    table (_member_terms) in O(1).  A nonzero image proves its sum nonzero,
+    and its shadow must then exceed the float bound, else this raises.  Only
+    a side whose image vanishes is built in Z[zeta_M] (window_sums) and
+    decided by the exact zero test, cross-checked against that sum's own
+    float shadow, so a wrong image can only raise or be overruled, never
+    change a verdict.  A qualifying cell extends the interval of the cell
+    before it when that one qualified too, the vanishing side matches and the
+    surviving sums are exactly equal as cyclotomic integers; reported
+    intervals are closures, clipped to [0, 1/2].
     """
     lam, q = params.lam, params.q
-    order, ks, exponents, direct = _member_terms(params)
-    ell, root = image_root(order)
-    # per side: prefix sums of the term images, then the shadow prefixes
-    sides = list(zip(_image_prefixes(order, ell, root, exponents),
-                     _shadow_prefixes(order, exponents, direct)))
+    terms = _member_terms(params)
+    order, ks, ell = terms.order, terms.ks, terms.ell
+    sides = list(zip(terms.images, terms.shadows))
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
     unit_bound = FLOAT_ERROR_C * sys.float_info.epsilon * SHADOW_SCALE
 

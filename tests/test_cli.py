@@ -214,6 +214,10 @@ def test_predict_takes_any_q(capsys):
           "--samples", "4001"), f"MAX_Q * 4000 = {MAX_DENSITY_WORK}"),
         (("figures", "--panel", "all", "--outdir", "panels",
           "--samples", str(10**9)), f"MAX_SAMPLES = {MAX_SAMPLES}"),
+        (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--out", "svg",
+          "--samples", "1"), "at least 2 samples"),
+        (("figures", "--panel", "all", "--outdir", "panels", "--samples", "1"),
+         "at least 2 samples"),
     ],
 )
 def test_samples_beyond_the_limits_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
@@ -225,6 +229,22 @@ def test_samples_beyond_the_limits_exit_2_before_any_work(tmp_path, monkeypatch,
     assert code == 2
     assert out == "" and not any(tmp_path.iterdir())
     assert err.startswith("error:") and limit in err
+
+
+@pytest.mark.parametrize("command", [("plateaux",), ("density", "--out", "svg")])
+def test_order_beyond_the_image_range_exits_2_before_any_work(capsys, command):
+    # N lam = 2.0000000000000000000000001 has denominator 10^25, so
+    # M = 199999 * 10^25 is too large for a certified prime ell = 1 (mod M)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, *command, "--lambda", "2.0000000000000000000000001", "--N", "1",
+        "--tau", "1/199999",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"M = {199999 * 10**25}" in err
+    assert "denominator of N lambda is too large" in err
 
 
 def test_samples_at_the_limits_are_accepted():

@@ -135,6 +135,20 @@ def test_window_sums_rejects_members_off_the_midpoint_window():
         window_sums(outside, p)
 
 
+def test_window_sums_check_the_cell_shadow_of_the_term_table(monkeypatch):
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    cell = build_cells(p.lam, p.q)[1]
+    terms = plateau._member_terms(p)
+    assert terms.ks.index(cell.members[0]) == 0
+    # every plus-side real prefix after the first gains 2^-20, and so does this cell
+    (re, im), minus = terms.shadows
+    moved = [re[0]] + [x + (plateau.SHADOW_SCALE >> 20) for x in re[1:]]
+    corrupt = dataclasses.replace(terms, shadows=((moved, im), minus))
+    monkeypatch.setattr(plateau, "_member_terms", lambda _: corrupt)
+    with pytest.raises(ExactFloatMismatch, match="window sum shadow"):
+        window_sums(cell, p)
+
+
 def test_window_sums_empty_cell_is_double_zero():
     p = WellParams(Fraction(107, 10), 1, Fraction(2, 7))
     gap = next(c for c in build_cells(p.lam, p.q) if not c.members)
@@ -445,13 +459,17 @@ def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
                 ell, r = image_root(m)
                 return ell, pow(r, prime, ell)
 
+            # the term table holds the images, so it is rebuilt with each root
             monkeypatch.setattr(plateau, "image_root", bad_root)
+            plateau._member_terms.cache_clear()
             try:
                 assert detect_plateaux(p) == expected
             except ExactFloatMismatch as err:
                 assert "image" in str(err)
                 raised.add((*case, prime))
-            monkeypatch.setattr(plateau, "image_root", image_root)
+            finally:
+                monkeypatch.setattr(plateau, "image_root", image_root)
+                plateau._member_terms.cache_clear()
     # order M/2 sends the odd-q zeros zeta^j + zeta^(j + M/2) to 2 r^j
     assert {
         (Fraction(5, 2), 1, Fraction(1, 3), 2),
@@ -460,93 +478,121 @@ def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
     } <= raised
 
 
-def test_member_terms_exponent_off_by_one_raises(monkeypatch):
-    member_terms = plateau._member_terms
-    for lam, n_state, tau in ORACLE_CASES:
-        p = WellParams(lam, n_state, tau)
-        order, ks, (plus, minus), direct = member_terms(p)
-        for side in (0, 1):
-            exponents = [list(plus), list(minus)]
-            i = len(ks) // 2
-            exponents[side][i] = (exponents[side][i] + 1) % order
-            monkeypatch.setattr(
-                plateau, "_member_terms", lambda _, e=exponents: (order, ks, tuple(e), direct)
-            )
-            with pytest.raises(ExactFloatMismatch, match="shadow"):
-                detect_plateaux(p)
-            monkeypatch.setattr(plateau, "_member_terms", member_terms)
+# lam = 2.00000000000001 at q = 1001: the order is M = 1001 * 10^14
+LARGE_ORDER_CASE = (Fraction("2.00000000000001"), 1, Fraction(1, 1001))
 
 
-def float_slice_shadows(params):
-    """Per side, the direct float terms and the float terms from the order-M
-    exponents, as detect_plateaux summed them slice by slice per cell before
-    it read them from exact integer prefix sums."""
-    order, _, exponents, direct = plateau._member_terms(params)
-    from_exponents = [
-        [cmath.rect(1.0, 2 * math.pi * j / order) for j in side] for side in exponents
+@pytest.fixture
+def off_by_one_rule(monkeypatch):
+    """Patch the exponent rule (A, B) of every term table to (A + da, B + db),
+    with the table cache cleared around the patch."""
+    exponent_rule = plateau._exponent_rule
+
+    def patch(da, db):
+        def rule(params, order):
+            a, b = exponent_rule(params, order)
+            return (a + da) % order, (b + db) % order
+
+        monkeypatch.setattr(plateau, "_exponent_rule", rule)
+        plateau._member_terms.cache_clear()
+
+    yield patch
+    plateau._member_terms.cache_clear()
+
+
+def test_member_terms_exponent_off_by_one_raises(off_by_one_rule):
+    """A rule off by one in A or in B fails the exact exponent check for any
+    M, up to M = 1001 * 10^14, where it moves a root by as little as
+    2 pi / M."""
+    assert cyclotomic_order(WellParams(*LARGE_ORDER_CASE)) == 1001 * 10**14
+    for da, db in [(1, 0), (0, 1), (0, -1)]:
+        off_by_one_rule(da, db)
+        for case in ORACLE_CASES + [LARGE_ORDER_CASE]:
+            with pytest.raises(ExactFloatMismatch, match="exponent rule"):
+                detect_plateaux(WellParams(*case))
+
+
+def test_member_terms_exponent_outside_every_cell_raises(off_by_one_rule):
+    """k = -1 at lam = 5/2, tau = 1/5 reaches [0, 1/2] only at x = 0, so no
+    open cell holds it; the table still holds its term and checks it first."""
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 5))
+    assert plateau._member_terms(p).ks[0] == -1
+    assert all(-1 not in cell.members for cell in build_cells(p.lam, p.q))
+    off_by_one_rule(0, 1)
+    with pytest.raises(ExactFloatMismatch, match="off at k = -1$"):
+        detect_plateaux(p)
+
+
+def test_member_terms_float_check_is_per_term(monkeypatch):
+    """With no float slack at all, the per-term check fails: the roots
+    rect(1, 2 pi e / M) from the rule differ from the direct floats in their
+    last bits."""
+    monkeypatch.setattr(plateau, "FLOAT_ERROR_C", 0)
+    plateau._member_terms.cache_clear()
+    try:
+        with pytest.raises(ExactFloatMismatch, match="term shadow"):
+            plateau._member_terms(WellParams(Fraction(5, 2), 1, Fraction(1, 997)))
+    finally:
+        plateau._member_terms.cache_clear()
+
+
+def reference_exponents(params, ks):
+    """Per side, the exponents x in [0, 1) of the unit roots
+    c(k) e(+-N lam k / q) / |c(k)| = e(x) for k in ks, as Fractions, from
+    gauss.coefficient_c and params.n_lam."""
+    return [
+        [(coefficient_c(params.a, params.q, k).exponent + sign * params.n_lam * k / params.q) % 1
+         for k in ks]
+        for sign in (1, -1)
     ]
-    return list(zip(direct, from_exponents))
-
-
-def read_prefix(prefix, i0, i1):
-    """Terms i0..i1-1 of a _shadow_prefixes table as the complex they sum to."""
-    re, im = prefix
-    scale = plateau.SHADOW_SCALE
-    return complex((re[i1] - re[i0]) / scale, (im[i1] - im[i0]) / scale)
 
 
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
-    # worst seen over these 53 configurations: 0.72 n eps for a shadow of n
-    # unit-modulus terms, against the detector's bound of 128 n eps; and
-    # 11.4 eps for a single term from its exponent against its direct term
-    # (13.2 eps over the whole default grid, at lam = 8/7, tau = 8/19),
-    # against the per-term bound of 128 eps
+    # worst seen over these 53 configurations: 3.4 n eps between a cell's
+    # shadow of n terms and the float sum of its reference terms (10.9 n eps
+    # over the default grid, 1 < lam <= 6 with v <= 8, q <= 20, N <= 3),
+    # against the detector's bound of 128 n eps; and 4.3 eps between a
+    # term's float from the rule exponent and its reference term (the same
+    # over the default grid), against the per-term bound of 128 eps
     p = WellParams(lam, n_state, tau)
-    order, ks, exponents, direct = plateau._member_terms(p)
-    prefixes = plateau._shadow_prefixes(order, exponents, direct)
-    for side_direct, side_exponents in float_slice_shadows(p):
-        worst = np.abs(np.subtract(side_exponents, side_direct)).max(initial=0.0)
+    terms = plateau._member_terms(p)
+    order, (a, b), scale = terms.order, terms.rule, plateau.SHADOW_SCALE
+    for sign, side, (s_re, s_im) in zip((1, -1), reference_exponents(p, terms.ks), terms.shadows):
+        rule = [(a * k * k + sign * b * k) % order for k in terms.ks]
+        assert [Fraction(j, order) for j in rule] == side
+        reference = [cmath.exp(2j * math.pi * float(x)) for x in side]
+        from_rule = [cmath.rect(1.0, 2 * math.pi * j / order) for j in rule]
+        worst = np.abs(np.subtract(from_rule, reference)).max(initial=0.0)
         assert worst <= 16 * sys.float_info.epsilon
-    for cell in build_cells(p.lam, p.q):
-        i0, i1 = plateau._member_slice(cell.members, ks)
-        tol = (i1 - i0) * sys.float_info.epsilon
-        for shadows, (side_direct, _) in zip(prefixes, float_slice_shadows(p)):
-            shadow = sum(side_direct[i0:i1], 0j)
-            assert abs(read_prefix(shadows, i0, i1) - shadow) <= tol
-
-
-def test_member_terms_exponent_outside_every_cell_raises(monkeypatch):
-    """k = -1 at lam = 5/2, tau = 1/5 reaches [0, 1/2] only at x = 0, so no
-    open cell holds it; its exponent is still checked."""
-    p = WellParams(Fraction(5, 2), 1, Fraction(1, 5))
-    member_terms = plateau._member_terms
-    order, ks, (plus, minus), direct = member_terms(p)
-    assert ks[0] == -1
-    assert all(-1 not in cell.members for cell in build_cells(p.lam, p.q))
-    corrupt = [(plus[0] + 1) % order, *plus[1:]]
-    monkeypatch.setattr(
-        plateau, "_member_terms", lambda _: (order, ks, (corrupt, minus), direct)
-    )
-    with pytest.raises(ExactFloatMismatch, match="term shadow"):
-        detect_plateaux(p)
+        for cell in build_cells(p.lam, p.q):
+            i0, i1 = plateau._member_slice(cell.members, terms.ks)
+            shadow = complex((s_re[i1] - s_re[i0]) / scale, (s_im[i1] - s_im[i0]) / scale)
+            tol = 8 * (i1 - i0) * sys.float_info.epsilon
+            assert abs(shadow - sum(reference[i0:i1], 0j)) <= tol
 
 
 def test_image_prefixes_match_pow():
-    # both parities of q, and the order M = 1001 * 10^8 of the last case
-    parities = set()
-    for case in ORACLE_CASES + LARGE_Q_CASES + [(Fraction("2.00000001"), 1, Fraction(1, 1001))]:
+    # both parities of q, sides of 1 and 2 terms, and the order M = 1001 * 10^8
+    parities, lengths = set(), set()
+    extra = [
+        (Fraction(2), 1, Fraction(0)),
+        (Fraction(5, 2), 1, Fraction(1, 4)),
+        (Fraction("2.00000001"), 1, Fraction(1, 1001)),
+    ]
+    for case in ORACLE_CASES + LARGE_Q_CASES + extra:
         p = WellParams(*case)
+        terms = plateau._member_terms(p)
         parities.add(p.q % 2)
-        order, _, exponents, _ = plateau._member_terms(p)
-        ell, root = cyclotomic.image_root(order)
-        # the first n terms of each side, n = 0 to 3, and then every term
-        for n in (0, 1, 2, 3, None):
-            sides = [side[:n] for side in exponents]
-            assert plateau._image_prefixes(order, ell, root, sides) == [
-                list(accumulate((pow(root, j, ell) for j in side), initial=0)) for side in sides
-            ]
-    assert parities == {0, 1}
+        lengths.add(len(terms.ks))
+        ell, root = cyclotomic.image_root(terms.order)
+        assert ell == terms.ell
+        for side, images in zip(reference_exponents(p, terms.ks), terms.images):
+            exponents = [x * terms.order for x in side]
+            assert all(j.denominator == 1 for j in exponents)
+            powers = (pow(root, j.numerator, ell) for j in exponents)
+            assert images == list(accumulate(powers, initial=0))
+    assert parities == {0, 1} and {1, 2} <= lengths
 
 
 def test_sqrt2_image_is_a_unit_of_square_2():
