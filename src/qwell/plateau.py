@@ -116,7 +116,7 @@ def _contributing_ks(lam: Fraction, q: int) -> range:
     return contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16)
 def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     """Partition (0, 1/2) into cells of constant window membership.
 
@@ -187,7 +187,7 @@ def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
     return inv * (order // modulus) % order, params.n_lam.numerator * drift_step % order
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _member_terms(params: WellParams) -> _TermTable:
     """The term table: the order M, ks (the contributing k of build_cells, in
     order), the exponent rule (A, B), ell of image_root(M), and per side (+,

@@ -339,6 +339,15 @@ def test_build_cells_memory_is_linear_in_q():
     assert peak < 50 * 2**20
 
 
+def test_member_terms_keeps_only_the_last_table():
+    # a table holds about 12 MB at q = 50001, and the detector and its own
+    # window_sums calls share one; a process running many configurations
+    # keeps the last table only
+    for tau in (Fraction(1, 2001), Fraction(2, 2001), Fraction(1, 667)):
+        detect_plateaux(WellParams(Fraction(5, 2), 1, tau))
+    assert plateau._member_terms.cache_info().currsize == 1
+
+
 def detect_by_cell(params):
     """The all-exact detector loop detect_plateaux used to run, kept as its
     reference: both window sums built in Z[zeta_M] for every cell, each

@@ -164,6 +164,18 @@ def test_small_scan_is_consistent_and_ordered():
     ]
 
 
+def test_scan_reuses_the_cells_within_each_lambda_q_task():
+    # the benchmark's tiny scan grid: 18 (lam, q) tasks, more than the cache
+    # keeps, each building its cells once for all of its configurations
+    build_cells.cache_clear()
+    records = conjecture_scan(lambda_dens=4, lambda_max=Fraction(3, 2), q_max=8, n_max=2, workers=1)
+    tasks = {(r.params.lam, r.params.q) for r in records}
+    info = build_cells.cache_info()
+    assert len(tasks) > 16
+    assert (info.hits, info.misses) == (len(records) - len(tasks), len(tasks))
+    assert info.currsize <= 16
+
+
 def test_scan_covers_squarefree_composite_even_drift():
     records = conjecture_scan(lambda_dens=2, lambda_max=Fraction(4), q_max=15, n_max=2, workers=1)
     hits = 0
