@@ -7,7 +7,6 @@ from .gauss import (
     GaussCoefficient,
     GaussPhase,
     coefficient_c,
-    gauss_abs,
     gauss_abs_sq,
     gauss_sum_direct,
     phase_alpha,
@@ -17,8 +16,6 @@ from .plateau import (
     PlateauInterval,
     PlateauReport,
     detect_plateaux,
-    plateau_level,
-    singular_points,
     window_sums,
 )
 from .predictors import (
@@ -53,7 +50,6 @@ __all__ = [
     "GaussCoefficient",
     "GaussPhase",
     "coefficient_c",
-    "gauss_abs",
     "gauss_abs_sq",
     "gauss_sum_direct",
     "phase_alpha",
@@ -61,8 +57,6 @@ __all__ = [
     "PlateauInterval",
     "PlateauReport",
     "detect_plateaux",
-    "plateau_level",
-    "singular_points",
     "window_sums",
     "FragmentationLayout",
     "PlateauPrediction",

@@ -39,7 +39,7 @@ from .wavefield import WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 6-7 s and 220 MB, density --out csv about 9-12 s and 33 MB"
+    " takes about 5 s and 175 MB, density --out csv about 9-12 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work

@@ -2,8 +2,9 @@
 
 The nine reference panels pair three fragmentation layouts with six
 single-plateau configurations, drawn with the plateau centers solid and the
-interior boundaries dashed.  Each file's rows are formatted in one printf pass:
-`%` and f-strings both call `PyOS_double_to_string`, so the bytes are the same.
+interior boundaries dashed.  Rows are formatted by printf passes, one per
+CSV file and one per chunk of SVG polyline points: `%` and f-strings both
+call `PyOS_double_to_string`, so the bytes are the same.
 """
 from __future__ import annotations
 
@@ -48,12 +49,15 @@ def render_csv(rows: list[tuple[float, float]]) -> str:
 
 _VIEW_W, _VIEW_H = 640, 360
 _ML, _MR, _MT, _MB = 46, 12, 12, 30
+# polyline rows per printf pass, which bounds the tuple of floats `%` needs
+_SVG_CHUNK = 1 << 16
 
 
 def render_svg(rows: list[tuple[float, float]], report: PlateauReport) -> str:
     """Self-contained SVG: density polyline, solid plateau center lines,
     dashed boundary lines (boundaries on 0 or 1/2 are skipped).  The polyline
-    maps numpy columns with the scalar operations in order (same IEEE doubles)."""
+    maps numpy columns with the scalar operations in order (same IEEE doubles)
+    and prints them in chunks of _SVG_CHUNK rows."""
     w = _VIEW_W - _ML - _MR
     h = _VIEW_H - _MT - _MB
     y_max = max((p for _, p in rows), default=1.0)
@@ -86,7 +90,11 @@ def render_svg(rows: list[tuple[float, float]], report: PlateauReport) -> str:
             )
     xs, ps = np.fromiter(chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2).T
     xys = np.column_stack((_ML + xs / 0.5 * w, _MT + h - ps / y_max * h)).ravel()
-    points = " ".join(["%.2f,%.2f"] * len(rows)) % tuple(xys.tolist())
+    step = 2 * _SVG_CHUNK
+    points = " ".join(
+        " ".join(["%.2f,%.2f"] * (len(part) // 2)) % tuple(part.tolist())
+        for part in (xys[i:i + step] for i in range(0, len(xys), step))
+    )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1060c0" stroke-width="1.3"/>'
     )

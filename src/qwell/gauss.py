@@ -79,11 +79,6 @@ def gauss_abs_sq(a: int, k: int, q: int) -> int:
     return 0
 
 
-def gauss_abs(a: int, k: int, q: int) -> float:
-    """|G(a, k, q)| as a float; the exact radicand is gauss_abs_sq."""
-    return math.sqrt(gauss_abs_sq(a, k, q))
-
-
 @lru_cache(maxsize=1024)
 def coefficient_exponent(a: int, q: int) -> tuple[int, int]:
     """(inv, modulus) with c(k) = e((inv k^2 mod modulus) / modulus), times

@@ -3,9 +3,11 @@
 The density at a fractional time is piecewise analytic on the open cells cut
 out of (0, 1/2) by the singular points where the window I(x) gains or loses
 a contributing integer.  For lam = u/v these points are k/q +- 1/(2 lam),
-which all lie on the lattice 1/(2uq) with numerators 2uk +- vq; the cells are
-built from those integers, and each cell's members, a range of k, come from
-its two integer endpoints.  On each cell the two windowed sums
+which all lie on the lattice 1/(2uq) with numerators 2uk +- vq.  A cell is
+a pair of consecutive such integers with its members, the run of k whose
+window edges enclose it, checked once, exactly, against the window at its
+midpoint; Fractions are made only for reported intervals and errors.  On
+each cell the two windowed sums
 
     S_pm = sum_{k in I} c(k) e(+-N lam k / q)
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -78,13 +81,14 @@ class ExactFloatMismatch(RuntimeError):
     corrupted coefficient path and must never be silently ignored."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """Open interval between consecutive singular points, with the integers
-    of the window (zero-coefficient k already dropped for even q)."""
+    """Open interval (x0, x1) / (2uq), lam = u/v, between consecutive singular
+    points, with the integers of its window (zero-coefficient k already
+    dropped for even q)."""
 
-    lo: Fraction
-    hi: Fraction
+    x0: int
+    x1: int
     members: range
 
 
@@ -122,37 +126,28 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
 
     Works on the lattice x = X / (2uq), lam = u/v: the contributing k (every
     k for odd q, k = q/2 (mod 2) for even q) put window edges at
-    X = 2uk +- vq, and the open cell (X0, X1) holds exactly the k with
-    2uk - vq <= X0 and X1 <= 2uk + vq.  Each cell is validated at its
-    midpoint and both quarter points; only the reported endpoints are
-    Fractions.
+    lower(k) = 2uk - vq and upper(k) = 2uk + vq, both increasing in k, and
+    the open cell (X0, X1) between consecutive edges holds exactly the k
+    with lower(k) <= X0 and X1 <= upper(k), a run of ks found by bisection.
+    Each cell is checked once against the window at its midpoint, computed
+    independently by wavefield.window, and a mismatch raises ValueError.
     """
     u, v = lam.numerator, lam.denominator
     den, half = 2 * u * q, u * q
-    edges = {2 * u * k + sign * v * q for k in _contributing_ks(lam, q) for sign in (1, -1)}
-    bounds = [0, *sorted(x for x in edges if 0 < x < half), half]
+    ks = _contributing_ks(lam, q)
+    lower = [2 * u * k - v * q for k in ks]
+    upper = [2 * u * k + v * q for k in ks]
+    bounds = [0, *sorted({x for x in (*lower, *upper) if 0 < x < half}), half]
     cells = []
     for x0, x1 in zip(bounds, bounds[1:]):
-        members = contributing(
-            range(window(x1, den, lam, q).start, window(x0, den, lam, q).stop), q
-        )
-        if (
-            _window_at(x0 + x1, 2 * den, lam, q) != members
-            or _window_at(3 * x0 + x1, 4 * den, lam, q) != members
-            or _window_at(x0 + 3 * x1, 4 * den, lam, q) != members
-        ):
+        cell = Cell(x0, x1, ks[bisect_left(upper, x1):bisect_right(lower, x0)])
+        if _window_at(x0 + x1, 2 * den, lam, q) != cell.members:
             raise ValueError(
                 f"corrupt cell ({Fraction(x0, den)}, {Fraction(x1, den)}):"
                 " window membership is not constant"
             )
-        cells.append(Cell(Fraction(x0, den), Fraction(x1, den), members))
+        cells.append(cell)
     return tuple(cells)
-
-
-def singular_points(lam: Fraction, q: int) -> list[Fraction]:
-    """The x in (0, 1/2) where a window edge crosses a contributing integer,
-    exactly: the inner cell boundaries of build_cells, x = (2uk +- vq)/(2uq)."""
-    return [cell.hi for cell in build_cells(lam, q)[:-1]]
 
 
 def cyclotomic_order(params: WellParams) -> int:
@@ -261,13 +256,14 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
     zeta_M^(A k^2 +- B k) of the exponent rule over its members (see
     _member_terms), times sqrt(2) = zeta_8 + zeta_8^-1 for even q.  The
-    members are first checked against the window at the cell's midpoint, and
-    the float shadow of each assembled sum is compared against the cell's
-    shadow in the term table, read in O(1).
+    members are first checked against the window at the cell's midpoint
+    (x0 + x1) / (4uq), on integers, and the float shadow of each assembled
+    sum is compared against the cell's shadow in the term table, read in O(1).
     """
-    mid = (cell.lo + cell.hi) / 2
-    if not 0 <= mid <= Fraction(1, 2) or (
-        _window_at(mid.numerator, mid.denominator, params.lam, params.q) != cell.members
+    lam, q = params.lam, params.q
+    den = 2 * lam.numerator * q
+    if not 0 <= cell.x0 + cell.x1 <= den or (
+        _window_at(cell.x0 + cell.x1, 2 * den, lam, q) != cell.members
     ):
         raise ValueError(
             f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
@@ -309,9 +305,11 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     change a verdict.  A qualifying cell extends the interval of the cell
     before it when that one qualified too, the vanishing side matches and the
     surviving sums are exactly equal as cyclotomic integers; reported
-    intervals are closures, clipped to [0, 1/2].
+    intervals are closures, clipped to [0, 1/2], with Fraction endpoints
+    (x0 / (2uq), x1 / (2uq)) made only for them.
     """
     lam, q = params.lam, params.q
+    den = 2 * lam.numerator * q
     terms = _member_terms(params)
     order, ks, ell = terms.order, terms.ks, terms.ell
     sides = list(zip(terms.images, terms.shadows))
@@ -351,11 +349,12 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
             and intervals[-1].vanishing_side == side
             and survivor.equals(intervals[-1].level_exact)
         ):
-            intervals[-1] = replace(intervals[-1], hi=cell.hi)
+            intervals[-1] = replace(intervals[-1], hi=Fraction(cell.x1, den))
         else:
             kind = ZERO_LEVEL if side == SIDE_BOTH else POSITIVE_LEVEL
             level = _level(kind, survivor, params)
-            intervals.append(PlateauInterval(cell.lo, cell.hi, level, survivor, kind, side))
+            lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
+            intervals.append(PlateauInterval(lo, hi, level, survivor, kind, side))
         extends = True
 
     return PlateauReport(params, tuple(intervals), lam > params.threshold, 2 * len(cells))
@@ -365,8 +364,3 @@ def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
     if kind == ZERO_LEVEL:
         return 0.0
     return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
-
-
-def plateau_level(interval: PlateauInterval, params: WellParams) -> float:
-    """(lam/q) |surviving sum|^2; exactly 0.0 for forbidden zones."""
-    return _level(interval.kind, interval.level_exact, params)

@@ -105,6 +105,13 @@ def test_polyline_keeps_the_scalar_order_of_operations():
     assert "337.00,299.80 482.50,300.17" in figures.render_svg(rows, REPORTS["plat-a"])
 
 
+def test_polyline_chunks_match_the_per_row_format():
+    # two full printf chunks of polyline points and a partial third
+    n = 2 * figures._SVG_CHUNK + 3
+    rows = [(0.5 * i / n, (i * 7919 % 1000) / 997) for i in range(n)]
+    assert_same_bytes(rows, REPORTS["plat-a"])
+
+
 def test_all_zero_density_falls_back_to_unit_y_max():
     rows = [(0.125, 0.0), (0.25, 0.0), (0.375, 0.0)]
     assert_same_bytes(rows, REPORTS["plat-a"])

@@ -28,8 +28,6 @@ from qwell.plateau import (
     build_cells,
     cyclotomic_order,
     detect_plateaux,
-    plateau_level,
-    singular_points,
     window_sums,
 )
 from qwell.wavefield import WellParams, density_p, interval_I
@@ -81,6 +79,17 @@ def enumerate_singular_by_brute_force(params, denominator_bound=3000):
     return sorted(found)
 
 
+def cell_bounds(cell, lam, q):
+    """The cell's endpoints x0 / (2uq), x1 / (2uq) as Fractions, lam = u/v."""
+    den = 2 * lam.numerator * q
+    return Fraction(cell.x0, den), Fraction(cell.x1, den)
+
+
+def singular_points(lam, q):
+    """The inner cell boundaries of build_cells, as Fractions."""
+    return [cell_bounds(cell, lam, q)[1] for cell in build_cells(lam, q)[:-1]]
+
+
 def test_singular_points_example_lam_5_2():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     assert singular_points(p.lam, p.q) == [Fraction(2, 15), Fraction(1, 5), Fraction(7, 15)]
@@ -112,16 +121,33 @@ def test_cells_partition_and_membership():
     for lam, _, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
         q = tau.denominator
         cells = build_cells(lam, q)
-        assert cells[0].lo == 0 and cells[-1].hi == Fraction(1, 2)
+        assert cells[0].x0 == 0 and cell_bounds(cells[-1], lam, q)[1] == Fraction(1, 2)
         for left, right in zip(cells, cells[1:]):
-            assert left.lo < left.hi == right.lo
+            assert left.x0 < left.x1 == right.x0
+        # build_cells checks only the midpoint; the quarter points are checked here
         for cell in cells:
-            for x in (
-                (cell.lo + cell.hi) / 2,
-                (3 * cell.lo + cell.hi) / 4,
-                (cell.lo + 3 * cell.hi) / 4,
-            ):
+            lo, hi = cell_bounds(cell, lam, q)
+            assert all(isinstance(x, int) for x in (cell.x0, cell.x1))
+            for x in ((lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4):
                 assert tuple(cell.members) == window_oracle(x, lam, q)
+
+
+def test_build_cells_raises_when_an_edge_is_lost(monkeypatch):
+    """At lam = 5/2, q = 3 the contributing k are 0, 1, 2.  Without k = 0 the
+    edge at x = 1/5 is lost, the cells left of 7/15 get wrong members, and
+    the first, (0, 2/15), fails its midpoint check: k = 0 is in its window."""
+    contributing_ks = plateau._contributing_ks
+    monkeypatch.setattr(plateau, "_contributing_ks", lambda lam, q: contributing_ks(lam, q)[1:])
+    with pytest.raises(ValueError, match="window membership is not constant"):
+        build_cells.__wrapped__(Fraction(5, 2), 3)
+
+
+def test_cells_where_one_k_leaves_as_another_enters():
+    """At lam = q/j two window edges meet: for lam = 3/2, q = 6, k = -1 leaves
+    and k = 3 enters at X = 6, x = 1/6, so neighbouring member ranges need
+    not differ by one k."""
+    cells = build_cells(Fraction(3, 2), 6)
+    assert [(c.x0, c.x1, tuple(c.members)) for c in cells] == [(0, 6, (-1, 1)), (6, 18, (1, 3))]
 
 
 def test_window_sums_rejects_members_off_the_midpoint_window():
@@ -130,7 +156,7 @@ def test_window_sums_rejects_members_off_the_midpoint_window():
     assert tuple(cell.members) == (0, 1)
     with pytest.raises(ValueError, match="midpoint window"):
         window_sums(dataclasses.replace(cell, members=range(0, 1)), p)
-    outside = Cell(Fraction(2), Fraction(3), window_oracle(Fraction(5, 2), p.lam, p.q))
+    outside = Cell(60, 90, cell.members)  # (2, 3) on the lattice 1/30
     with pytest.raises(ValueError, match="outside"):
         window_sums(outside, p)
 
@@ -159,7 +185,7 @@ def test_window_sums_empty_cell_is_double_zero():
 def test_window_sums_golden_cell_kills_minus_side():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = next(
-        c for c in build_cells(p.lam, p.q) if c.lo < Fraction(1, 6) < c.hi
+        c for c in build_cells(p.lam, p.q) if c.x0 < 5 < c.x1  # 1/6 = 5/30
     )
     s_plus, s_minus = window_sums(cell, p)
     assert s_minus.is_zero()
@@ -205,8 +231,8 @@ def test_detect_fragmentation_gaps_odd_q():
 def test_plateau_level_consistency():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     interval = detect_plateaux(p).intervals[0]
-    level = plateau_level(interval, p)
-    assert abs(level - interval.level) < 1e-12
+    level = interval.level
+    assert abs(level - float(p.lam) / p.q * abs(interval.level_exact.to_complex()) ** 2) < 1e-12
     assert abs(level - density_p(Fraction(1, 6), p)) < 1e-9
     assert level * float(interval.hi - interval.lo) <= 1.0
 
@@ -214,8 +240,8 @@ def test_plateau_level_consistency():
 def test_zero_level_reports_exact_zero():
     p = WellParams(Fraction(3, 2), 1, Fraction(5, 3))
     interval = detect_plateaux(p).intervals[0]
-    assert plateau_level(interval, p) == 0.0
     assert interval.level == 0.0
+    assert interval.level_exact.is_zero()
 
 
 @pytest.mark.parametrize("lam,n_state,tau,lo,hi,kind", GOLDEN_PLATEAUX)
@@ -231,11 +257,12 @@ def test_detector_vs_density_constancy(lam, n_state, tau, lo, hi, kind):
     assert max(inside) - min(inside) < 1e-9
     # every cell outside the plateau must witness non-constancy
     for cell in build_cells(params.lam, params.q):
-        if interval.lo <= cell.lo and cell.hi <= interval.hi:
+        lo, hi = cell_bounds(cell, params.lam, params.q)
+        if interval.lo <= lo and hi <= interval.hi:
             continue
-        span = cell.hi - cell.lo
+        span = hi - lo
         probes = [
-            density_p(float(cell.lo) + float(span) * frac, params)
+            density_p(float(lo) + float(span) * frac, params)
             for frac in (0.25, 0.5, 0.75)
         ]
         assert max(probes) - min(probes) > 1e-6
@@ -385,9 +412,9 @@ def detect_by_cell(params):
         else:
             kind = POSITIVE_LEVEL
             level = float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
-        intervals.append(
-            PlateauInterval(cell.lo, verdicts[j][0].hi, level, survivor, kind, side)
-        )
+        lo = cell_bounds(cell, params.lam, params.q)[0]
+        hi = cell_bounds(verdicts[j][0], params.lam, params.q)[1]
+        intervals.append(PlateauInterval(lo, hi, level, survivor, kind, side))
         i = j + 1
     return PlateauReport(
         params, tuple(intervals), params.lam > params.threshold, 2 * len(verdicts)
