@@ -1,21 +1,14 @@
 """Exact-arithmetic analysis of probability plateaux in the suddenly
 expanded 1D infinite well at fractional times."""
 
-from .cyclotomic import CycInt, IntPoly, cyclotomic_poly, embed, galois_conjugate
-from .gauss import (
-    CoeffKind,
-    GaussCoefficient,
-    GaussPhase,
-    coefficient_c,
-    gauss_abs_sq,
-    gauss_sum_direct,
-    phase_alpha,
-)
+from .cyclotomic import CycInt, IntPoly, cyclotomic_poly, galois_conjugate
+from .gauss import coefficient_c, gauss_abs_sq, gauss_sum_direct, phase_alpha
 from .plateau import (
     Cell,
     PlateauInterval,
     PlateauReport,
     detect_plateaux,
+    term_table,
     window_sums,
 )
 from .predictors import (
@@ -28,7 +21,7 @@ from .predictors import (
     nonfrag_prediction,
     peak_count,
 )
-from .rationals import Rational, bezout, dist_nearest_int, mod_inverse
+from .rationals import dist_nearest_int, mod_inverse
 from .wavefield import (
     WellParams,
     density_p,
@@ -44,11 +37,7 @@ __all__ = [
     "CycInt",
     "IntPoly",
     "cyclotomic_poly",
-    "embed",
     "galois_conjugate",
-    "CoeffKind",
-    "GaussCoefficient",
-    "GaussPhase",
     "coefficient_c",
     "gauss_abs_sq",
     "gauss_sum_direct",
@@ -57,6 +46,7 @@ __all__ = [
     "PlateauInterval",
     "PlateauReport",
     "detect_plateaux",
+    "term_table",
     "window_sums",
     "FragmentationLayout",
     "PlateauPrediction",
@@ -66,8 +56,6 @@ __all__ = [
     "has_fragmentation",
     "nonfrag_prediction",
     "peak_count",
-    "Rational",
-    "bezout",
     "dist_nearest_int",
     "mod_inverse",
     "WellParams",

@@ -329,11 +329,3 @@ def galois_conjugate(z: CycInt, m: int) -> CycInt:
     if math.gcd(m, z.order) != 1:
         raise ValueError(f"gcd({m}, {z.order}) != 1: not a valid conjugation")
     return CycInt(z.order, ((m * j, c) for j, c in z.terms))
-
-
-def embed(z: CycInt, target_order: int) -> CycInt:
-    """Re-express z in Z[zeta_target]: zeta_M^j -> zeta_target^(j * target/M)."""
-    if target_order % z.order:
-        raise ValueError(f"{z.order} does not divide {target_order}")
-    stride = target_order // z.order
-    return CycInt(target_order, ((j * stride, c) for j, c in z.terms))

@@ -15,41 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import unit_roots
 from .rationals import mod_inverse
 
 SQRT2 = math.sqrt(2.0)
-
-
-class CoeffKind(Enum):
-    ZERO = "zero"
-    PLAIN = "plain"
-    SQRT2 = "sqrt2"
-
-
-@dataclass(frozen=True)
-class GaussCoefficient:
-    """Value 0, e(exponent), or sqrt(2)*e(exponent); exponent reduced in [0,1)."""
-
-    kind: CoeffKind
-    exponent: Fraction = Fraction(0)
-
-    @property
-    def value(self) -> complex:
-        if self.kind is CoeffKind.ZERO:
-            return 0j
-        w = cmath.exp(2j * cmath.pi * float(self.exponent))
-        return w * SQRT2 if self.kind is CoeffKind.SQRT2 else w
-
-
-@dataclass(frozen=True)
-class GaussPhase:
-    alpha: float  # radians
 
 
 def _check_coprime(a: int, q: int) -> None:
@@ -72,11 +43,9 @@ def gauss_sum_direct(a: int, k: int, q: int) -> complex:
 def gauss_abs_sq(a: int, k: int, q: int) -> int:
     """Exact |G(a, k, q)|^2: q for odd q; 2q or 0 by the parity of k + q/2."""
     _check_coprime(a, q)
-    if q % 2:
-        return q
-    if (k + q // 2) % 2 == 0:
-        return 2 * q
-    return 0
+    if not contributing(range(k, k + 1), q):
+        return 0
+    return q if q % 2 else 2 * q
 
 
 @lru_cache(maxsize=1024)
@@ -95,36 +64,37 @@ def contributing(ks: range, q: int) -> range:
     return ks if q % 2 else ks[(ks.start + q // 2) % 2 :: 2]
 
 
-def coefficient_c(a: int, q: int, k: int) -> GaussCoefficient:
-    """The exact k-dependent factor of conj(G(a, k, q)) / (sqrt(q) e^{i alpha}).
+def coefficient_c(a: int, q: int, k: int) -> complex:
+    """c(k) = conj(G(a, k, q)) / (sqrt(q) e^{i alpha}) as a complex number.
 
-    Odd q: e(inv(4a) k^2 / q).  Even q: zero when k + q/2 is odd, else
-    sqrt(2) e(inv(a) k^2 / (4q)).  Both branches are invariant under k -> -k.
+    Odd q: e(inv(4a) k^2 / q).  Even q: zero for the k that contributing
+    drops (k + q/2 odd), else sqrt(2) e(inv(a) k^2 / (4q)).  The exponent is
+    (inv k^2 mod modulus) / modulus from coefficient_exponent, one correctly
+    rounded quotient; both branches are invariant under k -> -k.
     """
     _check_coprime(a, q)
-    if q % 2 == 0 and (k + q // 2) % 2:
-        return GaussCoefficient(CoeffKind.ZERO)
+    if not contributing(range(k, k + 1), q):
+        return 0j
     inv, modulus = coefficient_exponent(a, q)
-    kind = CoeffKind.PLAIN if q % 2 else CoeffKind.SQRT2
-    return GaussCoefficient(kind, Fraction((inv * k * k) % modulus, modulus))
+    c = cmath.exp(2j * cmath.pi * (inv * k * k % modulus / modulus))
+    return c if q % 2 else c * SQRT2
 
 
-def phase_alpha(a: int, q: int) -> GaussPhase:
-    """The k-independent phase, read off at k = 0 (odd q) or k = q/2 (even q)."""
+def phase_alpha(a: int, q: int) -> float:
+    """The k-independent phase alpha in radians, read off at k = 0 (odd q) or
+    k = q/2 (even q)."""
     _check_coprime(a, q)
     k0 = 0 if q % 2 else q // 2
     g_conj = gauss_sum_direct(a, k0, q).conjugate()
-    ref = math.sqrt(q) * coefficient_c(a, q, k0).value
-    return GaussPhase(cmath.phase(g_conj / ref))
+    return cmath.phase(g_conj / (math.sqrt(q) * coefficient_c(a, q, k0)))
 
 
 def factorization_residual(a: int, q: int, k: int | None = None) -> float:
     """Max |conj(G) - sqrt(q) e^{i alpha} c(k)| over k (or at a single k)."""
-    alpha = phase_alpha(a, q).alpha
-    scale = math.sqrt(q) * cmath.exp(1j * alpha)
+    scale = math.sqrt(q) * cmath.exp(1j * phase_alpha(a, q))
     ks = range(q) if k is None else (k,)
     worst = 0.0
     for kk in ks:
-        model = scale * coefficient_c(a, q, kk).value
+        model = scale * coefficient_c(a, q, kk)
         worst = max(worst, abs(gauss_sum_direct(a, kk, q).conjugate() - model))
     return worst

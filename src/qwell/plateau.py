@@ -16,13 +16,13 @@ vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M] with
 M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
 denominator of N lam, so the criterion is decided exactly.  Each term is
 |c(k)| zeta_M^(A k^2 +- B k), one exponent rule (A, B) per configuration,
-and one cached term table per configuration holds, per side, the prefix
-sums of the term images under the ring map Z[zeta_M] -> F_ell,
-zeta_M -> r (cyclotomic.image_root), and of the float terms rounded to
-multiples of 2^-60.  A nonzero verdict is certified by a cell's image, read
-in O(1) from the table; only a sum whose image vanishes is built in
-Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
-test.  Every verdict is cross-checked against the float shadow, read in
+and one term table per configuration (term_table), built by the detector and
+passed to window_sums, holds, per side, the prefix sums of the term images
+under the ring map Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root),
+and of the float terms rounded to multiples of 2^-60.  A nonzero verdict is
+certified by a cell's image, read in O(1) from the table; only a sum whose
+image vanishes is built in Z[zeta_M], and a zero verdict comes only from the
+exact cyclotomic zero test.  Every verdict is cross-checked against the float shadow, read in
 O(1) as well, and a disagreement raises, so the detector is linear in the
 number of cells and terms.
 """
@@ -56,7 +56,7 @@ SIDE_BOTH = "both"
 # unit-modulus terms (w = 1); the CycInts of window_sums carry the sqrt(2) of
 # even q (w = sqrt(2)).
 #
-# C eps also bounds each single term of the table (_member_terms): its direct
+# C eps also bounds each single term of the table (term_table): its direct
 # float exp(2 pi i x), |x| < 2, and its float from the rule exponent,
 # rect(1, 2 pi e / M), each lie within about |arg| eps of the true root; the
 # worst gap seen over the default grid and the large-q cases is 13.2 eps
@@ -165,8 +165,9 @@ def _float_bound(cell: Cell, params: WellParams) -> float:
 
 @dataclass(frozen=True)
 class _TermTable:
-    """The terms of both windowed sums of a configuration (_member_terms)."""
+    """The terms of both windowed sums of a configuration (term_table)."""
 
+    params: WellParams
     order: int
     ks: range
     rule: tuple[int, int]
@@ -182,11 +183,11 @@ def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
     return inv * (order // modulus) % order, params.n_lam.numerator * drift_step % order
 
 
-@lru_cache(maxsize=1)
-def _member_terms(params: WellParams) -> _TermTable:
-    """The term table: the order M, ks (the contributing k of build_cells, in
-    order), the exponent rule (A, B), ell of image_root(M), and per side (+,
-    then -) prefix sums over ks of the images r^e(k) in F_ell and of the
+def term_table(params: WellParams) -> _TermTable:
+    """The term table of a configuration, built once per detector run: its
+    params, the order M, ks (the contributing k of build_cells, in order),
+    the exponent rule (A, B), ell of image_root(M), and per side (+, then -)
+    prefix sums over ks of the images r^e(k) in F_ell and of the
     shadows of the unit roots c(k) e(+-N lam k / q) / |c(k)| = zeta_M^e(k),
     e(k) = (A k^2 +- B k) mod M.  ks steps by d, so the image ratios change by
     the constant r^(2 A d^2) and each image costs two multiplications mod ell.
@@ -243,7 +244,7 @@ def _member_terms(params: WellParams) -> _TermTable:
             side_images.append(image)
             image, ratio = image * ratio % ell, ratio * step % ell
         images.append(list(accumulate(side_images, initial=0)))
-    return _TermTable(order, ks, (a_rule, b_rule), ell, tuple(images), shadows)
+    return _TermTable(params, order, ks, (a_rule, b_rule), ell, tuple(images), shadows)
 
 
 def _member_slice(members: range, ks: range) -> tuple[int, int]:
@@ -252,14 +253,16 @@ def _member_slice(members: range, ks: range) -> tuple[int, int]:
     return i0, i0 + len(members)
 
 
-def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
+def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
-    zeta_M^(A k^2 +- B k) of the exponent rule over its members (see
-    _member_terms), times sqrt(2) = zeta_8 + zeta_8^-1 for even q.  The
-    members are first checked against the window at the cell's midpoint
-    (x0 + x1) / (4uq), on integers, and the float shadow of each assembled
-    sum is compared against the cell's shadow in the term table, read in O(1).
+    zeta_M^(A k^2 +- B k) of the exponent rule of the term table over the
+    cell's members, times sqrt(2) = zeta_8 + zeta_8^-1 for even q; lam, q and
+    the params come from the table.  The members are first checked against
+    the window at the cell's midpoint (x0 + x1) / (4uq), on integers, and the
+    float shadow of each assembled sum is compared against the cell's shadow
+    in the table, read in O(1).
     """
+    params = terms.params
     lam, q = params.lam, params.q
     den = 2 * lam.numerator * q
     if not 0 <= cell.x0 + cell.x1 <= den or (
@@ -268,14 +271,13 @@ def window_sums(cell: Cell, params: WellParams) -> tuple[CycInt, CycInt]:
         raise ValueError(
             f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
         )
-    terms = _member_terms(params)
     order, (a, b) = terms.order, terms.rule
     i0, i1 = _member_slice(cell.members, terms.ks)
-    weight = 1.0 if params.q % 2 else math.sqrt(2.0)
+    weight = 1.0 if q % 2 else math.sqrt(2.0)
     sums = []
     for sign, (s_re, s_im) in zip((1, -1), terms.shadows):
         s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in cell.members))
-        s = s if params.q % 2 else s * CycInt.sqrt_two(order)
+        s = s if q % 2 else s * CycInt.sqrt_two(order)
         shadow = complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0]) * (weight / SHADOW_SCALE)
         if abs(s.to_complex() - shadow) > _float_bound(cell, params):
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
@@ -296,21 +298,21 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion and assemble the maximal
     constant-density intervals in one pass over the cells.
 
-    Each cell reads its two term images and its two shadows from the term
-    table (_member_terms) in O(1).  A nonzero image proves its sum nonzero,
-    and its shadow must then exceed the float bound, else this raises.  Only
-    a side whose image vanishes is built in Z[zeta_M] (window_sums) and
-    decided by the exact zero test, cross-checked against that sum's own
-    float shadow, so a wrong image can only raise or be overruled, never
-    change a verdict.  A qualifying cell extends the interval of the cell
-    before it when that one qualified too, the vanishing side matches and the
-    surviving sums are exactly equal as cyclotomic integers; reported
-    intervals are closures, clipped to [0, 1/2], with Fraction endpoints
-    (x0 / (2uq), x1 / (2uq)) made only for them.
+    The term table (term_table) is built once, and each cell reads its two
+    term images and its two shadows from it in O(1).  A nonzero image proves
+    its sum nonzero, and its shadow must then exceed the float bound, else
+    this raises.  Only a side whose image vanishes is built in Z[zeta_M]
+    (window_sums) and decided by the exact zero test, cross-checked against
+    that sum's own float shadow, so a wrong image can only raise or be
+    overruled, never change a verdict.  A qualifying cell extends the
+    interval of the cell before it when that one qualified too, the vanishing
+    side matches and the surviving sums are exactly equal as cyclotomic
+    integers; reported intervals are closures, clipped to [0, 1/2], with
+    Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
     """
     lam, q = params.lam, params.q
     den = 2 * lam.numerator * q
-    terms = _member_terms(params)
+    terms = term_table(params)
     order, ks, ell = terms.order, terms.ks, terms.ell
     sides = list(zip(terms.images, terms.shadows))
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
@@ -332,7 +334,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
             vanishing.append(not image)
         zp = zm = False
         if any(vanishing):
-            s_plus, s_minus = window_sums(cell, params)
+            s_plus, s_minus = window_sums(cell, terms)
             zp = vanishing[0] and _checked_is_zero(s_plus, params, cell)
             zm = vanishing[1] and _checked_is_zero(s_minus, params, cell)
         if zp and zm:

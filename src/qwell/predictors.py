@@ -21,7 +21,7 @@ import numpy as np
 
 from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
 from .rationals import dist_nearest_int
-from .wavefield import WellParams, density_p
+from .wavefield import WellParams, density_p, fragmentation_threshold
 
 # The most configurations conjecture_scan accepts, by the closed-form bound it
 # checks before building the grid.
@@ -223,9 +223,15 @@ def conjecture_scan(
 
     Results come back in deterministic grid order regardless of worker
     scheduling.  Inconsistent records are returned, never raised.  A grid
-    whose closed-form bound on configurations exceeds MAX_SCAN_CONFIGS raises
-    ValueError before any work starts.
+    with lambda_dens, q_max or n_max below 1, or whose closed-form bound on
+    configurations exceeds MAX_SCAN_CONFIGS, raises ValueError before any
+    work starts.
     """
+    if min(lambda_dens, q_max, n_max) < 1:
+        raise ValueError(
+            "lambda_dens, q_max and n_max (--lambda-den, --qmax, --nmax) must be at"
+            f" least 1, got {lambda_dens}, {q_max} and {n_max}"
+        )
     # every lam >= threshold(q) is skipped and threshold(q) <= q <= q_max, so
     # the grid stops at q_max however large lambda_max is
     lambda_max = min(Fraction(lambda_max), Fraction(q_max))
@@ -240,8 +246,7 @@ def conjecture_scan(
     tasks = []
     for lam in _lambda_grid(lambda_dens, lambda_max):
         for q in range(2, q_max + 1):
-            threshold = Fraction(q) if q % 2 else Fraction(q, 2)
-            if lam >= threshold:
+            if lam >= fragmentation_threshold(q):
                 continue
             tasks.append((lam, q, n_max))
 

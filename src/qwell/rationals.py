@@ -1,16 +1,13 @@
-"""Exact rational helpers: Bezout identities, modular inverses and the
-distance-to-the-nearest-integer map.
+"""Exact rational helpers: modular inverses, the distance-to-the-nearest-
+integer map, and exact parsing and printing of rationals.
 
 Reduced fractions are `fractions.Fraction` throughout (arbitrary precision,
-auto-reduced, positive denominator), aliased as `Rational`.
+auto-reduced, positive denominator).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
-
 
 def mod_inverse(a: int, q: int) -> int:
     """Inverse of a modulo q, in [1, q) for q > 1 and 0 for q == 1.
@@ -23,23 +20,6 @@ def mod_inverse(a: int, q: int) -> int:
         return pow(a, -1, q)
     except ValueError:
         raise ValueError(f"{a} is not invertible modulo {q}") from None
-
-
-def bezout(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b) > 0."""
-    if a == 0 and b == 0:
-        raise ValueError("bezout(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_u, u = u, old_u - quo * u
-        old_v, v = v, old_v - quo * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def dist_nearest_int(x: Fraction) -> Fraction:

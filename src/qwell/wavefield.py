@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .gauss import CoeffKind, coefficient_c, gauss_sum_direct
+from .gauss import coefficient_c, contributing, gauss_sum_direct
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,8 +70,12 @@ class WellParams:
 
     @property
     def threshold(self) -> Fraction:
-        """Fragmentation threshold for lam: q for odd q, q/2 for even q."""
-        return Fraction(self.q) if self.q % 2 else Fraction(self.q, 2)
+        return fragmentation_threshold(self.q)
+
+
+def fragmentation_threshold(q: int) -> Fraction:
+    """Fragmentation threshold for lam: q for odd q, q/2 for even q."""
+    return Fraction(q) if q % 2 else Fraction(q, 2)
 
 
 def initial_g(x, lam, n_state: int) -> float:
@@ -137,14 +141,11 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
     n_lam_f, half = float(params.n_lam), 1.0 / (2.0 * float(params.lam))
     k_lo, k_hi = np.ceil(q * (xs - half)), np.floor(q * (xs + half))
     re, im = np.zeros_like(xs), np.zeros_like(xs)
-    for k in range(int(k_lo.min()), int(k_hi.max()) + 1) if xs.size else ():
-        c = coefficient_c(a, q, k)
-        if c.kind is CoeffKind.ZERO:
-            continue
-        value, mask = c.value, (k_lo <= k) & (k <= k_hi)
+    for k in contributing(range(int(k_lo.min()), int(k_hi.max()) + 1), q) if xs.size else ():
+        c, mask = coefficient_c(a, q, k), (k_lo <= k) & (k <= k_hi)
         sine = np.sin(TWO_PI * n_lam_f * (xs[mask] - k / q))
-        re[mask] += value.real * sine
-        im[mask] += value.imag * sine
+        re[mask] += c.real * sine
+        im[mask] += c.imag * sine
     h = np.hypot(re, im).tolist()
     ps = 4.0 * float(params.lam) / q * np.fromiter(map(pow, h, repeat(2.0)), float, len(h))
     return float(ps[0]) if np.ndim(x) == 0 else ps
@@ -214,16 +215,6 @@ def series_oracle(x, t_over_T, params: WellParams, tol: float = 1e-10) -> comple
     modes = np.sin(nf * (math.pi * float(x) / lam_f))
     terms = coeff * modes * np.exp(-2j * np.pi * phase_frac)
     return complex(math.sqrt(2.0 / lam_f) * terms.sum())
-
-
-def oracle_coefficient_norm(params: WellParams, tol: float = 1e-10) -> float:
-    """sum of c_n^2 up to the oracle cutoff; equals the unit initial norm up
-    to the guaranteed tail."""
-    n_terms = _series_cutoff(float(params.lam), params.n_state, tol)
-    return sum(
-        well_overlap_coefficient(params.lam, params.n_state, n) ** 2
-        for n in range(1, n_terms + 1)
-    )
 
 
 def _free_field(coefficients: dict[int, complex], x: float, tau: float, lam: float) -> complex:

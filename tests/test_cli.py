@@ -282,6 +282,16 @@ def test_scan_grid_beyond_max_scan_configs_exits_2_before_any_work(tmp_path, cap
     assert err.startswith("error:") and f"MAX_SCAN_CONFIGS = {MAX_SCAN_CONFIGS}" in err
 
 
+
+@pytest.mark.parametrize("flag", ["--lambda-den", "--qmax", "--nmax"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_scan_grid_arguments_below_1_exit_2_before_any_work(tmp_path, capsys, flag, value):
+    out_file = tmp_path / "scan.json"
+    code, out, err = run_cli(capsys, "scan", flag, value, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err.startswith("error:") and "at least 1" in err
+
 # sha256 of `plateaux --lambda 5/2 --N 1 --tau 1/q` at large q
 LARGE_Q_REPORT_DIGESTS = {
     10001: "12e6bb516af07de5c8622dcd4ac95322e7ff3b1a7c1780a3979f98059720d07f",

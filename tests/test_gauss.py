@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwell.gauss import (
-    CoeffKind,
     coefficient_c,
     factorization_residual,
     gauss_abs_sq,
@@ -61,14 +60,30 @@ def test_abs_law_against_direct_sweep():
 
 
 def test_coefficient_examples():
-    c = coefficient_c(1, 3, 1)
-    assert c.kind is CoeffKind.PLAIN and c.exponent == Fraction(1, 3)
-    assert coefficient_c(1, 2, 0).kind is CoeffKind.ZERO
+    assert coefficient_c(1, 3, 1) == cmath.exp(2j * cmath.pi * (1 / 3))
+    assert coefficient_c(1, 2, 0) == 0j
     c = coefficient_c(1, 2, 1)
-    assert c.kind is CoeffKind.SQRT2 and c.exponent == Fraction(1, 8)
+    assert c == cmath.exp(2j * cmath.pi * (1 / 8)) * math.sqrt(2.0)
     # cross-check against the direct sum: G(1,1,2) = 2 = sqrt(2) * sqrt(2)
-    model = math.sqrt(2) * cmath.exp(1j * phase_alpha(1, 2).alpha) * c.value
+    model = math.sqrt(2) * cmath.exp(1j * phase_alpha(1, 2)) * c
     assert abs(gauss_sum_direct(1, 1, 2).conjugate() - model) < 1e-12
+
+
+def test_coefficient_matches_the_closed_form():
+    """c(k) equals, bit for bit, e(x) from the Fraction exponent
+    x = inv(4a) k^2 / q (odd q) or inv(a) k^2 / (4q) (even q), times sqrt(2)
+    for even q and 0 when k + q/2 is odd, with the inverses mod q."""
+    for q in range(1, 41):
+        for a in coprime_residues(q):
+            inv, modulus = (pow(4 * a, -1, q), q) if q % 2 else (pow(a, -1, q), 4 * q)
+            for k in range(-2 * q, 2 * q + 1):
+                if q % 2 == 0 and (k + q // 2) % 2:
+                    expected = 0j
+                else:
+                    x = Fraction(inv * k * k % modulus, modulus)
+                    expected = cmath.exp(2j * cmath.pi * float(x))
+                    expected = expected if q % 2 else expected * math.sqrt(2.0)
+                assert coefficient_c(a, q, k) == expected, (a, q, k)
 
 
 @given(st.integers(-30, 30), st.integers(1, 30), st.integers(-100, 100))
@@ -79,9 +94,9 @@ def test_coefficient_invariant_under_k_negation(a, q, k):
 
 
 def test_phase_examples():
-    assert abs(cmath.exp(1j * phase_alpha(1, 1).alpha) - 1.0) < 1e-12
+    assert abs(cmath.exp(1j * phase_alpha(1, 1)) - 1.0) < 1e-12
     # G(1,0,3) = i sqrt(3), so conj(G) = sqrt(3) e^{i alpha} gives e^{i alpha} = -i
-    assert abs(cmath.exp(1j * phase_alpha(1, 3).alpha) + 1j) < 1e-12
+    assert abs(cmath.exp(1j * phase_alpha(1, 3)) + 1j) < 1e-12
 
 
 def test_factorization_residual_random_sweep():

