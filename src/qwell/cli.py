@@ -39,7 +39,7 @@ from .wavefield import WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 5 s and 175 MB, density --out csv about 9-12 s and 33 MB"
+    " takes about 5.5 s and 155 MB, density --out csv about 9-12 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work
@@ -211,6 +211,9 @@ def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
 
 
 def _cmd_scan(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # refused before the scan starts
+        raise ValueError(f"cannot write {args.out}: not a file in an existing directory")
     lambda_max = parse_rational(args.lambda_max)
     records = conjecture_scan(
         lambda_dens=args.lambda_den, lambda_max=lambda_max, q_max=args.qmax, n_max=args.nmax
@@ -330,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

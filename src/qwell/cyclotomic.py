@@ -270,7 +270,7 @@ class CycInt:
 
     def _match(self, other: "CycInt") -> None:
         if self.order != other.order:
-            raise ValueError("orders differ; embed into a common order first")
+            raise ValueError(f"orders differ: {self.order} and {other.order}")
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._match(other)

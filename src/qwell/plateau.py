@@ -12,17 +12,19 @@ each cell the two windowed sums
     S_pm = sum_{k in I} c(k) e(+-N lam k / q)
 
 are constants, and the density is constant on the cell iff one of them
-vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M] with
-M = q s for odd q and M = lcm(8, 4q, q s) for even q, s the reduced
-denominator of N lam, so the criterion is decided exactly.  Each term is
-|c(k)| zeta_M^(A k^2 +- B k), one exponent rule (A, B) per configuration,
-and one term table per configuration (term_table), built by the detector and
-passed to window_sums, holds, per side, the prefix sums of the term images
-under the ring map Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root),
-and of the float terms rounded to multiples of 2^-60.  A nonzero verdict is
-certified by a cell's image, read in O(1) from the table; only a sum whose
-image vanishes is built in Z[zeta_M], and a zero verdict comes only from the
-exact cyclotomic zero test.  Every verdict is cross-checked against the float shadow, read in
+vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M],
+M = cyclotomic_order, so the criterion is decided exactly.  Each term is
+|c(k)| zeta_M^(A k^2 +- B k), one exponent rule (A, B) per configuration;
+c(k) is even in k, so the minus term at k is the plus term at -k.  One term
+table per configuration (term_table), built by the detector and passed to
+window_sums, holds one sequence over k = -R..R: the prefix sums of its term
+images under the ring map Z[zeta_M] -> F_ell, zeta_M -> r
+(cyclotomic.image_root), and of its float terms rounded to multiples of
+2^-60.  S_plus reads a cell's members as a slice of it and S_minus reads
+the mirrored slice.  A nonzero verdict is certified by a cell's image, read
+in O(1) from the table; only a sum whose image vanishes is built in
+Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
+test.  Every verdict is cross-checked against the float shadow, read in
 O(1) as well, and a disagreement raises, so the detector is linear in the
 number of cells and terms.
 """
@@ -35,9 +37,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-
-import numpy as np
 
 from .cyclotomic import CycInt, image_root
 from .gauss import coefficient_exponent, contributing
@@ -51,7 +50,7 @@ SIDE_MINUS = "minus"
 SIDE_BOTH = "both"
 
 # A window sum of n terms of modulus w may be off by C n w eps in floats: the
-# worst seen on the default scan is 9.5 n w eps, and its smallest nonzero |S|
+# worst seen on the default scan is 11.3 n w eps, and its smallest nonzero |S|
 # (9.2e-3) is far above the bound.  The shadows of the term table sum
 # unit-modulus terms (w = 1); the CycInts of window_sums carry the sqrt(2) of
 # even q (w = sqrt(2)).
@@ -65,7 +64,8 @@ SIDE_BOTH = "both"
 # checked exactly against the per-k reductions.
 #
 # The shadows are exact prefix sums of the direct terms rounded to integers at
-# scale SHADOW_SCALE = 2^60.  Rounding moves each component of a term by at
+# scale SHADOW_SCALE = 2^60 (the product is exact, and round takes the
+# nearest integer, ties to even).  Rounding moves each component of a term by at
 # most 2^-61, so a shadow of n terms moves by at most n 2^-61 per component.
 # With eps = 2^-52 the bound is C n eps = 128 n 2^-52 = n 2^-45: rounding adds
 # 2^-16 of it, so the bound stays as it is.  The prefix differences are exact
@@ -151,11 +151,10 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
 
 
 def cyclotomic_order(params: WellParams) -> int:
-    """Common order housing every term of both windowed sums: q s for odd q;
-    even q also needs the modulus 4q and zeta_8 for sqrt(2) = zeta_8 + zeta_8^7."""
-    if params.q % 2:
-        return params.q * params.s
-    return math.lcm(8, 4 * params.q, params.q * params.s)
+    """Common order housing every term of both windowed sums: lcm(modulus, q s)
+    with the modulus of coefficient_exponent, so q s for odd q; for even q the
+    modulus 4q also holds zeta_8 for sqrt(2) = zeta_8 + zeta_8^7."""
+    return math.lcm(coefficient_exponent(params.a, params.q)[1], params.q * params.s)
 
 
 def _float_bound(cell: Cell, params: WellParams) -> float:
@@ -165,15 +164,16 @@ def _float_bound(cell: Cell, params: WellParams) -> float:
 
 @dataclass(frozen=True)
 class _TermTable:
-    """The terms of both windowed sums of a configuration (term_table)."""
+    """The terms of both windowed sums as one sequence over a symmetric range
+    of k, read forwards for S_plus and mirrored for S_minus (term_table)."""
 
     params: WellParams
     order: int
     ks: range
     rule: tuple[int, int]
     ell: int
-    images: tuple[list[int], list[int]]
-    shadows: tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]
+    images: list[int]
+    shadows: tuple[list[int], list[int]]
 
 
 def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
@@ -184,22 +184,22 @@ def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
 
 
 def term_table(params: WellParams) -> _TermTable:
-    """The term table of a configuration, built once per detector run: its
-    params, the order M, ks (the contributing k of build_cells, in order),
-    the exponent rule (A, B), ell of image_root(M), and per side (+, then -)
-    prefix sums over ks of the images r^e(k) in F_ell and of the
-    shadows of the unit roots c(k) e(+-N lam k / q) / |c(k)| = zeta_M^e(k),
-    e(k) = (A k^2 +- B k) mod M.  ks steps by d, so the image ratios change by
-    the constant r^(2 A d^2) and each image costs two multiplications mod ell.
+    """The term table of a configuration, built once per detector run in one
+    pass over ks, the contributing k in -R..R with R the last k of
+    build_cells: its params, the order M, ks, the exponent rule (A, B), ell
+    of image_root(M), and prefix sums over ks of the images r^e(k) in F_ell
+    and of the shadows of the unit roots c(k) e(N lam k / q) / |c(k)| =
+    zeta_M^e(k), e(k) = (A k^2 + B k) mod M.  S_minus reads them mirrored
+    (_side_slices).  ks steps by d, so the image ratios change by the
+    constant r^(2 A d^2) and each image costs two multiplications mod ell.
     For even q the terms leave out the sqrt(2) of c(k), whose image
-    t = r^(M/8) + r^(-M/8) has t^2 = 2 != 0, so t times a sum's image vanishes
-    iff the image does.  The shadows sum the parts of the direct floats
-    e(coeff / modulus +- drift / (s q)), rounded at SHADOW_SCALE (half to
-    even; |part| <= 1, so a difference of two fits in int64), with coeff =
-    inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.  Before
-    anything is kept, each e(k) must equal coeff M / modulus +- drift M / (s q)
-    (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps of
-    its direct float, else this raises ExactFloatMismatch.
+    t = r^(M/8) + r^(-M/8) has t^2 = 2 != 0, so t times a sum's image
+    vanishes iff the image does.  The shadows sum the parts of the direct
+    floats e(coeff / modulus + drift / (s q)), rounded at SHADOW_SCALE, with
+    coeff = inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.
+    Before a term is kept, e(k) must equal coeff M / modulus + drift M / (s q)
+    (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps
+    of its direct float, else this raises ExactFloatMismatch.
     """
     q, order = params.q, cyclotomic_order(params)
     try:
@@ -210,47 +210,36 @@ def term_table(params: WellParams) -> _TermTable:
     inv, modulus = coefficient_exponent(params.a, q)
     drift_num, sq = params.n_lam.numerator, params.s * q
     a_rule, b_rule = _exponent_rule(params, order)
-    ks = _contributing_ks(params.lam, q)
-    k0, d = ks.start, ks.step
+    r = _contributing_ks(params.lam, q)[-1]
+    ks = contributing(range(-r, r + 1), q)
+    d = ks.step
     coeff_step, drift_step, turn = order // modulus, order // sq, 2 * math.pi
-    direct, from_rule = ([], []), ([], [])  # per side
+    bound = FLOAT_ERROR_C * sys.float_info.epsilon
+    image, ratio, step = (pow(root, j % order, ell) for j in (
+        a_rule * r * r - b_rule * r, (a_rule * (d - 2 * r) + b_rule) * d, 2 * a_rule * d * d))
+    images, s_re, s_im = [0], [0], [0]
     for k in ks:
         coeff_num, drift_mod = inv * k * k % modulus, drift_num * k % sq
-        j_coeff, j_drift = coeff_num * coeff_step, drift_mod * drift_step
-        quad, lin = a_rule * k * k, b_rule * k
-        j_plus, j_minus = (quad + lin) % order, (quad - lin) % order
-        if j_plus != (j_coeff + j_drift) % order or j_minus != (j_coeff - j_drift) % order:
+        j = (a_rule * k * k + b_rule * k) % order
+        if j != (coeff_num * coeff_step + drift_mod * drift_step) % order:
             raise ExactFloatMismatch(f"exponent rule of order {order} is off at k = {k}")
-        coeff_frac, drift_frac = coeff_num / modulus, drift_mod / sq
-        direct[0].append(cmath.exp(2j * math.pi * (coeff_frac + drift_frac)))
-        direct[1].append(cmath.exp(2j * math.pi * (coeff_frac - drift_frac)))
-        from_rule[0].append(cmath.rect(1.0, turn * j_plus / order))
-        from_rule[1].append(cmath.rect(1.0, turn * j_minus / order))
-    direct = np.array(direct, dtype=complex)
-    if np.any(np.abs(np.array(from_rule) - direct) > FLOAT_ERROR_C * sys.float_info.epsilon):
-        raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
-    fixed = np.rint(direct.view(np.float64) * SHADOW_SCALE).astype(np.int64).tolist()
-    shadows = tuple(tuple(list(accumulate(parts[i::2], initial=0)) for i in (0, 1))
-                    for parts in fixed)
-    images = []
-    for sign in (1, -1):
-        image, ratio, step = (
-            pow(root, j % order, ell)
-            for j in (a_rule * k0 * k0 + sign * b_rule * k0,
-                      a_rule * (2 * k0 + d) * d + sign * b_rule * d, 2 * a_rule * d * d)
-        )
-        side_images = []
-        for _ in ks:
-            side_images.append(image)
-            image, ratio = image * ratio % ell, ratio * step % ell
-        images.append(list(accumulate(side_images, initial=0)))
-    return _TermTable(params, order, ks, (a_rule, b_rule), ell, tuple(images), shadows)
+        direct = cmath.exp(2j * math.pi * (coeff_num / modulus + drift_mod / sq))
+        if abs(cmath.rect(1.0, turn * j / order) - direct) > bound:
+            raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
+        images.append(images[-1] + image)
+        s_re.append(s_re[-1] + round(direct.real * SHADOW_SCALE))
+        s_im.append(s_im[-1] + round(direct.imag * SHADOW_SCALE))
+        image, ratio = image * ratio % ell, ratio * step % ell
+    return _TermTable(params, order, ks, (a_rule, b_rule), ell, images, (s_re, s_im))
 
 
-def _member_slice(members: range, ks: range) -> tuple[int, int]:
-    """[i0, i1): members, a run of ks, as a slice of ks."""
+def _side_slices(members: range, ks: range) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The slices of the term table holding a cell's S_plus terms, its members
+    [i0, i1) of ks, and its S_minus terms, the mirror [n - i1, n - i0): ks is
+    symmetric, and the minus term at k is the plus term at -k."""
     i0 = ks.index(members[0]) if members else 0
-    return i0, i0 + len(members)
+    i1, n = i0 + len(members), len(ks)
+    return (i0, i1), (n - i1, n - i0)
 
 
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
@@ -260,7 +249,7 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     the params come from the table.  The members are first checked against
     the window at the cell's midpoint (x0 + x1) / (4uq), on integers, and the
     float shadow of each assembled sum is compared against the cell's shadow
-    in the table, read in O(1).
+    in the table, its plus or mirrored slice, read in O(1).
     """
     params = terms.params
     lam, q = params.lam, params.q
@@ -271,14 +260,13 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
         raise ValueError(
             f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
         )
-    order, (a, b) = terms.order, terms.rule
-    i0, i1 = _member_slice(cell.members, terms.ks)
+    order, (a, b), (s_re, s_im) = terms.order, terms.rule, terms.shadows
     weight = 1.0 if q % 2 else math.sqrt(2.0)
     sums = []
-    for sign, (s_re, s_im) in zip((1, -1), terms.shadows):
+    for sign, (j0, j1) in zip((1, -1), _side_slices(cell.members, terms.ks)):
         s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in cell.members))
         s = s if q % 2 else s * CycInt.sqrt_two(order)
-        shadow = complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0]) * (weight / SHADOW_SCALE)
+        shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) * (weight / SHADOW_SCALE)
         if abs(s.to_complex() - shadow) > _float_bound(cell, params):
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
         sums.append(s)
@@ -313,8 +301,8 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     lam, q = params.lam, params.q
     den = 2 * lam.numerator * q
     terms = term_table(params)
-    order, ks, ell = terms.order, terms.ks, terms.ell
-    sides = list(zip(terms.images, terms.shadows))
+    order, ks, ell, images = terms.order, terms.ks, terms.ell, terms.images
+    s_re, s_im = terms.shadows
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
     unit_bound = FLOAT_ERROR_C * sys.float_info.epsilon * SHADOW_SCALE
 
@@ -322,12 +310,11 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     intervals: list[PlateauInterval] = []
     extends = False  # did the cell before this one qualify?
     for cell in cells:
-        i0, i1 = _member_slice(cell.members, ks)
-        scaled_bound = (i1 - i0) * unit_bound
+        scaled_bound = len(cell.members) * unit_bound
         vanishing = []
-        for side_images, (s_re, s_im) in sides:
-            image = (side_images[i1] - side_images[i0]) % ell
-            if image and abs(complex(s_re[i1] - s_re[i0], s_im[i1] - s_im[i0])) <= scaled_bound:
+        for j0, j1 in _side_slices(cell.members, ks):
+            image = (images[j1] - images[j0]) % ell
+            if image and abs(complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0])) <= scaled_bound:
                 raise ExactFloatMismatch(
                     f"nonzero image in F_{ell} disagrees with float shadow for {params} on {cell}"
                 )

@@ -151,26 +151,6 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
     return float(ps[0]) if np.ndim(x) == 0 else ps
 
 
-def well_overlap_coefficient(lam, n_state: int, n: int) -> float:
-    """Overlap of the initial state with the n-th eigenmode of the expanded
-    well, from the closed-form product-to-sum antiderivative:
-
-        c_n = (2 N lam^{3/2} / pi) (-1)^{N+1} sin(n pi / lam) / (N^2 lam^2 - n^2)
-
-    with the limit value 1/sqrt(lam) when n = N lam exactly.
-    """
-    lam = Fraction(lam)
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    if Fraction(n) == n_state * lam:
-        return 1.0 / math.sqrt(float(lam))
-    lam_f = float(lam)
-    sign = -1.0 if n_state % 2 == 0 else 1.0
-    num = math.sin(n * math.pi / lam_f)
-    den = (n_state * lam_f) ** 2 - n * n
-    return 2.0 * n_state * lam_f ** 1.5 / math.pi * sign * num / den
-
-
 def _series_cutoff(lam_f: float, n_state: int, tol: float) -> int:
     # L2 tail: sum_{n>M} c_n^2 <= 16 C^2 / (27 M^3) for M >= 2 N lam,
     # kept below tol/2 for headroom.

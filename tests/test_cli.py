@@ -308,3 +308,43 @@ def test_large_q_report_bytes_pinned(tmp_path, capsys, q):
     )
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == LARGE_Q_REPORT_DIGESTS[q]
+
+
+def test_scan_refuses_an_unwritable_out_before_any_work(tmp_path, capsys):
+    # the default grid takes seconds; a missing directory or a directory as
+    # the file is refused first
+    for out_file in (tmp_path / "missing" / "scan.json", tmp_path):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", "--out", str(out_file))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == "" and not (tmp_path / "missing").exists()
+        assert err.startswith("error:") and str(out_file) in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/3"),
+        ("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--samples", "8"),
+        ("predict", "--lambda", "5/2", "--N", "1", "--tau", "1/3"),
+        ("gauss", "1", "0", "3"),
+    ],
+)
+def test_output_to_a_directory_exits_2(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_figures_outdir_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "panels"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "figures", "--panel", "plat-a", "--outdir", str(taken), "--samples", "8"
+    )
+    assert code == 2
+    assert out == "" and taken.read_text(encoding="utf-8") == "not a directory\n"
+    assert err.startswith("error:") and str(taken) in err

@@ -155,6 +155,13 @@ def test_embed_examples():
         embed(CycInt.root(3, 1), 8)
 
 
+def test_mixed_orders_raise_naming_both():
+    z, w = CycInt.root(3, 1), CycInt.root(4, 1)
+    for op in (lambda: z + w, lambda: z - w, lambda: z * w):
+        with pytest.raises(ValueError, match="^orders differ: 3 and 4$"):
+            op()
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=6), st.data())
 def test_embed_preserves_value(m, factor, data):

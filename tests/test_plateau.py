@@ -168,11 +168,12 @@ def test_window_sums_check_the_cell_shadow_of_the_term_table():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     cell = build_cells(p.lam, p.q)[1]
     terms = term_table(p)
-    assert terms.ks.index(cell.members[0]) == 0
-    # every plus-side real prefix after the first gains 2^-20, and so does this cell
-    (re, im), minus = terms.shadows
-    moved = [re[0]] + [x + (plateau.SHADOW_SCALE >> 20) for x in re[1:]]
-    corrupt = dataclasses.replace(terms, shadows=((moved, im), minus))
+    (i0, i1), (m0, m1) = plateau._side_slices(cell.members, terms.ks)
+    assert (i0, i1, m0, m1) == (2, 4, 1, 3)
+    # one real prefix gains 2^-20: the cell's mirrored slice moves, its plus slice does not
+    re, im = terms.shadows
+    moved = [x + (plateau.SHADOW_SCALE >> 20) if i == m1 else x for i, x in enumerate(re)]
+    corrupt = dataclasses.replace(terms, shadows=(moved, im))
     window_sums(cell, terms)
     with pytest.raises(ExactFloatMismatch, match="window sum shadow"):
         window_sums(cell, corrupt)
@@ -550,13 +551,14 @@ def test_member_terms_exponent_off_by_one_raises(off_by_one_rule):
 
 
 def test_member_terms_exponent_outside_every_cell_raises(off_by_one_rule):
-    """k = -1 at lam = 5/2, tau = 1/5 reaches [0, 1/2] only at x = 0, so no
-    open cell holds it; the table still holds its term and checks it first."""
+    """k = -3 at lam = 5/2, tau = 1/5 lies outside every window over
+    [0, 1/2], so no cell holds it; the table holds it as the mirror of k = 3
+    and checks it first."""
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 5))
-    assert term_table(p).ks[0] == -1
-    assert all(-1 not in cell.members for cell in build_cells(p.lam, p.q))
+    assert term_table(p).ks[0] == -3
+    assert all(-3 not in cell.members for cell in build_cells(p.lam, p.q))
     off_by_one_rule(0, 1)
-    with pytest.raises(ExactFloatMismatch, match="off at k = -1$"):
+    with pytest.raises(ExactFloatMismatch, match="off at k = -3$"):
         detect_plateaux(p)
 
 
@@ -586,49 +588,75 @@ def reference_exponents(params, ks):
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES)
 def test_integer_shadows_match_the_float_slice_sums(lam, n_state, tau):
     # worst seen over these 53 configurations: 3.4 n eps between a cell's
-    # shadow of n terms and the float sum of its reference terms (10.9 n eps
-    # over the default grid, 1 < lam <= 6 with v <= 8, q <= 20, N <= 3),
+    # shadow of n terms, plus or mirrored slice, and the float sum of its
+    # reference terms (13.2 n eps over the default grid, 1 < lam <= 6 with
+    # v <= 8, q <= 20, N <= 3),
     # against the detector's bound of 128 n eps; and 4.3 eps between a
     # term's float from the rule exponent and its reference term (the same
     # over the default grid), against the per-term bound of 128 eps
     p = WellParams(lam, n_state, tau)
     terms = term_table(p)
     order, (a, b), scale = terms.order, terms.rule, plateau.SHADOW_SCALE
-    for sign, side, (s_re, s_im) in zip((1, -1), reference_exponents(p, terms.ks), terms.shadows):
+    s_re, s_im = terms.shadows
+    references = []
+    for sign, side in zip((1, -1), reference_exponents(p, terms.ks)):
         rule = [(a * k * k + sign * b * k) % order for k in terms.ks]
         assert [Fraction(j, order) for j in rule] == side
         reference = [cmath.exp(2j * math.pi * float(x)) for x in side]
         from_rule = [cmath.rect(1.0, 2 * math.pi * j / order) for j in rule]
         worst = np.abs(np.subtract(from_rule, reference)).max(initial=0.0)
         assert worst <= 16 * sys.float_info.epsilon
-        for cell in build_cells(p.lam, p.q):
-            i0, i1 = plateau._member_slice(cell.members, terms.ks)
-            shadow = complex((s_re[i1] - s_re[i0]) / scale, (s_im[i1] - s_im[i0]) / scale)
-            tol = 8 * (i1 - i0) * sys.float_info.epsilon
+        references.append(reference)
+    # the plus slice and its mirror against the plus and minus terms of the members
+    for cell in build_cells(p.lam, p.q):
+        slices = plateau._side_slices(cell.members, terms.ks)
+        i0, i1 = slices[0]
+        for (j0, j1), reference in zip(slices, references):
+            shadow = complex((s_re[j1] - s_re[j0]) / scale, (s_im[j1] - s_im[j0]) / scale)
+            tol = 8 * (j1 - j0) * sys.float_info.epsilon
             assert abs(shadow - sum(reference[i0:i1], 0j)) <= tol
 
 
+# q = 1 (one term, k = 0), q = 2 (two terms, k = -1, 1), q = 4 and the order
+# M = 1001 * 10^8
+SMALL_TABLE_CASES = [
+    (Fraction(2), 1, Fraction(0)),
+    (Fraction(3, 2), 1, Fraction(1, 2)),
+    (Fraction(5, 2), 1, Fraction(1, 4)),
+    (Fraction("2.00000001"), 1, Fraction(1, 1001)),
+]
+
+
 def test_image_prefixes_match_pow():
-    # both parities of q, sides of 1 and 2 terms, and the order M = 1001 * 10^8
+    # both parities of q, tables of 1 and 2 terms, and the order M = 1001 * 10^8
     parities, lengths = set(), set()
-    extra = [
-        (Fraction(2), 1, Fraction(0)),
-        (Fraction(5, 2), 1, Fraction(1, 4)),
-        (Fraction("2.00000001"), 1, Fraction(1, 1001)),
-    ]
-    for case in ORACLE_CASES + LARGE_Q_CASES + extra:
+    for case in ORACLE_CASES + LARGE_Q_CASES + SMALL_TABLE_CASES:
         p = WellParams(*case)
         terms = term_table(p)
         parities.add(p.q % 2)
         lengths.add(len(terms.ks))
         ell, root = cyclotomic.image_root(terms.order)
         assert ell == terms.ell
-        for side, images in zip(reference_exponents(p, terms.ks), terms.images):
-            exponents = [x * terms.order for x in side]
-            assert all(j.denominator == 1 for j in exponents)
-            powers = (pow(root, j.numerator, ell) for j in exponents)
-            assert images == list(accumulate(powers, initial=0))
+        plus, minus = reference_exponents(p, terms.ks)
+        assert minus == plus[::-1]  # the minus term at k is the plus term at -k
+        exponents = [x * terms.order for x in plus]
+        assert all(j.denominator == 1 for j in exponents)
+        powers = (pow(root, j.numerator, ell) for j in exponents)
+        assert terms.images == list(accumulate(powers, initial=0))
     assert parities == {0, 1} and {1, 2} <= lengths
+
+
+def test_term_table_ks_are_symmetric():
+    """ks = -R..R holds every k of the cells and, with each k, -k: the
+    mirror of any cell's members lies in the table."""
+    parities = set()
+    for case in ORACLE_CASES + LARGE_Q_CASES + SMALL_TABLE_CASES:
+        p = WellParams(*case)
+        ks = term_table(p).ks
+        parities.add(p.q % 2)
+        assert list(ks) == [-k for k in reversed(ks)]
+        assert set(plateau._contributing_ks(p.lam, p.q)) <= set(ks)
+    assert parities == {0, 1}
 
 
 def test_sqrt2_image_is_a_unit_of_square_2():
