@@ -34,8 +34,8 @@ from .wavefield import WellParams
 
 # The largest q that plateaux, density and gauss accept, checked before any
 # work starts; their work grows linearly in q.  predict is closed form, but
-# in the fragmentation regime it lists about q/2 intervals, so it takes any q
-# only outside that regime.
+# in the fragmentation regime it lists about p/2 intervals (p = q or q/2, the
+# threshold), so it takes any q only outside that regime.
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
@@ -211,15 +211,12 @@ def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
 
 
 def _cmd_scan(args) -> int:
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():  # refused before the scan starts
-        raise ValueError(f"cannot write {args.out}: not a file in an existing directory")
     lambda_max = parse_rational(args.lambda_max)
     records = conjecture_scan(
         lambda_dens=args.lambda_den, lambda_max=lambda_max, q_max=args.qmax, n_max=args.nmax
     )
     bad = [r for r in records if not r.consistent]
-    _write_text(args.out, _scan_json(records, args.lambda_den, lambda_max, args.qmax, args.nmax))
+    _write_text(args.output, _scan_json(records, args.lambda_den, lambda_max, args.qmax, args.nmax))
     summary = f"{len(records)} configurations scanned, {len(bad)} inconsistent\n"
     sys.stderr.write(summary)
     if bad and args.strict:
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("predict", help="closed-form plateau prediction as JSON",
                         description="q of tau = a/q: any in the uniform and critical"
                         f" regimes, at most {MAX_Q} in the fragmentation regime, whose"
-                        " layout lists about q/2 intervals")
+                        " layout lists about p/2 intervals, p = q or q/2 the threshold")
     _add_params_args(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_predict)
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", default="6")
     p.add_argument("--qmax", type=int, default=20)
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--out", default="scan.json", help="output JSON path")
+    p.add_argument("--out", dest="output", default="scan.json", help="output JSON path")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when inconsistencies are found")
     p.set_defaults(func=_cmd_scan)
@@ -331,7 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = getattr(args, "output", None)
     try:
+        if output not in (None, "-"):  # refused before any work starts
+            if Path(output).is_dir() or not Path(output).parent.is_dir():
+                raise ValueError(f"cannot write {output}: not a file in an existing directory")
         return args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,8 +1,9 @@
 """Closed-form plateau predictors and the conjecture scanner.
 
-Fragmentation (lam above the threshold q, or q/2 for even q) forces equally
-spaced forbidden zones whose centers and common radius have explicit
-formulas.  Below the threshold, an odd integer value of 2 N lam guarantees a
+Both closed forms read q through the period p = params.threshold: q for odd
+q, q/2 for even q, where half of the Gauss coefficients vanish.
+Fragmentation (lam above p) forces equally spaced forbidden zones of common
+radius 1/(2p) - 1/(2 lam).  Below p, an odd integer 2 N lam guarantees a
 unique plateau with explicit center and radius, zero-level exactly when q
 divides 4 N lam.  The scanner sweeps a parameter grid, runs the exact
 detector on every non-fragmentation configuration and records any
@@ -55,12 +56,15 @@ class ScanRecord:
     params: WellParams
     predicted_exists: bool
     detected: PlateauReport
-    consistent: bool
-    note: str = ""
+    note: str  # the first check that failed, empty when all hold
+
+    @property
+    def consistent(self) -> bool:
+        return not self.note
 
 
 def has_fragmentation(params: WellParams) -> bool:
-    """lam > q for odd q, lam > q/2 for even q (exact comparison)."""
+    """lam > p, the period q or q/2 (exact comparison)."""
     return params.lam > params.threshold
 
 
@@ -81,26 +85,18 @@ def zero_level_predicted(params: WellParams) -> bool:
 
 
 def fragmentation_layout(params: WellParams) -> FragmentationLayout:
-    """Exact forbidden-zone layout in the fragmentation regime, with the end
-    intervals clipped to [0, 1/2] (only the last odd-q interval and the
-    first q = 2 mod 4 interval are halved)."""
+    """Exact forbidden-zone layout in the fragmentation regime lam > p: radius
+    1/(2p) - 1/(2 lam) about the centers j/(2p), 0 <= j <= p, with j odd, or
+    j even when q = 2 mod 4.  The end intervals are clipped to [0, 1/2]; only
+    the center 1/2 (odd q) and the center 0 (q = 2 mod 4) are halved."""
     if not has_fragmentation(params):
         raise ValueError("layout requires the fragmentation regime")
-    q = params.q
+    q, p = params.q, int(params.threshold)
+    case = CASE_ODD if q % 2 else CASE_MOD4 if q % 4 == 0 else CASE_MOD4_PLUS2
     half = Fraction(1, 2)
-    inv_2lam = 1 / (2 * params.lam)
-    if q % 2:
-        case = CASE_ODD
-        radius = Fraction(1, 2 * q) - inv_2lam
-        centers = [Fraction(2 * m + 1, 2 * q) for m in range(0, (q + 1) // 2)]
-    elif q % 4 == 0:
-        case = CASE_MOD4
-        radius = Fraction(1, q) - inv_2lam
-        centers = [Fraction(2 * m + 1, q) for m in range(0, q // 4)]
-    else:
-        case = CASE_MOD4_PLUS2
-        radius = Fraction(1, q) - inv_2lam
-        centers = [Fraction(2 * m, q) for m in range(0, (q + 2) // 4)]
+    radius = Fraction(1, 2 * p) - 1 / (2 * params.lam)
+    first = 0 if case == CASE_MOD4_PLUS2 else 1
+    centers = [Fraction(j, 2 * p) for j in range(first, p + 1, 2)]
     intervals = []
     clipped = []
     for i, c in enumerate(centers):
@@ -113,32 +109,27 @@ def fragmentation_layout(params: WellParams) -> FragmentationLayout:
 
 
 def nonfrag_prediction(params: WellParams) -> PlateauPrediction:
-    """Predicted unique plateau below the threshold when 2 N lam is odd:
-    center D(2 a N lam / q + 1/2), radius D(q/(2 lam) + 1/2)/q for odd q and
-    2 D(q/(4 lam) + 1/2)/q for even q, intersected with [0, 1/2]."""
+    """Predicted unique plateau below the threshold p when 2 N lam is odd:
+    center D(2 a N lam / q + 1/2), radius D(p/(2 lam) + 1/2)/p, intersected
+    with [0, 1/2]."""
     if params.lam >= params.threshold:
         raise ValueError("prediction requires lam strictly below the threshold")
     if not doubled_drift_is_odd(params):
         raise ValueError("prediction requires 2 N lam to be an odd integer")
-    q = params.q
+    p = params.threshold
     half = Fraction(1, 2)
-    center = dist_nearest_int(Fraction(2 * params.a, q) * params.n_lam + half)
-    if q % 2:
-        radius = dist_nearest_int(q / (2 * params.lam) + half) / q
-    else:
-        radius = 2 * dist_nearest_int(q / (4 * params.lam) + half) / q
+    center = dist_nearest_int(Fraction(2 * params.a, params.q) * params.n_lam + half)
+    radius = dist_nearest_int(p / (2 * params.lam) + half) / p
     lo = max(Fraction(0), center - radius)
     hi = min(half, center + radius)
     return PlateauPrediction(center, radius, zero_level_predicted(params), lo, hi)
 
 
 def peak_count(params: WellParams) -> int:
-    """Total density peaks on [0, 1/2] in the fragmentation regime:
-    q N for odd q, q N / 2 for even q."""
+    """Total density peaks on [0, 1/2] in the fragmentation regime: p N."""
     if not has_fragmentation(params):
         raise ValueError("peak count applies to the fragmentation regime")
-    q, n = params.q, params.n_state
-    return q * n if q % 2 else q * n // 2
+    return int(params.threshold) * params.n_state
 
 
 def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
@@ -158,47 +149,32 @@ def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
 
 
 def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
+    """The scan record of one configuration, noting the first of existence,
+    uniqueness, interval and kind on which the report contradicts the prediction."""
     predicted = doubled_drift_is_odd(params)
     n_found = len(report.intervals)
+    note = ""
     if not predicted:
-        if n_found == 0:
-            return ScanRecord(params, False, report, True)
-        return ScanRecord(
-            params, False, report, False,
-            f"no plateau predicted but {n_found} detected",
-        )
-    prediction = nonfrag_prediction(params)
-    if n_found != 1:
-        return ScanRecord(
-            params, True, report, False,
-            f"a unique plateau was predicted but {n_found} detected",
-        )
-    found = report.intervals[0]
-    if (found.lo, found.hi) != (prediction.lo, prediction.hi):
-        return ScanRecord(
-            params, True, report, False,
-            f"interval [{found.lo}, {found.hi}] != predicted"
-            f" [{prediction.lo}, {prediction.hi}]",
-        )
-    if (found.kind == ZERO_LEVEL) != prediction.zero_level:
-        return ScanRecord(
-            params, True, report, False,
-            f"kind {found.kind} contradicts zero-level prediction"
-            f" {prediction.zero_level}",
-        )
-    return ScanRecord(params, True, report, True)
+        if n_found:
+            note = f"no plateau predicted but {n_found} detected"
+    elif n_found != 1:
+        note = f"a unique plateau was predicted but {n_found} detected"
+    else:
+        found, prediction = report.intervals[0], nonfrag_prediction(params)
+        if (found.lo, found.hi) != (prediction.lo, prediction.hi):
+            note = (f"interval [{found.lo}, {found.hi}] != predicted"
+                    f" [{prediction.lo}, {prediction.hi}]")
+        elif (found.kind == ZERO_LEVEL) != prediction.zero_level:
+            note = (f"kind {found.kind} contradicts zero-level prediction"
+                    f" {prediction.zero_level}")
+    return ScanRecord(params, predicted, report, note)
 
 
 def _scan_chunk(args: tuple[Fraction, int, int]) -> list[ScanRecord]:
     lam, q, n_max = args
-    records = []
-    for n_state in range(1, n_max + 1):
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            params = WellParams(lam, n_state, Fraction(a, q))
-            records.append(_check_record(params, detect_plateaux(params)))
-    return records
+    configs = [WellParams(lam, n_state, Fraction(a, q)) for n_state in range(1, n_max + 1)
+               for a in range(1, q) if math.gcd(a, q) == 1]
+    return [_check_record(params, detect_plateaux(params)) for params in configs]
 
 
 def scan_workers(requested: int | None = None) -> int:
@@ -223,9 +199,9 @@ def conjecture_scan(
 
     Results come back in deterministic grid order regardless of worker
     scheduling.  Inconsistent records are returned, never raised.  A grid
-    with lambda_dens, q_max or n_max below 1, or whose closed-form bound on
-    configurations exceeds MAX_SCAN_CONFIGS, raises ValueError before any
-    work starts.
+    with lambda_dens, q_max or n_max below 1, whose closed-form bound on
+    configurations exceeds MAX_SCAN_CONFIGS, or that holds no configuration,
+    raises ValueError before any work starts.
     """
     if min(lambda_dens, q_max, n_max) < 1:
         raise ValueError(
@@ -243,13 +219,12 @@ def conjecture_scan(
             f"the scan grid may hold up to {math.floor(bound)} configurations, beyond"
             f" the supported limit MAX_SCAN_CONFIGS = {MAX_SCAN_CONFIGS}"
         )
-    tasks = []
-    for lam in _lambda_grid(lambda_dens, lambda_max):
-        for q in range(2, q_max + 1):
-            if lam >= fragmentation_threshold(q):
-                continue
-            tasks.append((lam, q, n_max))
-
+    tasks = [(lam, q, n_max) for lam in _lambda_grid(lambda_dens, lambda_max)
+             for q in range(2, q_max + 1) if lam < fragmentation_threshold(q)]
+    if not tasks:
+        raise ValueError(f"the scan grid holds no configuration: no lambda = u/v in (1,"
+                         f" {lambda_max}] with v <= {lambda_dens} lies below the"
+                         f" threshold of a q <= {q_max}")
     n_workers = scan_workers(workers)
     if n_workers == 1 or len(tasks) < 2:
         chunks = map(_scan_chunk, tasks)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qwell import figures
+from qwell import cli, figures, predictors
 from qwell.cli import MAX_DENSITY_WORK, MAX_Q, MAX_SAMPLES, _check_samples, main
 from qwell.predictors import MAX_SCAN_CONFIGS
 
@@ -13,6 +13,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _work_started(*args, **kwargs):
+    raise AssertionError("the work started before the output path was checked")
 
 
 def test_plateaux_reports_golden_interval(capsys):
@@ -310,9 +314,10 @@ def test_large_q_report_bytes_pinned(tmp_path, capsys, q):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == LARGE_Q_REPORT_DIGESTS[q]
 
 
-def test_scan_refuses_an_unwritable_out_before_any_work(tmp_path, capsys):
+def test_scan_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys):
     # the default grid takes seconds; a missing directory or a directory as
     # the file is refused first
+    monkeypatch.setattr(cli, "conjecture_scan", _work_started)
     for out_file in (tmp_path / "missing" / "scan.json", tmp_path):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, "scan", "--out", str(out_file))
@@ -348,3 +353,55 @@ def test_figures_outdir_that_is_a_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == "" and taken.read_text(encoding="utf-8") == "not a directory\n"
     assert err.startswith("error:") and str(taken) in err
+
+
+# each subcommand with --output, and the functions that do its work
+WORK_BY_COMMAND = [
+    (("plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/3"),
+     [(cli, "detect_plateaux")]),
+    (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--samples", "8"),
+     [(cli, "detect_plateaux"), (figures, "density_samples")]),
+    (("density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--out", "svg"),
+     [(cli, "detect_plateaux"), (figures, "density_samples")]),
+    (("predict", "--lambda", "5/2", "--N", "1", "--tau", "1/3"),
+     [(cli, "has_fragmentation"), (cli, "nonfrag_prediction")]),
+    (("predict", "--lambda", "10.7", "--N", "1", "--tau", "2/7"),
+     [(cli, "has_fragmentation"), (cli, "fragmentation_layout")]),
+    (("gauss", "3", "2", "7"), [(cli, "gauss_sum_direct"), (cli, "gauss_abs_sq")]),
+]
+
+
+@pytest.mark.parametrize("argv,work", WORK_BY_COMMAND)
+@pytest.mark.parametrize("target", ["directory", "missing directory"])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, work,
+                                                   target):
+    for module, name in work:
+        monkeypatch.setattr(module, name, _work_started)
+    output = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(output))
+    assert code == 2
+    assert out == "" and not (tmp_path / "missing").exists()
+    assert err.startswith("error:") and str(output) in err
+
+
+def test_large_q_plateaux_to_a_directory_exits_2_within_1_s(tmp_path, capsys):
+    # the report itself takes seconds at q = 199999
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "plateaux", "--lambda", "5/2", "--N", "1",
+                             "--tau", "1/199999", "--output", str(tmp_path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [("--qmax", "1"), ("--qmax", "2"), ("--lambda-max", "1"), ("--lambda-max", "21/20"),
+     ("--lambda-max", "-3")],
+)
+def test_empty_scan_grid_exits_2_before_any_work(tmp_path, monkeypatch, capsys, grid):
+    monkeypatch.setattr(predictors, "detect_plateaux", _work_started)
+    out_file = tmp_path / "scan.json"
+    code, out, err = run_cli(capsys, "scan", *grid, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err.startswith("error:") and "holds no configuration" in err

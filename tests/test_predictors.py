@@ -1,9 +1,12 @@
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qwell import predictors
+from qwell.cli import main
 from qwell.plateau import ZERO_LEVEL, build_cells, detect_plateaux
 from qwell.predictors import (
     CASE_MOD4,
@@ -19,6 +22,7 @@ from qwell.predictors import (
     peak_count,
     zero_level_predicted,
 )
+from qwell.rationals import dist_nearest_int
 from qwell.wavefield import WellParams
 
 
@@ -202,3 +206,164 @@ def test_scan_bound_admits_the_default_and_a_larger_grid(monkeypatch):
     monkeypatch.setattr(predictors, "_scan_chunk", lambda task: [task])
     for grid, tasks in [((8, Fraction(6), 20, 3), 1665), ((16, Fraction(6), 60, 5), 22073)]:
         assert len(conjecture_scan(*grid, workers=1)) == tasks
+
+
+# The closed forms written once per parity case, as the paper states them;
+# the predictors write them once over the period p.
+def layout_by_case(params):
+    q, inv_2lam = params.q, 1 / (2 * params.lam)
+    if q % 2:
+        case, radius = CASE_ODD, Fraction(1, 2 * q) - inv_2lam
+        centers = [Fraction(2 * m + 1, 2 * q) for m in range(0, (q + 1) // 2)]
+    elif q % 4 == 0:
+        case, radius = CASE_MOD4, Fraction(1, q) - inv_2lam
+        centers = [Fraction(2 * m + 1, q) for m in range(0, q // 4)]
+    else:
+        case, radius = CASE_MOD4_PLUS2, Fraction(1, q) - inv_2lam
+        centers = [Fraction(2 * m, q) for m in range(0, (q + 2) // 4)]
+    intervals = [(max(Fraction(0), c - radius), min(Fraction(1, 2), c + radius))
+                 for c in centers]
+    return case, tuple(centers), radius, tuple(intervals)
+
+
+def radius_by_case(params):
+    q, half = params.q, Fraction(1, 2)
+    if q % 2:
+        return dist_nearest_int(q / (2 * params.lam) + half) / q
+    return 2 * dist_nearest_int(q / (4 * params.lam) + half) / q
+
+
+def peaks_by_case(params):
+    q, n = params.q, params.n_state
+    return q * n if q % 2 else q * n // 2
+
+
+# the q of the benchmark's large-q and density slots above 60
+BENCH_SLOT_QS = (150, 151, 152, 154, 155, 156, 158, 162, 164, 168, 175, 180, 184,
+                 185, 190, 196, 198, 200, 204, 208, 211, 216, 220, 224, 225, 230,
+                 232, 248, 252, 257, 263, 270, 272, 288, 296, 304, 331, 336, 368, 960)
+
+
+def lambdas_about(threshold, width):
+    """Every u/v above 1 with v <= 10 within width of the threshold, both sides."""
+    return sorted({Fraction(u, v) for v in range(1, 11)
+                   for u in range(max(v + 1, math.floor((threshold - width) * v)),
+                                  math.floor((threshold + width) * v) + 1)})
+
+
+def sweep_against_the_cases(q, lams, units):
+    """Compare every prediction at lam in lams, N <= 3 and a in units with the
+    per-case formulas; returns the number compared.  The layout reads neither
+    a nor N, so each lam above the threshold takes the next a in turn."""
+    checked = 0
+    for i, lam in enumerate(lams):
+        params = WellParams(lam, 1, Fraction(units[i % len(units)], q))
+        if has_fragmentation(params):
+            layout = fragmentation_layout(params)
+            assert (layout.case, layout.centers, layout.radius, layout.intervals) == (
+                layout_by_case(params))
+            for n_state in (1, 2, 3):
+                config = replace(params, n_state=n_state)
+                assert peak_count(config) == peaks_by_case(config)
+            checked += 4
+            continue
+        for n_state in (1, 2, 3):
+            if is_critical(params) or not doubled_drift_is_odd(replace(params, n_state=n_state)):
+                continue
+            for a in units:
+                config = WellParams(lam, n_state, Fraction(a, q))
+                pred, radius = nonfrag_prediction(config), radius_by_case(config)
+                assert (pred.radius, pred.lo, pred.hi) == (
+                    radius, max(Fraction(0), pred.center - radius),
+                    min(Fraction(1, 2), pred.center + radius))
+                checked += 1
+    return checked
+
+
+def test_predictions_over_p_equal_the_per_case_formulas():
+    # every q <= 60 and every unit a, N <= 3 and lambda = u/v (v <= 10) within
+    # 1 of the threshold on both sides; and at a = 1 every lambda below it
+    # with 2 N lam odd, lambda = m/(2N)
+    checked = 0
+    for q in range(1, 61):
+        threshold = Fraction(q) if q % 2 else Fraction(q, 2)
+        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        checked += sweep_against_the_cases(q, lambdas_about(threshold, 1), units)
+        odd_drifts = {Fraction(m, 2 * n) for n in (1, 2, 3)
+                      for m in range(2 * n + 1, int(2 * n * threshold), 2)}
+        checked += sweep_against_the_cases(q, sorted(odd_drifts), [1])
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("q", BENCH_SLOT_QS)
+def test_predictions_over_p_equal_the_per_case_formulas_at_the_bench_q(q):
+    threshold = Fraction(q) if q % 2 else Fraction(q, 2)
+    lams = lambdas_about(threshold, 1) + [Fraction(3, 2), Fraction(5, 2), Fraction(7, 6)]
+    assert sweep_against_the_cases(q, lams, [1, q - 1]) > 0
+
+
+def test_record_is_consistent_exactly_when_its_note_is_empty():
+    params = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    report = detect_plateaux(params)
+    assert predictors.ScanRecord(params, True, report, "").consistent
+    assert not predictors.ScanRecord(params, True, report, "kind").consistent
+
+
+def _off_radius(predict):
+    # the radius off by 1/(2q), the interval moved with it
+    def mutated(params):
+        pred = predict(params)
+        radius = pred.radius + Fraction(1, 2 * params.q)
+        return replace(pred, radius=radius, lo=max(Fraction(0), pred.center - radius),
+                       hi=min(Fraction(1, 2), pred.center + radius))
+    return mutated
+
+
+def _flipped_zero_level(predict):
+    def mutated(params):
+        pred = predict(params)
+        return replace(pred, zero_level=not pred.zero_level)
+    return mutated
+
+
+# (predictor patched, its mutation, the notes the mutation must reach)
+MUTATIONS = {
+    "radius": ("nonfrag_prediction", _off_radius, ("interval [",)),
+    "zero-level": ("nonfrag_prediction", _flipped_zero_level, ("kind ",)),
+    "existence": ("doubled_drift_is_odd", lambda odd: lambda p: not odd(p),
+                  ("no plateau predicted but ", "a unique plateau was predicted but ")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_mutated_prediction_is_recorded_as_data(tmp_path, monkeypatch, capsys, mutation):
+    name, mutate, notes = MUTATIONS[mutation]
+    monkeypatch.setattr(predictors, name, mutate(getattr(predictors, name)))
+    monkeypatch.setenv("TALBOT_THREADS", "1")
+    grid = dict(lambda_dens=2, lambda_max=Fraction(3), q_max=6, n_max=2)
+    bad = [r for r in conjecture_scan(**grid, workers=1) if r.note]
+    assert bad and not any(r.consistent for r in bad)
+    assert all(any(r.note.startswith(note) for r in bad) for note in notes)
+
+    out_file = tmp_path / "scan.json"
+    argv = ["scan", "--lambda-den", "2", "--lambda-max", "3", "--qmax", "6", "--nmax", "2",
+            "--out", str(out_file)]
+    assert main(argv) == 0
+    payload = json.loads(out_file.read_text())
+    recorded = [r["note"] for r in payload["records"] if not r["consistent"]]
+    assert payload["inconsistent"] == len(recorded) == len(bad)
+    assert recorded == [r.note for r in bad]
+    assert main(argv + ["--strict"]) == 1
+    assert f"{len(bad)} inconsistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    (8, Fraction(6), 1, 3), (8, Fraction(6), 2, 3), (8, Fraction(1), 20, 3),
+    (8, Fraction(21, 20), 20, 3), (8, Fraction(-3), 20, 3),
+])
+def test_scan_refuses_an_empty_grid_before_any_detector_call(monkeypatch, grid):
+    def fail(params):
+        raise AssertionError("the detector ran")
+    monkeypatch.setattr(predictors, "detect_plateaux", fail)
+    with pytest.raises(ValueError, match="holds no configuration"):
+        conjecture_scan(*grid, workers=1)
