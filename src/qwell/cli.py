@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import figures
 from .gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from .plateau import PlateauReport, detect_plateaux
 from .predictors import (
@@ -30,7 +29,7 @@ from .predictors import (
     peak_count,
 )
 from .rationals import format_rational, parse_rational
-from .wavefield import WellParams
+from .wavefield import PANELS, WellParams
 
 # The largest q that plateaux, density and gauss accept, checked before any
 # work starts; their work grows linearly in q.  predict is closed form, but
@@ -39,7 +38,7 @@ from .wavefield import WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 5.5 s and 155 MB, density --out csv about 9-12 s and 33 MB"
+    " takes about 3.5-4 s and 142 MB, density --out csv about 9-12 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work
@@ -125,6 +124,8 @@ def _write_text(path: str | None, content: str) -> None:
 
 
 def _cmd_density(args) -> int:
+    from . import figures  # imports numpy, which only density sampling needs
+
     params = _bounded_params_from(args)
     _check_samples(args.samples, params.q)
     # the detector refuses some inputs that sampling takes, so it runs first
@@ -244,8 +245,10 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from . import figures  # imports numpy, which only density sampling needs
+
     _check_samples(args.samples)
-    panels = list(figures.PANELS) if args.panel == "all" else [args.panel]
+    panels = list(PANELS) if args.panel == "all" else [args.panel]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for panel in panels:
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gauss)
 
     p = subs.add_parser("figures", help="regenerate the reference panels")
-    p.add_argument("--panel", choices=list(figures.PANELS) + ["all"], default="all")
+    p.add_argument("--panel", choices=list(PANELS) + ["all"], default="all")
     p.add_argument("--outdir", default="figures")
     p.add_argument("--samples", type=int, default=2000,
                    help=f"number of samples per panel, at least 2 and at most {MAX_SAMPLES}")

@@ -11,23 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
+# whoever imports this module renders a density, which needs numpy
 import numpy as np
 
 from .plateau import PlateauReport, detect_plateaux
-from .wavefield import WellParams, density_p
-
-# panel -> (lam, n_state, tau)
-PANELS: dict[str, tuple[Fraction, int, Fraction]] = {
-    "frag-a": (Fraction(107, 10), 1, Fraction(2, 7)),
-    "frag-b": (Fraction(107, 10), 2, Fraction(1, 12)),
-    "frag-c": (Fraction(107, 10), 1, Fraction(3, 10)),
-    "plat-a": (Fraction(5, 2), 1, Fraction(1, 3)),
-    "plat-b": (Fraction(5, 2), 3, Fraction(13, 18)),
-    "plat-c": (Fraction(5, 4), 2, Fraction(11, 6)),
-    "zero-a": (Fraction(3, 2), 1, Fraction(5, 3)),
-    "zero-b": (Fraction(3, 2), 3, Fraction(1, 6)),
-    "zero-c": (Fraction(3, 2), 3, Fraction(7, 18)),
-}
+from .wavefield import PANELS, WellParams, density_p
 
 
 def panel_params(panel: str) -> WellParams:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import os
+# deferring this import would only move its cost into the scan
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
 from .rationals import dist_nearest_int
@@ -54,9 +53,12 @@ class PlateauPrediction:
 @dataclass(frozen=True)
 class ScanRecord:
     params: WellParams
-    predicted_exists: bool
     detected: PlateauReport
     note: str  # the first check that failed, empty when all hold
+
+    @property
+    def predicted_exists(self) -> bool:
+        return doubled_drift_is_odd(self.params)
 
     @property
     def consistent(self) -> bool:
@@ -73,9 +75,11 @@ def is_critical(params: WellParams) -> bool:
 
 
 def doubled_drift_is_odd(params: WellParams) -> bool:
-    """Whether 2 N lam is an odd integer, the predicted existence condition."""
-    x = 2 * params.n_lam
-    return x.denominator == 1 and x.numerator % 2 == 1
+    """Whether 2 N lam is an odd integer, the predicted existence condition:
+    with lam = u/v in lowest terms, whether v divides 2 N u with an odd
+    quotient.  Integers only, since every scan record reads it again."""
+    num, den = 2 * params.n_state * params.lam.numerator, params.lam.denominator
+    return num % den == 0 and num // den % 2 == 1
 
 
 def zero_level_predicted(params: WellParams) -> bool:
@@ -135,6 +139,8 @@ def peak_count(params: WellParams) -> int:
 def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
     """Strict local maxima of the density on an offset grid over [0, 1/2];
     the numeric cross-check for peak_count."""
+    import numpy as np
+
     ps = density_p((np.arange(samples) + 0.5) / (2.0 * samples), params)
     return int(np.count_nonzero((ps[:-2] < ps[1:-1]) & (ps[1:-1] > ps[2:])))
 
@@ -151,10 +157,9 @@ def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
 def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
     """The scan record of one configuration, noting the first of existence,
     uniqueness, interval and kind on which the report contradicts the prediction."""
-    predicted = doubled_drift_is_odd(params)
     n_found = len(report.intervals)
     note = ""
-    if not predicted:
+    if not doubled_drift_is_odd(params):
         if n_found:
             note = f"no plateau predicted but {n_found} detected"
     elif n_found != 1:
@@ -167,7 +172,7 @@ def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
         elif (found.kind == ZERO_LEVEL) != prediction.zero_level:
             note = (f"kind {found.kind} contradicts zero-level prediction"
                     f" {prediction.zero_level}")
-    return ScanRecord(params, predicted, report, note)
+    return ScanRecord(params, report, note)
 
 
 def _scan_chunk(args: tuple[Fraction, int, int]) -> list[ScanRecord]:
@@ -178,11 +183,17 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[ScanRecord]:
 
 
 def scan_workers(requested: int | None = None) -> int:
-    """Worker count for parameter sweeps, capped by TALBOT_THREADS."""
+    """Worker count for parameter sweeps, capped by TALBOT_THREADS, which
+    must be an integer when set."""
     workers = requested or os.cpu_count() or 1
     cap = os.environ.get("TALBOT_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(
+                f"TALBOT_THREADS must be a positive integer, got {cap!r}"
+            ) from None
     return max(1, workers)
 
 

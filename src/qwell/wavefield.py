@@ -5,7 +5,8 @@ Everything is expressed in the rescaled coordinate x in [0, 1/2] (the well
 the revival period.  At a fractional time a/q the wave function collapses to
 a q-term combination of translates of the initial profile weighted by
 conjugated Gauss sums; an independent truncated eigenseries on the expanded
-well serves as the cross-validation oracle.
+well serves as the cross-validation oracle.  numpy is imported only inside
+the two functions that sample arrays, so the exact layers start without it.
 """
 from __future__ import annotations
 
@@ -15,10 +16,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gauss import coefficient_c, contributing, gauss_sum_direct
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +74,20 @@ class WellParams:
     @property
     def threshold(self) -> Fraction:
         return fragmentation_threshold(self.q)
+
+
+# the reference figure panels: panel -> (lam, n_state, tau)
+PANELS: dict[str, tuple[Fraction, int, Fraction]] = {
+    "frag-a": (Fraction(107, 10), 1, Fraction(2, 7)),
+    "frag-b": (Fraction(107, 10), 2, Fraction(1, 12)),
+    "frag-c": (Fraction(107, 10), 1, Fraction(3, 10)),
+    "plat-a": (Fraction(5, 2), 1, Fraction(1, 3)),
+    "plat-b": (Fraction(5, 2), 3, Fraction(13, 18)),
+    "plat-c": (Fraction(5, 4), 2, Fraction(11, 6)),
+    "zero-a": (Fraction(3, 2), 1, Fraction(5, 3)),
+    "zero-b": (Fraction(3, 2), 3, Fraction(1, 6)),
+    "zero-c": (Fraction(3, 2), 3, Fraction(7, 18)),
+}
 
 
 def fragmentation_threshold(q: int) -> Fraction:
@@ -136,6 +153,8 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
     A number x (a Fraction as float(x)) gives a float, a 1-D float array an
     array; bit for bit the per-point loop (so hypot, and Python's float pow).
     """
+    import numpy as np
+
     a, q = params.a, params.q
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n_lam_f, half = float(params.n_lam), 1.0 / (2.0 * float(params.lam))
@@ -170,6 +189,8 @@ def series_oracle(x, t_over_T, params: WellParams, tol: float = 1e-10) -> comple
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    import numpy as np
+
     lam_f = float(params.lam)
     n_state = params.n_state
     n_terms = max(_series_cutoff(lam_f, n_state, tol), _POINTWISE_TERMS)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qwell
 from qwell import cli, figures, predictors
 from qwell.cli import MAX_DENSITY_WORK, MAX_Q, MAX_SAMPLES, _check_samples, main
 from qwell.predictors import MAX_SCAN_CONFIGS
@@ -107,6 +112,50 @@ def test_scan_writes_report(tmp_path, capsys):
     assert payload["inconsistent"] == 0
     assert payload["total"] == len(payload["records"]) > 0
     assert "scanned" in err
+
+
+# Runs each argv through main() in one fresh interpreter, after importing qwell
+# and qwell.cli, and prints the exit codes and whether numpy got loaded.
+FRESH_MAIN = """
+import json, sys
+import qwell, qwell.cli
+codes = [qwell.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_fresh(argvs):
+    env = dict(os.environ, TALBOT_THREADS="1",
+               PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_the_exact_commands_start_and_run_without_numpy(tmp_path, capsys):
+    argvs = [
+        ["plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/3"],
+        ["predict", "--lambda", "5/2", "--N", "1", "--tau", "1/3"],
+        ["predict", "--lambda", "10.7", "--N", "1", "--tau", "2/7"],
+        ["gauss", "3", "2", "7"],
+        ["scan", "--lambda-den", "2", "--lambda-max", "2", "--qmax", "6", "--nmax", "1"],
+    ]
+    fresh = [argv + ["--out" if argv[0] == "scan" else "--output",
+                     str(tmp_path / f"fresh-{i}")] for i, argv in enumerate(argvs)]
+    assert run_fresh(fresh) == {"codes": [0] * len(argvs), "numpy": False}
+    for i, argv in enumerate(argvs):
+        here = tmp_path / f"here-{i}"
+        assert main(argv + ["--out" if argv[0] == "scan" else "--output", str(here)]) == 0
+        assert (tmp_path / f"fresh-{i}").read_bytes() == here.read_bytes(), argv
+    capsys.readouterr()
+
+
+def test_density_loads_numpy_and_writes_the_same_bytes(tmp_path):
+    argv = ["density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--samples", "64",
+            "--out", "svg", "--output"]
+    assert run_fresh([argv + [str(tmp_path / "fresh.svg")]]) == {"codes": [0], "numpy": True}
+    assert main(argv + [str(tmp_path / "here.svg")]) == 0
+    assert (tmp_path / "fresh.svg").read_bytes() == (tmp_path / "here.svg").read_bytes()
 
 
 def test_figures_panel(tmp_path, capsys):

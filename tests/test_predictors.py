@@ -305,8 +305,34 @@ def test_predictions_over_p_equal_the_per_case_formulas_at_the_bench_q(q):
 def test_record_is_consistent_exactly_when_its_note_is_empty():
     params = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     report = detect_plateaux(params)
-    assert predictors.ScanRecord(params, True, report, "").consistent
-    assert not predictors.ScanRecord(params, True, report, "kind").consistent
+    assert predictors.ScanRecord(params, report, "").consistent
+    assert not predictors.ScanRecord(params, report, "kind").consistent
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "4 workers"])
+def test_a_non_integer_talbot_threads_is_named_before_any_detector_call(
+        tmp_path, monkeypatch, capsys, value):
+    def fail(params):
+        raise AssertionError("the detector ran")
+    monkeypatch.setattr(predictors, "detect_plateaux", fail)
+    monkeypatch.setenv("TALBOT_THREADS", value)
+    with pytest.raises(ValueError) as info:
+        conjecture_scan(2, Fraction(3), 6, 2)
+    assert "TALBOT_THREADS" in str(info.value) and repr(value) in str(info.value)
+
+    out_file = tmp_path / "scan.json"
+    assert main(["scan", "--qmax", "6", "--out", str(out_file)]) == 2
+    assert not out_file.exists()
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_talbot_threads_caps_the_workers(monkeypatch):
+    monkeypatch.setenv("TALBOT_THREADS", "1")
+    assert predictors.scan_workers(4) == 1
+    monkeypatch.setenv("TALBOT_THREADS", "0")
+    assert predictors.scan_workers(4) == 1
+    monkeypatch.setenv("TALBOT_THREADS", "3")
+    assert predictors.scan_workers(2) == 2
 
 
 def _off_radius(predict):
