@@ -4,7 +4,8 @@ Subcommands: density sampling (CSV/SVG), exact plateau reports (JSON),
 closed-form predictions (JSON), the conjecture scan, Gauss-sum inspection,
 and regeneration of the nine reference figure panels.  All rationals are
 printed as "num/den" strings and floats with 12 significant digits, so
-identical invocations produce byte-identical output.
+identical invocations produce byte-identical output.  A scan record is its
+JSON line, rendered in the pool worker; the scan output only joins them.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from .plateau import PlateauReport, detect_plateaux
 from .predictors import (
     MAX_SCAN_CONFIGS,
     ScanRecord,
+    _interval_json,
+    _params_json,
+    _round12,
     conjecture_scan,
     fragmentation_layout,
     has_fragmentation,
@@ -49,10 +53,6 @@ SAMPLES_HELP = (
     f"number of samples, at least 2 and at most {MAX_SAMPLES}; for density also"
     f" samples * q at most {MAX_DENSITY_WORK}"
 )
-
-
-def _round12(v: float) -> float:
-    return float(f"{v:.12g}")
 
 
 def _dump(obj, compact: bool = False) -> str:
@@ -88,24 +88,6 @@ def _bounded_params_from(args) -> WellParams:
     params = _params_from(args)
     _check_q(params.q)
     return params
-
-
-def _params_json(params: WellParams) -> dict:
-    return {
-        "lambda": format_rational(params.lam),
-        "n_state": params.n_state,
-        "tau": format_rational(params.tau),
-    }
-
-
-def _interval_json(interval) -> dict:
-    return {
-        "interval": [format_rational(interval.lo), format_rational(interval.hi)],
-        "center": format_rational((interval.lo + interval.hi) / 2),
-        "level": _round12(interval.level),
-        "kind": interval.kind,
-        "vanishing_side": interval.vanishing_side,
-    }
 
 
 def _report_json(report: PlateauReport) -> dict:
@@ -182,20 +164,9 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _record_json(record: ScanRecord) -> dict:
-    out = _params_json(record.params)
-    out["predicted_exists"] = record.predicted_exists
-    out["consistent"] = record.consistent
-    out["intervals"] = [_interval_json(iv) for iv in record.detected.intervals]
-    out["zero_checks"] = record.detected.zero_checks
-    if record.note:
-        out["note"] = record.note
-    return out
-
-
 def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
                q_max: int, n_max: int) -> str:
-    """The `scan --out` file for the records of that grid."""
+    """The `scan --out` file for the records of that grid, joining their lines."""
     payload = {
         "grid": {
             "lambda_den": lambda_den,
@@ -205,10 +176,11 @@ def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
         },
         "total": len(records),
         "inconsistent": sum(not r.consistent for r in records),
-        "zero_checks": sum(r.detected.zero_checks for r in records),
-        "records": [_record_json(r) for r in records],
+        "zero_checks": sum(r.zero_checks for r in records),
+        "records": [],
     }
-    return _dump(payload, compact=True)
+    lines = ",".join(r.line for r in records)
+    return _dump(payload, compact=True).replace('"records":[]', f'"records":[{lines}]', 1)
 
 
 def _cmd_scan(args) -> int:

@@ -9,18 +9,24 @@ divides 4 N lam.  The scanner sweeps a parameter grid, runs the exact
 detector on every non-fragmentation configuration and records any
 disagreement with the predicted picture verbatim: a disagreement is data,
 not an error.
+
+A scan record is its JSON line, rendered in the pool worker that ran the
+detector; the pool ships builtins only, and detect_plateaux(record.params)
+gives a record's intervals.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 # deferring this import would only move its cost into the scan
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
-from .rationals import dist_nearest_int
+from .rationals import dist_nearest_int, format_rational
 from .wavefield import WellParams, density_p, fragmentation_threshold
 
 # The most configurations conjecture_scan accepts, by the closed-form bound it
@@ -50,11 +56,18 @@ class PlateauPrediction:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    params: WellParams
-    detected: PlateauReport
+class ScanRecord(NamedTuple):
+    lam: Fraction
+    q: int
+    n_state: int
+    a: int
     note: str  # the first check that failed, empty when all hold
+    zero_checks: int
+    line: str  # the record's compact JSON text
+
+    @property
+    def params(self) -> WellParams:
+        return WellParams(self.lam, self.n_state, Fraction(self.a, self.q))
 
     @property
     def predicted_exists(self) -> bool:
@@ -154,9 +167,31 @@ def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
     )
 
 
-def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
-    """The scan record of one configuration, noting the first of existence,
-    uniqueness, interval and kind on which the report contradicts the prediction."""
+def _round12(v: float) -> float:
+    return float(f"{v:.12g}")
+
+
+def _params_json(params: WellParams) -> dict:
+    return {
+        "lambda": format_rational(params.lam),
+        "n_state": params.n_state,
+        "tau": format_rational(params.tau),
+    }
+
+
+def _interval_json(interval) -> dict:
+    return {
+        "interval": [format_rational(interval.lo), format_rational(interval.hi)],
+        "center": format_rational((interval.lo + interval.hi) / 2),
+        "level": _round12(interval.level),
+        "kind": interval.kind,
+        "vanishing_side": interval.vanishing_side,
+    }
+
+
+def _check_record(params: WellParams, report: PlateauReport) -> str:
+    """The note of one configuration: the first of existence, uniqueness,
+    interval and kind on which the report contradicts the prediction, or ""."""
     n_found = len(report.intervals)
     note = ""
     if not doubled_drift_is_odd(params):
@@ -172,20 +207,36 @@ def _check_record(params: WellParams, report: PlateauReport) -> ScanRecord:
         elif (found.kind == ZERO_LEVEL) != prediction.zero_level:
             note = (f"kind {found.kind} contradicts zero-level prediction"
                     f" {prediction.zero_level}")
-    return ScanRecord(params, report, note)
+    return note
 
 
-def _scan_chunk(args: tuple[Fraction, int, int]) -> list[ScanRecord]:
+def _scan_row(params: WellParams) -> tuple[int, int, str, int, str]:
+    """(n_state, a, note, zero_checks, line) of one configuration: builtins
+    only, so that the pool pickles no Fraction or report."""
+    report = detect_plateaux(params)
+    note = _check_record(params, report)
+    out = _params_json(params) | {
+        "predicted_exists": doubled_drift_is_odd(params), "consistent": not note,
+        "intervals": [_interval_json(iv) for iv in report.intervals],
+        "zero_checks": report.zero_checks}
+    if note:
+        out["note"] = note
+    line = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return params.n_state, params.tau.numerator, note, report.zero_checks, line
+
+
+def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, int, str]]:
     lam, q, n_max = args
-    configs = [WellParams(lam, n_state, Fraction(a, q)) for n_state in range(1, n_max + 1)
-               for a in range(1, q) if math.gcd(a, q) == 1]
-    return [_check_record(params, detect_plateaux(params)) for params in configs]
+    return [_scan_row(WellParams(lam, n_state, Fraction(a, q)))
+            for n_state in range(1, n_max + 1) for a in range(1, q) if math.gcd(a, q) == 1]
 
 
 def scan_workers(requested: int | None = None) -> int:
-    """Worker count for parameter sweeps, capped by TALBOT_THREADS, which
-    must be an integer when set."""
-    workers = requested or os.cpu_count() or 1
+    """Worker count for parameter sweeps: by default the CPUs this process
+    may run on, capped by TALBOT_THREADS, which must be an integer when set."""
+    available = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+    workers = requested or available or 1
     cap = os.environ.get("TALBOT_THREADS")
     if cap:
         try:
@@ -238,8 +289,9 @@ def conjecture_scan(
                          f" threshold of a q <= {q_max}")
     n_workers = scan_workers(workers)
     if n_workers == 1 or len(tasks) < 2:
-        chunks = map(_scan_chunk, tasks)
-        return [record for chunk in chunks for record in chunk]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        chunks = pool.map(_scan_chunk, tasks, chunksize=8)
-        return [record for chunk in chunks for record in chunk]
+        chunks = list(map(_scan_chunk, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            chunks = list(pool.map(_scan_chunk, tasks, chunksize=8))
+    return [ScanRecord(lam, q, *row) for (lam, q, _), chunk in zip(tasks, chunks)
+            for row in chunk]

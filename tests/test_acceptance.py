@@ -201,7 +201,7 @@ def test_criterion_09_exact_float_agreement(default_scan):
     # raises ExactFloatMismatch inside the scan, so reaching this point with
     # a positive check count certifies zero disagreements
     records, _ = default_scan
-    checks = sum(r.detected.zero_checks for r in records)
+    checks = sum(r.zero_checks for r in records)
     report(9, "exact/float zero-test agreement on every windowed sum",
            checks > 0, f" ({checks} checks, 0 disagreements)")
 

@@ -1,12 +1,13 @@
 import json
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qwell import predictors
-from qwell.cli import main
+from qwell.cli import _scan_json, main
 from qwell.plateau import ZERO_LEVEL, build_cells, detect_plateaux
 from qwell.predictors import (
     CASE_MOD4,
@@ -163,7 +164,7 @@ def test_small_scan_is_consistent_and_ordered():
     assert golden in by_params
     rec = by_params[golden]
     assert rec.predicted_exists
-    assert [(iv.lo, iv.hi) for iv in rec.detected.intervals] == [
+    assert [(iv.lo, iv.hi) for iv in detect_plateaux(rec.params).intervals] == [
         (Fraction(2, 15), Fraction(1, 5))
     ]
 
@@ -190,7 +191,7 @@ def test_scan_covers_squarefree_composite_even_drift():
         drift = 2 * r.params.n_lam
         if squarefree_composite and drift.denominator == 1 and drift.numerator % 2 == 0:
             hits += 1
-            assert r.detected.intervals == ()
+            assert detect_plateaux(r.params).intervals == ()
     assert hits > 0
 
 
@@ -202,8 +203,8 @@ def test_scan_refuses_grid_arguments_below_1():
 
 def test_scan_bound_admits_the_default_and_a_larger_grid(monkeypatch):
     # the default grid, and v <= 16, q <= 60, N <= 5 (2,185,490 configurations);
-    # a task is one (lam, q) pair of the grid
-    monkeypatch.setattr(predictors, "_scan_chunk", lambda task: [task])
+    # a task is one (lam, q) pair of the grid, here shipping one plain row
+    monkeypatch.setattr(predictors, "_scan_chunk", lambda task: [(1, 1, "", 0, "{}")])
     for grid, tasks in [((8, Fraction(6), 20, 3), 1665), ((16, Fraction(6), 60, 5), 22073)]:
         assert len(conjecture_scan(*grid, workers=1)) == tasks
 
@@ -303,10 +304,8 @@ def test_predictions_over_p_equal_the_per_case_formulas_at_the_bench_q(q):
 
 
 def test_record_is_consistent_exactly_when_its_note_is_empty():
-    params = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    report = detect_plateaux(params)
-    assert predictors.ScanRecord(params, report, "").consistent
-    assert not predictors.ScanRecord(params, report, "kind").consistent
+    assert predictors.ScanRecord(Fraction(5, 2), 3, 1, 1, "", 2, "{}").consistent
+    assert not predictors.ScanRecord(Fraction(5, 2), 3, 1, 1, "kind", 2, "{}").consistent
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "4 workers"])
@@ -333,6 +332,44 @@ def test_talbot_threads_caps_the_workers(monkeypatch):
     assert predictors.scan_workers(4) == 1
     monkeypatch.setenv("TALBOT_THREADS", "3")
     assert predictors.scan_workers(2) == 2
+
+
+def test_default_workers_follow_the_cpu_affinity_mask(monkeypatch):
+    # a process confined by taskset or a cpuset to one CPU of a larger host
+    monkeypatch.delenv("TALBOT_THREADS", raising=False)
+    monkeypatch.setattr(predictors.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(predictors.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert predictors.scan_workers() == 1
+    monkeypatch.setattr(predictors.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert predictors.scan_workers() == 4
+    monkeypatch.setenv("TALBOT_THREADS", "2")
+    assert predictors.scan_workers() == 2
+
+
+# the benchmark's tiny scan grid: lambda_den, lambda_max, q_max, n_max
+TINY_SCAN_GRID = (4, Fraction(3, 2), 8, 2)
+
+
+def test_the_pool_gives_the_records_and_bytes_of_the_serial_scan(monkeypatch):
+    monkeypatch.delenv("TALBOT_THREADS", raising=False)
+    assert predictors.scan_workers(2) == 2
+    serial = conjecture_scan(*TINY_SCAN_GRID, workers=1)
+    pooled = conjecture_scan(*TINY_SCAN_GRID, workers=2)
+    assert pooled == serial
+    assert _scan_json(pooled, *TINY_SCAN_GRID) == _scan_json(serial, *TINY_SCAN_GRID)
+
+
+@pytest.mark.parametrize("task", [(Fraction(5, 2), 3, 2), (Fraction(7, 4), 8, 3)])
+def test_a_scan_chunk_ships_only_builtins(task):
+    # a Fraction, WellParams, PlateauReport or CycInt crossing the process
+    # boundary costs more to pickle than the pool saves by rendering the lines
+    rows = predictors._scan_chunk(task)
+    assert rows and type(rows) is list
+    for row in rows:
+        assert type(row) is tuple
+        assert all(type(value) in (str, int, bool) for value in row)
+    shipped = pickle.dumps(rows)
+    assert b"qwell" not in shipped and b"fractions" not in shipped
 
 
 def _off_radius(predict):
