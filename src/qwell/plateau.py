@@ -26,7 +26,9 @@ in O(1) from the table; only a sum whose image vanishes is built in
 Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
 test.  Every verdict is cross-checked against the float shadow, read in
 O(1) as well, and a disagreement raises, so the detector is linear in the
-number of cells and terms.
+number of cells and terms.  The report of (q - a)/q follows from that of
+a/q by complex conjugation (mirrored_report), checked exactly on every
+survivor.
 """
 from __future__ import annotations
 
@@ -242,6 +244,15 @@ def _side_slices(members: range, ks: range) -> tuple[tuple[int, int], tuple[int,
     return (i0, i1), (n - i1, n - i0)
 
 
+def _side_sum(members: range, order: int, rule: tuple[int, int], sign: int, q: int) -> CycInt:
+    """S_plus (sign 1) or S_minus (sign -1) over members in Z[zeta_M], M =
+    order: the roots zeta_M^(A k^2 +- B k) of the exponent rule (A, B), times
+    sqrt(2) = zeta_8 + zeta_8^-1 for even q."""
+    a, b = rule
+    s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in members))
+    return s if q % 2 else s * CycInt.sqrt_two(order)
+
+
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
     zeta_M^(A k^2 +- B k) of the exponent rule of the term table over the
@@ -260,12 +271,11 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
         raise ValueError(
             f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
         )
-    order, (a, b), (s_re, s_im) = terms.order, terms.rule, terms.shadows
+    s_re, s_im = terms.shadows
     weight = 1.0 if q % 2 else math.sqrt(2.0)
     sums = []
     for sign, (j0, j1) in zip((1, -1), _side_slices(cell.members, terms.ks)):
-        s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in cell.members))
-        s = s if q % 2 else s * CycInt.sqrt_two(order)
+        s = _side_sum(cell.members, terms.order, terms.rule, sign, q)
         shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) * (weight / SHADOW_SCALE)
         if abs(s.to_complex() - shadow) > _float_bound(cell, params):
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
@@ -353,3 +363,51 @@ def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
     if kind == ZERO_LEVEL:
         return 0.0
     return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
+
+
+_SWAPPED_SIDE = {SIDE_PLUS: SIDE_MINUS, SIDE_MINUS: SIDE_PLUS, SIDE_BOTH: SIDE_BOTH}
+
+
+def mirrored_report(partner: PlateauReport, params: WellParams) -> PlateauReport:
+    """The report of tau = (q - a)/q read off the report of its partner a/q,
+    with no detector run.
+
+    Complex conjugation, the Galois automorphism zeta -> zeta^-1, takes a to
+    -a: c_{q-a}(k) = u conj(c_a(k)) with u = i for q = 2 (mod 4) and u = 1
+    otherwise (coefficient_exponent lifts inv(q - a) = q - inv(a), and q k^2 /
+    (4q) is 1/4 or 0 mod 1 on the contributing k), while e(+-N lam k / q)
+    does not depend on a.  So S_pm(q - a) = u conj(S_mp(a)) on every cell:
+    the same cells qualify, the same survivors merge and the intervals, kinds,
+    zero_checks (the cell sides decided, here through the partner) and
+    fragmentation are the partner's, with the vanishing side swapped plus <->
+    minus.  Each survivor is rebuilt at this configuration's own order M from
+    its own exponent rule on the interval's first cell, and must equal u
+    conj(partner survivor) term for term, exponents j -> (u_exp - j) mod M
+    with zeta_M^u_exp = u, else this raises ArithmeticError; its level comes
+    from the rebuilt survivor, as detect_plateaux(params) computes it.
+    """
+    mate = partner.params
+    q, lam = params.q, params.lam
+    if (mate.lam, mate.n_state, mate.q, mate.a) != (lam, params.n_state, q, q - params.a):
+        raise ValueError(f"{mate} is not the conjugate partner of {params}")
+    order = cyclotomic_order(params)
+    rule = _exponent_rule(params, order)
+    u_exp = order // 4 if q % 4 == 2 else 0
+    den = 2 * lam.numerator * q
+    cells = build_cells(lam, q)
+    intervals = []
+    for iv in partner.intervals:
+        side = _SWAPPED_SIDE[iv.vanishing_side]
+        if side != SIDE_BOTH:
+            x0 = iv.lo.numerator * den // iv.lo.denominator
+            cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
+            survivor = _side_sum(cell.members, order, rule, -1 if side == SIDE_PLUS else 1, q)
+            mirrored = CycInt(order, ((u_exp - j, c) for j, c in iv.level_exact.terms))
+            if survivor.terms != mirrored.terms:
+                raise ArithmeticError(
+                    f"the survivor of {params} on {cell} is not the conjugate of its partner's"
+                )
+            iv = replace(iv, level=_level(iv.kind, survivor, params), level_exact=survivor,
+                         vanishing_side=side)
+        intervals.append(iv)
+    return PlateauReport(params, tuple(intervals), partner.fragmentation, partner.zero_checks)

@@ -10,6 +10,18 @@ detector on every non-fragmentation configuration and records any
 disagreement with the predicted picture verbatim: a disagreement is data,
 not an error.
 
+The scan runs the detector once per conjugate pair (a, q - a).  Complex
+conjugation, the Galois automorphism zeta -> zeta^-1, gives c_{q-a}(k) =
+u conj(c_a(k)), with u = i for q = 2 (mod 4) and u = 1 otherwise, so
+
+    S_pm(q - a) = u conj(S_mp(a))
+
+on every cell: a < q/2 is detected and the report of q - a is its report
+with plus and minus swapped (plateau.mirrored_report), each survivor rebuilt
+from its own exponent rule and checked term for term against u times the
+conjugate of its partner's.  A mirrored record's zero_checks counts the cell
+sides decided through its partner.
+
 A scan record is its JSON line, rendered in the pool worker that ran the
 detector; the pool ships builtins only, and detect_plateaux(record.params)
 gives a record's intervals.
@@ -19,15 +31,18 @@ from __future__ import annotations
 import json
 import math
 import os
-# deferring this import would only move its cost into the scan
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .plateau import ZERO_LEVEL, PlateauReport, detect_plateaux
+from .cyclotomic import image_root
+from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, cyclotomic_order,
+                      detect_plateaux, mirrored_report)
 from .rationals import dist_nearest_int, format_rational
 from .wavefield import WellParams, density_p, fragmentation_threshold
+
+# one encoder renders every scan record line, as json.dumps would with these options
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # The most configurations conjecture_scan accepts, by the closed-form bound it
 # checks before building the grid.
@@ -210,10 +225,9 @@ def _check_record(params: WellParams, report: PlateauReport) -> str:
     return note
 
 
-def _scan_row(params: WellParams) -> tuple[int, int, str, int, str]:
+def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str, int, str]:
     """(n_state, a, note, zero_checks, line) of one configuration: builtins
     only, so that the pool pickles no Fraction or report."""
-    report = detect_plateaux(params)
     note = _check_record(params, report)
     out = _params_json(params) | {
         "predicted_exists": doubled_drift_is_odd(params), "consistent": not note,
@@ -221,14 +235,32 @@ def _scan_row(params: WellParams) -> tuple[int, int, str, int, str]:
         "zero_checks": report.zero_checks}
     if note:
         out["note"] = note
-    line = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    line = _LINE_ENCODER.encode(out)
     return params.n_state, params.tau.numerator, note, report.zero_checks, line
 
 
 def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, int, str]]:
+    """The rows of one (lam, q) task in grid order.  The detector runs on
+    a <= q/2 only; the record of q - a is its partner's report mirrored by
+    complex conjugation.  The layers shared by all of the task's
+    configurations, its cells and the F_ell root of each order (which depends
+    on q and s only), are built first."""
     lam, q, n_max = args
-    return [_scan_row(WellParams(lam, n_state, Fraction(a, q)))
-            for n_state in range(1, n_max + 1) for a in range(1, q) if math.gcd(a, q) == 1]
+    coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    grid = [[WellParams(lam, n_state, Fraction(a, q)) for a in coprime]
+            for n_state in range(1, n_max + 1)]
+    build_cells(lam, q)
+    for order in {cyclotomic_order(configs[0]) for configs in grid}:
+        image_root(order)
+    rows = []
+    for configs in grid:
+        reports = {}
+        for params in configs:
+            a = params.a
+            reports[a] = (detect_plateaux(params) if 2 * a <= q
+                          else mirrored_report(reports[q - a], params))
+            rows.append(_scan_row(params, reports[a]))
+    return rows
 
 
 def scan_workers(requested: int | None = None) -> int:
@@ -291,6 +323,8 @@ def conjecture_scan(
     if n_workers == 1 or len(tasks) < 2:
         chunks = list(map(_scan_chunk, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(_scan_chunk, tasks, chunksize=8))
     return [ScanRecord(lam, q, *row) for (lam, q, _), chunk in zip(tasks, chunks)

@@ -150,6 +150,16 @@ def test_the_exact_commands_start_and_run_without_numpy(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_the_cli_starts_without_the_process_pool():
+    # the pool's import (multiprocessing, pickle, socket, ...) is paid by the
+    # scan alone, not by every plateaux, predict or gauss call
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    probe = "import sys, qwell.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_density_loads_numpy_and_writes_the_same_bytes(tmp_path):
     argv = ["density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--samples", "64",
             "--out", "svg", "--output"]

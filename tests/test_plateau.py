@@ -29,6 +29,7 @@ from qwell.plateau import (
     build_cells,
     cyclotomic_order,
     detect_plateaux,
+    mirrored_report,
     term_table,
     window_sums,
 )
@@ -466,6 +467,56 @@ LARGE_Q_CASES = [
 def test_detector_matches_the_all_exact_cell_loop(lam, n_state, tau):
     p = WellParams(lam, n_state, tau)
     assert detect_plateaux(p) == detect_by_cell(p)
+
+
+def report_facts(report):
+    """Everything a report says, with each level as its bits."""
+    return report.fragmentation, report.zero_checks, [
+        (iv.lo, iv.hi, iv.kind, iv.vanishing_side, iv.level.hex(),
+         iv.level_exact.order, iv.level_exact.terms)
+        for iv in report.intervals
+    ]
+
+
+def test_the_mirror_of_the_partner_is_the_detector_report():
+    # every a > q/2 on a grid with q = 0, 1, 2 and 3 (mod 4), 2 N lam odd and
+    # not, both regimes: the conjugate of a/q's report is (q - a)/q's, bit for bit
+    seen = set()
+    for lam in [Fraction(3, 2), Fraction(5, 2), Fraction(7, 4), Fraction(9, 4),
+                Fraction(4, 3), Fraction(11, 6), Fraction(107, 10)]:
+        for n_state in range(1, 4):
+            for q in range(2, 21):
+                for a in range(q // 2 + 1, q):
+                    if math.gcd(a, q) != 1:
+                        continue
+                    params = WellParams(lam, n_state, Fraction(a, q))
+                    partner = detect_plateaux(WellParams(lam, n_state, Fraction(q - a, q)))
+                    direct = detect_plateaux(params)
+                    assert report_facts(mirrored_report(partner, params)) == report_facts(direct)
+                    drift = 2 * params.n_lam
+                    seen |= {(q % 4, drift.denominator == 1 and drift.numerator % 2 == 1,
+                              iv.vanishing_side) for iv in direct.intervals}
+    assert {(r, True, side) for r in range(4) for side in (SIDE_PLUS, SIDE_MINUS)} <= seen
+    assert {(r, False, SIDE_BOTH) for r in range(4)} <= seen
+
+
+def test_a_mirror_needs_the_conjugate_partner():
+    params = WellParams(Fraction(5, 2), 1, Fraction(2, 3))
+    for other in [Fraction(2, 3), Fraction(1, 6)]:
+        with pytest.raises(ValueError, match="not the conjugate partner"):
+            mirrored_report(detect_plateaux(WellParams(Fraction(5, 2), 1, other)), params)
+    with pytest.raises(ValueError, match="not the conjugate partner"):
+        mirrored_report(detect_plateaux(WellParams(Fraction(5, 2), 2, Fraction(1, 3))), params)
+
+
+def test_a_partner_survivor_that_is_not_conjugate_raises():
+    params = WellParams(Fraction(5, 2), 1, Fraction(2, 3))
+    partner = detect_plateaux(WellParams(Fraction(5, 2), 1, Fraction(1, 3)))
+    (iv,) = partner.intervals
+    bent = CycInt(iv.level_exact.order, ((j + 1, c) for j, c in iv.level_exact.terms))
+    broken = dataclasses.replace(partner, intervals=(dataclasses.replace(iv, level_exact=bent),))
+    with pytest.raises(ArithmeticError, match="not the conjugate"):
+        mirrored_report(broken, params)
 
 
 @st.composite

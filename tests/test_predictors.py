@@ -171,13 +171,14 @@ def test_small_scan_is_consistent_and_ordered():
 
 def test_scan_reuses_the_cells_within_each_lambda_q_task():
     # the benchmark's tiny scan grid: 18 (lam, q) tasks, more than the cache
-    # keeps, each building its cells once for all of its configurations
+    # keeps, each building its cells once, before its configurations, and
+    # reading them back once per configuration: detected or mirrored
     build_cells.cache_clear()
     records = conjecture_scan(lambda_dens=4, lambda_max=Fraction(3, 2), q_max=8, n_max=2, workers=1)
     tasks = {(r.params.lam, r.params.q) for r in records}
     info = build_cells.cache_info()
     assert len(tasks) > 16
-    assert (info.hits, info.misses) == (len(records) - len(tasks), len(tasks))
+    assert (info.hits, info.misses) == (len(records), len(tasks))
     assert info.currsize <= 16
 
 
@@ -357,6 +358,29 @@ def test_the_pool_gives_the_records_and_bytes_of_the_serial_scan(monkeypatch):
     pooled = conjecture_scan(*TINY_SCAN_GRID, workers=2)
     assert pooled == serial
     assert _scan_json(pooled, *TINY_SCAN_GRID) == _scan_json(serial, *TINY_SCAN_GRID)
+
+
+def test_a_scan_detects_each_conjugate_pair_once(monkeypatch):
+    detected = []
+
+    def detect(params):
+        detected.append(params)
+        return detect_plateaux(params)
+
+    monkeypatch.setattr(predictors, "detect_plateaux", detect)
+    records = conjecture_scan(*TINY_SCAN_GRID, workers=1)
+    assert [p for p in (r.params for r in records) if 2 * p.a <= p.q] == detected
+
+
+def test_scan_lines_equal_json_dumps(monkeypatch):
+    lines = [r.line for r in conjecture_scan(*TINY_SCAN_GRID, workers=1)]
+
+    class Dumps:
+        def encode(self, obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    monkeypatch.setattr(predictors, "_LINE_ENCODER", Dumps())
+    assert [r.line for r in conjecture_scan(*TINY_SCAN_GRID, workers=1)] == lines
 
 
 @pytest.mark.parametrize("task", [(Fraction(5, 2), 3, 2), (Fraction(7, 4), 8, 3)])
