@@ -21,6 +21,7 @@ from .plateau import PlateauReport, detect_plateaux
 from .predictors import (
     MAX_SCAN_CONFIGS,
     ScanRecord,
+    _LINE_ENCODER,
     _interval_json,
     _params_json,
     _round12,
@@ -42,7 +43,7 @@ from .wavefield import PANELS, WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 3.5-4 s and 142 MB, density --out csv about 9-12 s and 33 MB"
+    " takes about 4.2-4.9 s and 138 MB, density --out csv about 9-12 s and 33 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work
@@ -55,9 +56,7 @@ SAMPLES_HELP = (
 )
 
 
-def _dump(obj, compact: bool = False) -> str:
-    if compact:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -180,7 +179,8 @@ def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
         "records": [],
     }
     lines = ",".join(r.line for r in records)
-    return _dump(payload, compact=True).replace('"records":[]', f'"records":[{lines}]', 1)
+    header = _LINE_ENCODER.encode(payload)
+    return header.replace('"records":[]', f'"records":[{lines}]', 1) + "\n"
 
 
 def _cmd_scan(args) -> int:

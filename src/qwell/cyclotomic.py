@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,7 +98,7 @@ def cyclotomic_poly(order: int) -> IntPoly:
     return IntPoly.from_coeffs(rem)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)  # each caller reuses one order
 def unit_roots(order: int) -> tuple[complex, ...]:
     """Float table of e(j / order) for j = 0..order-1."""
     return tuple(cmath.exp(2j * cmath.pi * j / order) for j in range(order))
@@ -229,16 +228,11 @@ class CycInt:
         order = self.order
         if order < 1:
             raise ValueError("order must be positive")
-        terms = tuple(self.terms)
-        js, cs = tuple(zip(*terms)) or ((), ())
-        # already canonical (checked at C speed): keep; else merge and sort
-        if not (all(cs) and all(map(operator.lt, (-1,) + js, js + (order,)))):
-            acc: dict[int, int] = {}
-            for j, c in terms:
-                j %= order
-                acc[j] = acc.get(j, 0) + c
-            terms = tuple(sorted(t for t in acc.items() if t[1]))
-        object.__setattr__(self, "terms", terms)
+        acc: dict[int, int] = {}
+        for j, c in self.terms:
+            j %= order
+            acc[j] = acc.get(j, 0) + c
+        object.__setattr__(self, "terms", tuple(sorted(t for t in acc.items() if t[1])))
 
     @staticmethod
     def zero(order: int) -> "CycInt":

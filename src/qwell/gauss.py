@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 from .cyclotomic import unit_roots
 from .rationals import mod_inverse
@@ -48,11 +47,10 @@ def gauss_abs_sq(a: int, k: int, q: int) -> int:
     return q if q % 2 else 2 * q
 
 
-@lru_cache(maxsize=1024)
 def coefficient_exponent(a: int, q: int) -> tuple[int, int]:
     """(inv, modulus) with c(k) = e((inv k^2 mod modulus) / modulus), times
     sqrt(2) for even q: inv(4a) mod q over q for odd q, and for even q the
-    mod-q inverse of a lifted to the modulus 4q.  Cached per (a, q)."""
+    mod-q inverse of a lifted to the modulus 4q."""
     if q % 2:
         return mod_inverse(4 * a, q), q
     return mod_inverse(a, q), 4 * q

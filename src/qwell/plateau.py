@@ -122,7 +122,7 @@ def _contributing_ks(lam: Fraction, q: int) -> range:
     return contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # every reuse is within one scan task of a single (lam, q)
 def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     """Partition (0, 1/2) into cells of constant window membership.
 

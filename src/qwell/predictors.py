@@ -265,19 +265,10 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, in
 
 def scan_workers(requested: int | None = None) -> int:
     """Worker count for parameter sweeps: by default the CPUs this process
-    may run on, capped by TALBOT_THREADS, which must be an integer when set."""
+    may run on (its affinity mask, so taskset and cpusets count)."""
     available = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count())
-    workers = requested or available or 1
-    cap = os.environ.get("TALBOT_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(
-                f"TALBOT_THREADS must be a positive integer, got {cap!r}"
-            ) from None
-    return max(1, workers)
+    return max(1, requested or available or 1)
 
 
 def conjecture_scan(

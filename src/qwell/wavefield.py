@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -61,11 +61,6 @@ class WellParams:
         """N * lam, whose reduced denominator drives the cyclotomic order;
         computed once per instance."""
         return self.n_state * self.lam
-
-    def __getstate__(self) -> dict:
-        """The fields only, so that a pickle (as the scan's pool ships its
-        records) does not carry the cached n_lam."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def s(self) -> int:

@@ -125,8 +125,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 
 def run_fresh(argvs):
-    env = dict(os.environ, TALBOT_THREADS="1",
-               PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", FRESH_MAIN, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
