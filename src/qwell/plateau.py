@@ -26,9 +26,20 @@ in O(1) from the table; only a sum whose image vanishes is built in
 Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
 test.  Every verdict is cross-checked against the float shadow, read in
 O(1) as well, and a disagreement raises, so the detector is linear in the
-number of cells and terms.  The report of (q - a)/q follows from that of
-a/q by complex conjugation (mirrored_report), checked exactly on every
-survivor.
+number of cells and terms.
+
+Every term lies in Z[zeta_M], and each automorphism sigma_t: zeta -> zeta^t
+(gcd(t, M) = 1) maps c_a(k) to a unit times c_{a'}(k), a' = a t^-1 (mod q),
+and e(+-N lam k / q) to e(+-t N lam k / q).  Vanishing survives sigma_t, so
+(a, N) and (a', N') have the same plateau intervals whenever t N = +-N'
+(mod W), W = v q / gcd(u, q) for lam = u/v; sign -1 swaps plus and minus.
+conjugate_report reads the report of (a', N') off that of (a, N) and checks
+every survivor exactly: rebuilt from its own exponent rule, it must equal
+zeta^e sigma_t(partner survivor) term for term at M_c = lcm(M, M'), with
+e = j'(k0) M_c / M' - t j(k0) M_c / M + flip (mod M_c) from the two rule
+exponents at the first member k0 of the interval's first cell, and
+flip = M_c / 2 when q is even and t = +-3 (mod 8), where
+sigma_t(sqrt(2)) = -sqrt(2).
 """
 from __future__ import annotations
 
@@ -39,6 +50,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .cyclotomic import CycInt, image_root
 from .gauss import coefficient_exponent, contributing
@@ -215,23 +227,28 @@ def term_table(params: WellParams) -> _TermTable:
     r = _contributing_ks(params.lam, q)[-1]
     ks = contributing(range(-r, r + 1), q)
     d = ks.step
-    coeff_step, drift_step, turn = order // modulus, order // sq, 2 * math.pi
+    coeff_step, drift_step = order // modulus, order // sq
+    exp, rect, scale = cmath.exp, cmath.rect, SHADOW_SCALE
+    two_pi_i, angle = 2j * math.pi, 2 * math.pi / order
     bound = FLOAT_ERROR_C * sys.float_info.epsilon
     image, ratio, step = (pow(root, j % order, ell) for j in (
         a_rule * r * r - b_rule * r, (a_rule * (d - 2 * r) + b_rule) * d, 2 * a_rule * d * d))
-    images, s_re, s_im = [0], [0], [0]
+    terms, re_parts, im_parts = [], [], []
     for k in ks:
-        coeff_num, drift_mod = inv * k * k % modulus, drift_num * k % sq
-        j = (a_rule * k * k + b_rule * k) % order
+        kk = k * k
+        coeff_num, drift_mod = inv * kk % modulus, drift_num * k % sq
+        j = (a_rule * kk + b_rule * k) % order
         if j != (coeff_num * coeff_step + drift_mod * drift_step) % order:
             raise ExactFloatMismatch(f"exponent rule of order {order} is off at k = {k}")
-        direct = cmath.exp(2j * math.pi * (coeff_num / modulus + drift_mod / sq))
-        if abs(cmath.rect(1.0, turn * j / order) - direct) > bound:
+        direct = exp(two_pi_i * (coeff_num / modulus + drift_mod / sq))
+        if abs(rect(1.0, angle * j) - direct) > bound:
             raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
-        images.append(images[-1] + image)
-        s_re.append(s_re[-1] + round(direct.real * SHADOW_SCALE))
-        s_im.append(s_im[-1] + round(direct.imag * SHADOW_SCALE))
+        terms.append(image)
+        re_parts.append(round(direct.real * scale))
+        im_parts.append(round(direct.imag * scale))
         image, ratio = image * ratio % ell, ratio * step % ell
+    images, s_re, s_im = (list(accumulate(parts, initial=0))
+                          for parts in (terms, re_parts, im_parts))
     return _TermTable(params, order, ks, (a_rule, b_rule), ell, images, (s_re, s_im))
 
 
@@ -368,45 +385,75 @@ def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
 _SWAPPED_SIDE = {SIDE_PLUS: SIDE_MINUS, SIDE_MINUS: SIDE_PLUS, SIDE_BOTH: SIDE_BOTH}
 
 
-def mirrored_report(partner: PlateauReport, params: WellParams) -> PlateauReport:
-    """The report of tau = (q - a)/q read off the report of its partner a/q,
-    with no detector run.
+def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
+                     sign: int) -> PlateauReport:
+    """The report of params read off the report of its Galois partner through
+    sigma_t: zeta -> zeta^t, with no detector run.
 
-    Complex conjugation, the Galois automorphism zeta -> zeta^-1, takes a to
-    -a: c_{q-a}(k) = u conj(c_a(k)) with u = i for q = 2 (mod 4) and u = 1
-    otherwise (coefficient_exponent lifts inv(q - a) = q - inv(a), and q k^2 /
-    (4q) is 1/4 or 0 mod 1 on the contributing k), while e(+-N lam k / q)
-    does not depend on a.  So S_pm(q - a) = u conj(S_mp(a)) on every cell:
-    the same cells qualify, the same survivors merge and the intervals, kinds,
-    zero_checks (the cell sides decided, here through the partner) and
-    fragmentation are the partner's, with the vanishing side swapped plus <->
-    minus.  Each survivor is rebuilt at this configuration's own order M from
-    its own exponent rule on the interval's first cell, and must equal u
-    conj(partner survivor) term for term, exponents j -> (u_exp - j) mod M
-    with zeta_M^u_exp = u, else this raises ArithmeticError; its level comes
-    from the rebuilt survivor, as detect_plateaux(params) computes it.
+    The partner (a, N) and params (a', N') share lam = u/v and q, and must
+    satisfy a' t = a (mod q) and t N = sign N' (mod W), W = v q / gcd(u, q),
+    with sign +-1 and t coprime to lcm(q, W), so a unit modulo every order
+    (their primes divide 2 q v, and 2 divides q or v when it divides one);
+    the partner's report must have decided both sides of every cell of
+    build_cells(lam, q).  Else this raises ValueError.
+
+    sigma_t maps c_a(k) to a constant unit times c_{a'}(k) (for even q, the
+    lifted inverse of a t^-1 differs from t inv(a) by a multiple of q, which
+    moves q k^2 / (4q) by a constant on the contributing k) and
+    e(+-N lam k / q) to e(+-sign N' lam k / q).  So on every cell
+    sigma_t(S_pm(a, N)) is a unit times S_pm(a', N') for sign 1 and
+    S_mp(a', N') for sign -1: the same cells qualify, the same survivors
+    merge, and the intervals, kinds, zero_checks (the cell sides decided,
+    here through the partner) and fragmentation are the partner's, with plus
+    and minus swapped for sign -1.  A zero-level interval gets the zero at
+    this configuration's order M'.
+
+    Each survivor is rebuilt from its own exponent rule on the interval's
+    first cell and must equal zeta^e sigma_t(partner survivor) term for term
+    at M_c = lcm(M, M'), else this raises ArithmeticError, with
+
+        e = j'(k0) M_c / M' - t j(k0) M_c / M + flip  (mod M_c),
+
+    j and j' the partner's and this configuration's rule exponents of the
+    surviving sides at the cell's first member k0, and flip = M_c / 2 when q
+    is even and t = +-3 (mod 8), where sigma_t(sqrt(2)) = -sqrt(2).  Its
+    level comes from the rebuilt survivor, as detect_plateaux(params)
+    computes it.
     """
     mate = partner.params
-    q, lam = params.q, params.lam
-    if (mate.lam, mate.n_state, mate.q, mate.a) != (lam, params.n_state, q, q - params.a):
-        raise ValueError(f"{mate} is not the conjugate partner of {params}")
-    order = cyclotomic_order(params)
-    rule = _exponent_rule(params, order)
-    u_exp = order // 4 if q % 4 == 2 else 0
-    den = 2 * lam.numerator * q
+    lam, q = params.lam, params.q
+    w = lam.denominator * q // math.gcd(lam.numerator, q)
     cells = build_cells(lam, q)
+    if (sign not in (1, -1) or (mate.lam, mate.q) != (lam, q) or math.gcd(t, math.lcm(q, w)) != 1
+            or (t * params.a - mate.a) % q or (t * mate.n_state - sign * params.n_state) % w
+            or partner.zero_checks != 2 * len(cells)):
+        raise ValueError(f"{mate} is not the image of {params} under sigma_{t}, sign {sign}")
+    if not partner.intervals:
+        return PlateauReport(params, (), partner.fragmentation, partner.zero_checks)
+    order, mate_order = cyclotomic_order(params), cyclotomic_order(mate)
+    lift = math.lcm(order, mate_order)
+    rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, mate_order)
+    a_own, b_own = rule
+    scale, mate_scale = lift // order, lift // mate_order
+    flip = lift // 2 if q % 2 == 0 and t % 8 in (3, 5) else 0
+    den = 2 * lam.numerator * q
     intervals = []
     for iv in partner.intervals:
-        side = _SWAPPED_SIDE[iv.vanishing_side]
-        if side != SIDE_BOTH:
+        if iv.vanishing_side == SIDE_BOTH:
+            iv = replace(iv, level_exact=CycInt.zero(order))
+        else:
             x0 = iv.lo.numerator * den // iv.lo.denominator
             cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
-            survivor = _side_sum(cell.members, order, rule, -1 if side == SIDE_PLUS else 1, q)
-            mirrored = CycInt(order, ((u_exp - j, c) for j, c in iv.level_exact.terms))
-            if survivor.terms != mirrored.terms:
-                raise ArithmeticError(
-                    f"the survivor of {params} on {cell} is not the conjugate of its partner's"
-                )
+            mate_sign = -1 if iv.vanishing_side == SIDE_PLUS else 1  # the surviving side
+            own_sign, k0 = sign * mate_sign, cell.members[0]
+            survivor = _side_sum(cell.members, order, rule, own_sign, q)
+            e = ((a_own * k0 + own_sign * b_own) * k0 * scale
+                 - t * (a_mate * k0 + mate_sign * b_mate) * k0 * mate_scale + flip)
+            image = CycInt(lift, ((t * j * mate_scale + e, c) for j, c in iv.level_exact.terms))
+            if CycInt(lift, ((j * scale, c) for j, c in survivor.terms)).terms != image.terms:
+                raise ArithmeticError(f"the survivor of {params} on {cell} is not a unit times"
+                                      f" the sigma_{t} image of its partner's")
+            side = iv.vanishing_side if sign == 1 else _SWAPPED_SIDE[iv.vanishing_side]
             iv = replace(iv, level=_level(iv.kind, survivor, params), level_exact=survivor,
                          vanishing_side=side)
         intervals.append(iv)

@@ -10,17 +10,22 @@ detector on every non-fragmentation configuration and records any
 disagreement with the predicted picture verbatim: a disagreement is data,
 not an error.
 
-The scan runs the detector once per conjugate pair (a, q - a).  Complex
-conjugation, the Galois automorphism zeta -> zeta^-1, gives c_{q-a}(k) =
-u conj(c_a(k)), with u = i for q = 2 (mod 4) and u = 1 otherwise, so
+The scan runs the detector once per Galois orbit of each (lam, q) task.  An
+automorphism sigma_t: zeta -> zeta^t maps c_a(k) to a unit times
+c_{a t^-1}(k) and e(N lam k / q) to e(t N lam k / q), so
 
-    S_pm(q - a) = u conj(S_mp(a))
+    sigma_t(S_pm(a, N)) = zeta^e S_(pm sign)(a t^-1, N')   if t N = sign N' (mod W),
 
-on every cell: a < q/2 is detected and the report of q - a is its report
-with plus and minus swapped (plateau.mirrored_report), each survivor rebuilt
-from its own exponent rule and checked term for term against u times the
-conjugate of its partner's.  A mirrored record's zero_checks counts the cell
-sides decided through its partner.
+W = v q / gcd(u, q) for lam = u/v, sign +-1, on every cell: the same cells vanish, with
+plus and minus swapped for sign -1.  galois_links walks the task's grid and
+picks the first configuration of each orbit as its representative, which
+is detected; every other record is read from its representative's report
+through sigma_t (plateau.conjugate_report), each survivor rebuilt from its
+own exponent rule and checked term for term against zeta^e times the image
+of its partner's, e fixed by the rule exponents at one member and by the
+sign sigma_t puts on sqrt(2) for even q.  Complex conjugation, t = -1 with
+sign -1, pairs a with q - a.  A derived record's zero_checks counts the cell
+sides decided through its representative.
 
 A scan record is its JSON line, rendered in the pool worker that ran the
 detector; the pool ships builtins only, and detect_plateaux(record.params)
@@ -36,8 +41,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import image_root
-from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, cyclotomic_order,
-                      detect_plateaux, mirrored_report)
+from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, conjugate_report,
+                      cyclotomic_order, detect_plateaux)
 from .rationals import dist_nearest_int, format_rational
 from .wavefield import WellParams, density_p, fragmentation_threshold
 
@@ -239,28 +244,72 @@ def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str,
     return params.n_state, params.tau.numerator, note, report.zero_checks, line
 
 
+def galois_links(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int] | None]:
+    """The Galois orbit map of one (lam, q) scan task, with no detector call:
+    per configuration (N, a) in grid order (N = 1..n_max, then a coprime to q
+    ascending), None for a representative, which the scan detects, or
+    (source, t, sign) for a configuration read from the report at grid
+    position source through sigma_t (plateau.conjugate_report).
+
+    With lam = u/v, W = v q / gcd(u, q) and L = lcm(q, W), each t coprime to
+    L is a unit modulo every order of the task (their primes divide 2 q v,
+    and 2 divides L whenever it divides an order), and sigma_t sends (a, N)
+    to (a t^-1 mod q, N') for every N' with t N = +-N' (mod W).  The t are
+    bucketed per N by t N mod W; the first configuration in grid order not
+    yet reached is a representative, and every configuration its buckets
+    send it to with N' >= N is read from it, unless an earlier
+    representative claimed it already.  So every source precedes its targets
+    and is detected itself.
+    """
+    w = lam.denominator * q // math.gcd(lam.numerator, q)
+    modulus = math.lcm(q, w)
+    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
+    inverse = {t: pow(t, -1, q) for t in units}
+    buckets = {n_state: {} for n_state in range(1, n_max + 1)}
+    for n_state, bucket in buckets.items():
+        for t in units:
+            bucket.setdefault(t * n_state % w, []).append(t)
+    coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    configs = [(n_state, a) for n_state in range(1, n_max + 1) for a in coprime]
+    position = {config: i for i, config in enumerate(configs)}
+    links: list[tuple[int, int, int] | None] = [None] * len(configs)
+    reached = [False] * len(configs)
+    for source, (n_state, a) in enumerate(configs):
+        if reached[source]:
+            continue
+        reached[source] = True
+        for target_n in range(n_state, n_max + 1):
+            for sign in (1, -1):
+                for t in buckets[n_state].get(sign * target_n % w, ()):
+                    target = position[target_n, a * inverse[t] % q]
+                    if not reached[target]:
+                        reached[target] = True
+                        links[target] = (source, t, sign)
+    return links
+
+
 def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, int, str]]:
-    """The rows of one (lam, q) task in grid order.  The detector runs on
-    a <= q/2 only; the record of q - a is its partner's report mirrored by
-    complex conjugation.  The layers shared by all of the task's
+    """The rows of one (lam, q) task in grid order.  The detector runs once
+    per Galois orbit, on its representative (galois_links); every other
+    record is its source's report carried over by sigma_t
+    (plateau.conjugate_report).  The layers shared by all of the task's
     configurations, its cells and the F_ell root of each order (which depends
     on q and s only), are built first."""
     lam, q, n_max = args
     coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    grid = [[WellParams(lam, n_state, Fraction(a, q)) for a in coprime]
-            for n_state in range(1, n_max + 1)]
+    grid = [WellParams(lam, n_state, Fraction(a, q))
+            for n_state in range(1, n_max + 1) for a in coprime]
     build_cells(lam, q)
-    for order in {cyclotomic_order(configs[0]) for configs in grid}:
+    for order in {cyclotomic_order(params) for params in grid[::len(coprime)]}:  # one per N
         image_root(order)
-    rows = []
-    for configs in grid:
-        reports = {}
-        for params in configs:
-            a = params.a
-            reports[a] = (detect_plateaux(params) if 2 * a <= q
-                          else mirrored_report(reports[q - a], params))
-            rows.append(_scan_row(params, reports[a]))
-    return rows
+    reports: list[PlateauReport] = []
+    for params, link in zip(grid, galois_links(lam, q, n_max)):
+        if link is None:
+            reports.append(detect_plateaux(params))
+        else:
+            source, t, sign = link
+            reports.append(conjugate_report(reports[source], params, t, sign))
+    return [_scan_row(params, report) for params, report in zip(grid, reports)]
 
 
 def scan_workers(requested: int | None = None) -> int:

@@ -8,6 +8,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qwell.cli import _scan_json
 from qwell.cyclotomic import CycInt, IntPoly, cyclotomic_poly, galois_conjugate
 from qwell.gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from qwell.plateau import ZERO_LEVEL, detect_plateaux
-from qwell.predictors import conjecture_scan, count_local_maxima, fragmentation_layout
+from qwell.predictors import (conjecture_scan, count_local_maxima, fragmentation_layout,
+                              galois_links)
 from qwell.wavefield import (
     WellParams,
     density_p,
@@ -200,14 +202,21 @@ def test_criterion_09_exact_float_agreement(default_scan):
     # any disagreement between the exact zero test and the float shadow
     # raises ExactFloatMismatch inside the scan, so reaching this point with
     # a positive count of detector-decided sides certifies zero disagreements.
-    # Records with 2a > q are read from their conjugate partner, whose sides
-    # were float-checked; only their survivors are checked again, exactly.
+    # The records that the scan's orbit map (galois_links) reads through a
+    # Galois partner copy that partner's float-checked sides; only their
+    # survivors are checked again, exactly.
     records, _ = default_scan
-    detected = sum(r.zero_checks for r in records if 2 * r.a <= r.q)
-    mirrored = sum(r.zero_checks for r in records if 2 * r.a > r.q)
+    detected = derived = 0
+    for (lam, q), task in groupby(records, key=lambda r: (r.lam, r.q)):
+        task = list(task)
+        for record, link in zip(task, galois_links(lam, q, task[-1].n_state), strict=True):
+            if link is None:
+                detected += record.zero_checks
+            else:
+                derived += record.zero_checks
     report(9, "exact/float zero-test agreement on every windowed sum",
-           detected > 0, f" ({detected} sides decided by the detector, {mirrored} read"
-           " through the conjugate partner, 0 disagreements)")
+           detected > 0, f" ({detected} sides decided by the detector, {derived} read"
+           " through a Galois partner, 0 disagreements)")
 
 
 # sha256 of the default `qwell scan` output file

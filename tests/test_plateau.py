@@ -27,12 +27,13 @@ from qwell.plateau import (
     PlateauReport,
     _checked_is_zero,
     build_cells,
+    conjugate_report,
     cyclotomic_order,
     detect_plateaux,
-    mirrored_report,
     term_table,
     window_sums,
 )
+from qwell.predictors import galois_links
 from qwell.wavefield import WellParams, density_p, interval_I
 
 GOLDEN_PLATEAUX = [
@@ -478,45 +479,73 @@ def report_facts(report):
     ]
 
 
-def test_the_mirror_of_the_partner_is_the_detector_report():
-    # every a > q/2 on a grid with q = 0, 1, 2 and 3 (mod 4), 2 N lam odd and
-    # not, both regimes: the conjugate of a/q's report is (q - a)/q's, bit for bit
+def test_the_galois_image_of_the_partner_is_the_detector_report():
+    # every configuration the scan's orbit map derives, on a grid with q = 0,
+    # 1, 2 and 3 (mod 4), 2 N lam odd and not, both regimes: the sigma_t image
+    # of its source's report is its own detector report, bit for bit
     seen = set()
     for lam in [Fraction(3, 2), Fraction(5, 2), Fraction(7, 4), Fraction(9, 4),
-                Fraction(4, 3), Fraction(11, 6), Fraction(107, 10)]:
-        for n_state in range(1, 4):
-            for q in range(2, 21):
-                for a in range(q // 2 + 1, q):
-                    if math.gcd(a, q) != 1:
-                        continue
-                    params = WellParams(lam, n_state, Fraction(a, q))
-                    partner = detect_plateaux(WellParams(lam, n_state, Fraction(q - a, q)))
-                    direct = detect_plateaux(params)
-                    assert report_facts(mirrored_report(partner, params)) == report_facts(direct)
-                    drift = 2 * params.n_lam
-                    seen |= {(q % 4, drift.denominator == 1 and drift.numerator % 2 == 1,
-                              iv.vanishing_side) for iv in direct.intervals}
-    assert {(r, True, side) for r in range(4) for side in (SIDE_PLUS, SIDE_MINUS)} <= seen
-    assert {(r, False, SIDE_BOTH) for r in range(4)} <= seen
+                Fraction(4, 3), Fraction(5, 3), Fraction(11, 6), Fraction(107, 10)]:
+        for q in range(2, 17):
+            coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
+            grid = [WellParams(lam, n_state, Fraction(a, q))
+                    for n_state in range(1, 4) for a in coprime]
+            reports = [detect_plateaux(params) for params in grid]
+            w = lam.denominator * q // math.gcd(lam.numerator, q)
+            for target, link in enumerate(galois_links(lam, q, 3)):
+                if link is None:
+                    continue
+                source, t, sign = link
+                derived = conjugate_report(reports[source], grid[target], t, sign)
+                assert report_facts(derived) == report_facts(reports[target])
+                sides = {iv.vanishing_side for iv in reports[target].intervals}
+                seen |= {(q % 4, sign, side) for side in sides}
+                if sides - {SIDE_BOTH}:
+                    if grid[source].n_state != grid[target].n_state:
+                        seen.add("across N")
+                    elif t % math.lcm(q, w) not in (1, math.lcm(q, w) - 1):
+                        seen.add("inside one N, t != +-1")
+                    if q % 2 == 0 and t % 8 in (3, 5):
+                        seen.add("sqrt(2) flips sign")
+    assert {(r, sign, side) for r in range(4) for sign in (1, -1)
+            for side in (SIDE_PLUS, SIDE_MINUS, SIDE_BOTH)} <= seen
+    assert {"across N", "inside one N, t != +-1", "sqrt(2) flips sign"} <= seen
 
 
-def test_a_mirror_needs_the_conjugate_partner():
+def test_a_conjugate_report_needs_a_galois_partner():
     params = WellParams(Fraction(5, 2), 1, Fraction(2, 3))
+    partner = detect_plateaux(WellParams(Fraction(5, 2), 1, Fraction(1, 3)))
+    assert conjugate_report(partner, params, -1, -1).params == params
     for other in [Fraction(2, 3), Fraction(1, 6)]:
-        with pytest.raises(ValueError, match="not the conjugate partner"):
-            mirrored_report(detect_plateaux(WellParams(Fraction(5, 2), 1, other)), params)
-    with pytest.raises(ValueError, match="not the conjugate partner"):
-        mirrored_report(detect_plateaux(WellParams(Fraction(5, 2), 2, Fraction(1, 3))), params)
+        with pytest.raises(ValueError, match="is not the image of"):
+            conjugate_report(detect_plateaux(WellParams(Fraction(5, 2), 1, other)), params, -1, -1)
+    for mate, t, sign in [
+        (WellParams(Fraction(5, 2), 2, Fraction(1, 3)), -1, -1),  # t N != sign N' (mod W)
+        (WellParams(Fraction(7, 2), 1, Fraction(1, 3)), -1, -1),  # another lam
+        (partner.params, -1, 1),   # the wrong sign
+        (partner.params, 7, 1),    # 7 a' != a (mod q)
+        (partner.params, 3, -1),   # not a unit
+        (partner.params, -1, 0),   # not a sign
+    ]:
+        with pytest.raises(ValueError, match="is not the image of"):
+            conjugate_report(detect_plateaux(mate), params, t, sign)
+    with pytest.raises(ValueError, match="is not the image of"):  # a cell left undecided
+        conjugate_report(dataclasses.replace(partner, zero_checks=partner.zero_checks - 2),
+                         params, -1, -1)
 
 
 def test_a_partner_survivor_that_is_not_conjugate_raises():
-    params = WellParams(Fraction(5, 2), 1, Fraction(2, 3))
-    partner = detect_plateaux(WellParams(Fraction(5, 2), 1, Fraction(1, 3)))
-    (iv,) = partner.intervals
-    bent = CycInt(iv.level_exact.order, ((j + 1, c) for j, c in iv.level_exact.terms))
-    broken = dataclasses.replace(partner, intervals=(dataclasses.replace(iv, level_exact=bent),))
-    with pytest.raises(ArithmeticError, match="not the conjugate"):
-        mirrored_report(broken, params)
+    for lam, partner_tau, tau, t, sign in [
+        (Fraction(5, 2), Fraction(1, 3), Fraction(2, 3), -1, -1),  # complex conjugation
+        (Fraction(3, 2), Fraction(1, 9), Fraction(4, 9), 7, 1),    # W = 6, 7 = 1 (mod 6)
+    ]:
+        partner = detect_plateaux(WellParams(lam, 1, partner_tau))
+        iv = partner.intervals[0]
+        bent = CycInt(iv.level_exact.order, ((j + 1, c) for j, c in iv.level_exact.terms))
+        broken = dataclasses.replace(
+            partner, intervals=(dataclasses.replace(iv, level_exact=bent), *partner.intervals[1:]))
+        with pytest.raises(ArithmeticError, match=f"sigma_{t} image"):
+            conjugate_report(broken, WellParams(lam, 1, tau), t, sign)
 
 
 @st.composite

@@ -17,6 +17,7 @@ from qwell.predictors import (
     count_local_maxima,
     doubled_drift_is_odd,
     fragmentation_layout,
+    galois_links,
     has_fragmentation,
     is_critical,
     nonfrag_prediction,
@@ -24,7 +25,7 @@ from qwell.predictors import (
     zero_level_predicted,
 )
 from qwell.rationals import dist_nearest_int
-from qwell.wavefield import WellParams
+from qwell.wavefield import WellParams, fragmentation_threshold
 
 
 def test_has_fragmentation_examples():
@@ -330,7 +331,7 @@ def test_the_pool_gives_the_records_and_bytes_of_the_serial_scan():
     assert _scan_json(pooled, *TINY_SCAN_GRID) == _scan_json(serial, *TINY_SCAN_GRID)
 
 
-def test_a_scan_detects_each_conjugate_pair_once(monkeypatch):
+def test_a_scan_detects_each_galois_orbit_once(monkeypatch):
     detected = []
 
     def detect(params):
@@ -339,7 +340,40 @@ def test_a_scan_detects_each_conjugate_pair_once(monkeypatch):
 
     monkeypatch.setattr(predictors, "detect_plateaux", detect)
     records = conjecture_scan(*TINY_SCAN_GRID, workers=1)
-    assert [p for p in (r.params for r in records) if 2 * p.a <= p.q] == detected
+    links = [link for lam, q in dict.fromkeys((r.lam, r.q) for r in records)
+             for link in galois_links(lam, q, TINY_SCAN_GRID[3])]
+    assert [r.params for r, link in zip(records, links, strict=True) if link is None] == detected
+
+
+@pytest.mark.parametrize("grid,counts", [
+    (TINY_SCAN_GRID, (48, 120)),                   # the benchmark's tiny scan grid
+    ((8, Fraction(5, 4), 20, 3), (528, 1_890)),     # the benchmark's scan grid
+    ((8, Fraction(6), 20, 3), (10_110, 39_138)),    # the default grid
+])
+def test_the_orbit_map_reads_each_configuration_from_an_earlier_representative(grid, counts):
+    # the detector runs fell from one per conjugate pair (a, q - a), 60 of 120,
+    # 945 of 1,890 and 19,569 of 39,138, to one per Galois orbit
+    lambda_dens, lambda_max, q_max, n_max = grid
+    representatives = configurations = 0
+    tasks = [(lam, q) for lam in predictors._lambda_grid(lambda_dens, lambda_max)
+             for q in range(2, q_max + 1) if lam < fragmentation_threshold(q)]
+    for lam, q in tasks:
+        links = galois_links(lam, q, n_max)
+        coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        assert len(links) == n_max * len(coprime)
+        for target, link in enumerate(links):
+            if link is not None:
+                source, t, sign = link
+                assert source < target and links[source] is None
+                (n_source, a_source), (n_target, a_target) = (
+                    divmod(i, len(coprime)) for i in (source, target))
+                w = lam.denominator * q // math.gcd(lam.numerator, q)
+                assert math.gcd(t, math.lcm(q, w)) == 1 and sign in (1, -1)
+                assert t * coprime[a_target] % q == coprime[a_source]
+                assert (t * (n_source + 1) - sign * (n_target + 1)) % w == 0
+        representatives += links.count(None)
+        configurations += len(links)
+    assert (representatives, configurations) == counts
 
 
 def test_scan_lines_equal_json_dumps(monkeypatch):
