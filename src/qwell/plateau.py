@@ -33,13 +33,12 @@ Every term lies in Z[zeta_M], and each automorphism sigma_t: zeta -> zeta^t
 and e(+-N lam k / q) to e(+-t N lam k / q).  Vanishing survives sigma_t, so
 (a, N) and (a', N') have the same plateau intervals whenever t N = +-N'
 (mod W), W = v q / gcd(u, q) for lam = u/v; sign -1 swaps plus and minus.
-conjugate_report reads the report of (a', N') off that of (a, N) and checks
-every survivor exactly: rebuilt from its own exponent rule, it must equal
-zeta^e sigma_t(partner survivor) term for term at M_c = lcm(M, M'), with
-e = j'(k0) M_c / M' - t j(k0) M_c / M + flip (mod M_c) from the two rule
-exponents at the first member k0 of the interval's first cell, and
-flip = M_c / 2 when q is even and t = +-3 (mod 8), where
-sigma_t(sqrt(2)) = -sqrt(2).
+conjugate_report reads the report of (a', N') off that of (a, N) at their
+one shared order M (M reads only q and s = v / gcd(N, v), which sigma_t
+keeps) and checks every survivor exactly: rebuilt from its own exponent
+rule, it must equal zeta_M^e sigma_t(partner survivor), with e from the two
+rule exponents at one member and, for even q, the sign sigma_t puts on
+sqrt(2).
 """
 from __future__ import annotations
 
@@ -52,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .cyclotomic import CycInt, image_root
+from .cyclotomic import CycInt, galois_conjugate, image_root
 from .gauss import coefficient_exponent, contributing
 from .wavefield import WellParams, window
 
@@ -121,7 +120,9 @@ class PlateauReport:
     params: WellParams
     intervals: tuple[PlateauInterval, ...]
     fragmentation: bool
-    zero_checks: int = 0  # exact-vs-float agreements verified while detecting
+    # the cell sides decided, 2 len(build_cells(lam, q)), most by an F_ell image
+    # and its shadow check; a report from conjugate_report copies its partner's
+    zero_checks: int = 0
 
 
 def _window_at(num: int, den: int, lam: Fraction, q: int) -> range:
@@ -382,9 +383,6 @@ def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
     return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
 
 
-_SWAPPED_SIDE = {SIDE_PLUS: SIDE_MINUS, SIDE_MINUS: SIDE_PLUS, SIDE_BOTH: SIDE_BOTH}
-
-
 def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
                      sign: int) -> PlateauReport:
     """The report of params read off the report of its Galois partner through
@@ -397,6 +395,8 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     the partner's report must have decided both sides of every cell of
     build_cells(lam, q).  Else this raises ValueError.
 
+    Both share the cyclotomic order M: it reads only q and s = v / gcd(N, v),
+    and as v | W and t is a unit mod v, gcd(N', v) = gcd(t N, v) = gcd(N, v).
     sigma_t maps c_a(k) to a constant unit times c_{a'}(k) (for even q, the
     lifted inverse of a t^-1 differs from t inv(a) by a multiple of q, which
     moves q k^2 / (4q) by a constant on the contributing k) and
@@ -405,17 +405,16 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     S_mp(a', N') for sign -1: the same cells qualify, the same survivors
     merge, and the intervals, kinds, zero_checks (the cell sides decided,
     here through the partner) and fragmentation are the partner's, with plus
-    and minus swapped for sign -1.  A zero-level interval gets the zero at
-    this configuration's order M'.
+    and minus swapped for sign -1.  A zero-level interval is copied as it is.
 
     Each survivor is rebuilt from its own exponent rule on the interval's
-    first cell and must equal zeta^e sigma_t(partner survivor) term for term
-    at M_c = lcm(M, M'), else this raises ArithmeticError, with
+    first cell and must equal zeta_M^e galois_conjugate(partner survivor, t)
+    as a CycInt, order and terms, else this raises ArithmeticError, with
 
-        e = j'(k0) M_c / M' - t j(k0) M_c / M + flip  (mod M_c),
+        e = j'(k0) - t j(k0) + flip  (mod M),
 
     j and j' the partner's and this configuration's rule exponents of the
-    surviving sides at the cell's first member k0, and flip = M_c / 2 when q
+    surviving sides at the cell's first member k0, and flip = M / 2 when q
     is even and t = +-3 (mod 8), where sigma_t(sqrt(2)) = -sqrt(2).  Its
     level comes from the rebuilt survivor, as detect_plateaux(params)
     computes it.
@@ -430,30 +429,25 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
         raise ValueError(f"{mate} is not the image of {params} under sigma_{t}, sign {sign}")
     if not partner.intervals:
         return PlateauReport(params, (), partner.fragmentation, partner.zero_checks)
-    order, mate_order = cyclotomic_order(params), cyclotomic_order(mate)
-    lift = math.lcm(order, mate_order)
-    rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, mate_order)
+    order = cyclotomic_order(params)
+    rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, order)
     a_own, b_own = rule
-    scale, mate_scale = lift // order, lift // mate_order
-    flip = lift // 2 if q % 2 == 0 and t % 8 in (3, 5) else 0
+    flip = order // 2 if q % 2 == 0 and t % 8 in (3, 5) else 0
     den = 2 * lam.numerator * q
     intervals = []
     for iv in partner.intervals:
-        if iv.vanishing_side == SIDE_BOTH:
-            iv = replace(iv, level_exact=CycInt.zero(order))
-        else:
+        if iv.vanishing_side != SIDE_BOTH:
             x0 = iv.lo.numerator * den // iv.lo.denominator
             cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
             mate_sign = -1 if iv.vanishing_side == SIDE_PLUS else 1  # the surviving side
             own_sign, k0 = sign * mate_sign, cell.members[0]
             survivor = _side_sum(cell.members, order, rule, own_sign, q)
-            e = ((a_own * k0 + own_sign * b_own) * k0 * scale
-                 - t * (a_mate * k0 + mate_sign * b_mate) * k0 * mate_scale + flip)
-            image = CycInt(lift, ((t * j * mate_scale + e, c) for j, c in iv.level_exact.terms))
-            if CycInt(lift, ((j * scale, c) for j, c in survivor.terms)).terms != image.terms:
+            e = ((a_own * k0 + own_sign * b_own) * k0
+                 - t * (a_mate * k0 + mate_sign * b_mate) * k0 + flip)
+            if survivor != CycInt.root(order, e) * galois_conjugate(iv.level_exact, t):
                 raise ArithmeticError(f"the survivor of {params} on {cell} is not a unit times"
                                       f" the sigma_{t} image of its partner's")
-            side = iv.vanishing_side if sign == 1 else _SWAPPED_SIDE[iv.vanishing_side]
+            side = SIDE_PLUS if own_sign == -1 else SIDE_MINUS
             iv = replace(iv, level=_level(iv.kind, survivor, params), level_exact=survivor,
                          vanishing_side=side)
         intervals.append(iv)

@@ -21,9 +21,10 @@ plus and minus swapped for sign -1.  galois_links walks the task's grid and
 picks the first configuration of each orbit as its representative, which
 is detected; every other record is read from its representative's report
 through sigma_t (plateau.conjugate_report), each survivor rebuilt from its
-own exponent rule and checked term for term against zeta^e times the image
-of its partner's, e fixed by the rule exponents at one member and by the
-sign sigma_t puts on sqrt(2) for even q.  Complex conjugation, t = -1 with
+own exponent rule and checked term for term against zeta_M^e times the
+image of its partner's at the one order M the two share (M reads only q and
+s = v / gcd(N, v), which sigma_t keeps), e fixed by the rule exponents at
+one member and by the sign sigma_t puts on sqrt(2) for even q.  Complex conjugation, t = -1 with
 sign -1, pairs a with q - a.  A derived record's zero_checks counts the cell
 sides decided through its representative.
 

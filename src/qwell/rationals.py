@@ -24,7 +24,6 @@ def mod_inverse(a: int, q: int) -> int:
 
 def dist_nearest_int(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, always in [0, 1/2]."""
-    x = Fraction(x)
     frac = x - math.floor(x)
     return min(frac, 1 - frac)
 
@@ -43,5 +42,4 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Serialize as "num/den" (never a float), e.g. Fraction(2, 15) -> "2/15"."""
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"

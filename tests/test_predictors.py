@@ -371,6 +371,9 @@ def test_the_orbit_map_reads_each_configuration_from_an_earlier_representative(g
                 assert math.gcd(t, math.lcm(q, w)) == 1 and sign in (1, -1)
                 assert t * coprime[a_target] % q == coprime[a_source]
                 assert (t * (n_source + 1) - sign * (n_target + 1)) % w == 0
+                # so both share s = v / gcd(N, v) and the cyclotomic order M
+                v = lam.denominator
+                assert math.gcd(n_source + 1, v) == math.gcd(n_target + 1, v)
         representatives += links.count(None)
         configurations += len(links)
     assert (representatives, configurations) == counts
