@@ -28,17 +28,8 @@ test.  Every verdict is cross-checked against the float shadow, read in
 O(1) as well, and a disagreement raises, so the detector is linear in the
 number of cells and terms.
 
-Every term lies in Z[zeta_M], and each automorphism sigma_t: zeta -> zeta^t
-(gcd(t, M) = 1) maps c_a(k) to a unit times c_{a'}(k), a' = a t^-1 (mod q),
-and e(+-N lam k / q) to e(+-t N lam k / q).  Vanishing survives sigma_t, so
-(a, N) and (a', N') have the same plateau intervals whenever t N = +-N'
-(mod W), W = v q / gcd(u, q) for lam = u/v; sign -1 swaps plus and minus.
-conjugate_report reads the report of (a', N') off that of (a, N) at their
-one shared order M (M reads only q and s = v / gcd(N, v), which sigma_t
-keeps) and checks every survivor exactly: rebuilt from its own exponent
-rule, it must equal zeta_M^e sigma_t(partner survivor), with e from the two
-rule exponents at one member and, for even q, the sign sigma_t puts on
-sqrt(2).
+conjugate_report reads a report off its Galois partner's through
+sigma_t: zeta -> zeta^t, and states the orbit identity.
 """
 from __future__ import annotations
 
@@ -406,6 +397,7 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     merge, and the intervals, kinds, zero_checks (the cell sides decided,
     here through the partner) and fragmentation are the partner's, with plus
     and minus swapped for sign -1.  A zero-level interval is copied as it is.
+    Complex conjugation, t = -1 with sign -1, pairs a with q - a.
 
     Each survivor is rebuilt from its own exponent rule on the interval's
     first cell and must equal zeta_M^e galois_conjugate(partner survivor, t)

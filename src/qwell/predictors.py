@@ -10,23 +10,8 @@ detector on every non-fragmentation configuration and records any
 disagreement with the predicted picture verbatim: a disagreement is data,
 not an error.
 
-The scan runs the detector once per Galois orbit of each (lam, q) task.  An
-automorphism sigma_t: zeta -> zeta^t maps c_a(k) to a unit times
-c_{a t^-1}(k) and e(N lam k / q) to e(t N lam k / q), so
-
-    sigma_t(S_pm(a, N)) = zeta^e S_(pm sign)(a t^-1, N')   if t N = sign N' (mod W),
-
-W = v q / gcd(u, q) for lam = u/v, sign +-1, on every cell: the same cells vanish, with
-plus and minus swapped for sign -1.  galois_links walks the task's grid and
-picks the first configuration of each orbit as its representative, which
-is detected; every other record is read from its representative's report
-through sigma_t (plateau.conjugate_report), each survivor rebuilt from its
-own exponent rule and checked term for term against zeta_M^e times the
-image of its partner's at the one order M the two share (M reads only q and
-s = v / gcd(N, v), which sigma_t keeps), e fixed by the rule exponents at
-one member and by the sign sigma_t puts on sqrt(2) for even q.  Complex conjugation, t = -1 with
-sign -1, pairs a with q - a.  A derived record's zero_checks counts the cell
-sides decided through its representative.
+The scan runs the detector once per Galois orbit of each (lam, q) task
+(galois_links; the identity is stated at plateau.conjugate_report).
 
 A scan record is its JSON line, rendered in the pool worker that ran the
 detector; the pool ships builtins only, and detect_plateaux(record.params)
@@ -117,9 +102,10 @@ def doubled_drift_is_odd(params: WellParams) -> bool:
 
 
 def zero_level_predicted(params: WellParams) -> bool:
-    """Whether q divides 4 N lam (which is then an integer)."""
-    x = 4 * params.n_lam
-    return x.denominator == 1 and x.numerator % params.q == 0
+    """Whether q divides 4 N lam (which is then an integer): with lam = u/v in
+    lowest terms, whether v q divides 4 N u."""
+    num, den = 4 * params.n_state * params.lam.numerator, params.lam.denominator
+    return num % (den * params.q) == 0
 
 
 def fragmentation_layout(params: WellParams) -> FragmentationLayout:
@@ -129,7 +115,7 @@ def fragmentation_layout(params: WellParams) -> FragmentationLayout:
     the center 1/2 (odd q) and the center 0 (q = 2 mod 4) are halved."""
     if not has_fragmentation(params):
         raise ValueError("layout requires the fragmentation regime")
-    q, p = params.q, int(params.threshold)
+    q, p = params.q, params.threshold
     case = CASE_ODD if q % 2 else CASE_MOD4 if q % 4 == 0 else CASE_MOD4_PLUS2
     half = Fraction(1, 2)
     radius = Fraction(1, 2 * p) - 1 / (2 * params.lam)
@@ -167,7 +153,7 @@ def peak_count(params: WellParams) -> int:
     """Total density peaks on [0, 1/2] in the fragmentation regime: p N."""
     if not has_fragmentation(params):
         raise ValueError("peak count applies to the fragmentation regime")
-    return int(params.threshold) * params.n_state
+    return params.threshold * params.n_state
 
 
 def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
@@ -210,12 +196,13 @@ def _interval_json(interval) -> dict:
     }
 
 
-def _check_record(params: WellParams, report: PlateauReport) -> str:
-    """The note of one configuration: the first of existence, uniqueness,
-    interval and kind on which the report contradicts the prediction, or ""."""
+def _check_record(params: WellParams, report: PlateauReport, exists: bool) -> str:
+    """The note of one configuration whose predicted existence is exists: the
+    first of existence, uniqueness, interval and kind on which the report
+    contradicts the prediction, or ""."""
     n_found = len(report.intervals)
     note = ""
-    if not doubled_drift_is_odd(params):
+    if not exists:
         if n_found:
             note = f"no plateau predicted but {n_found} detected"
     elif n_found != 1:
@@ -234,9 +221,10 @@ def _check_record(params: WellParams, report: PlateauReport) -> str:
 def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str, int, str]:
     """(n_state, a, note, zero_checks, line) of one configuration: builtins
     only, so that the pool pickles no Fraction or report."""
-    note = _check_record(params, report)
+    exists = doubled_drift_is_odd(params)
+    note = _check_record(params, report, exists)
     out = _params_json(params) | {
-        "predicted_exists": doubled_drift_is_odd(params), "consistent": not note,
+        "predicted_exists": exists, "consistent": not note,
         "intervals": [_interval_json(iv) for iv in report.intervals],
         "zero_checks": report.zero_checks}
     if note:
@@ -252,10 +240,9 @@ def galois_links(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int]
     (source, t, sign) for a configuration read from the report at grid
     position source through sigma_t (plateau.conjugate_report).
 
-    With lam = u/v, W = v q / gcd(u, q) and L = lcm(q, W), each t coprime to
-    L is a unit modulo every order of the task (their primes divide 2 q v,
-    and 2 divides L whenever it divides an order), and sigma_t sends (a, N)
-    to (a t^-1 mod q, N') for every N' with t N = +-N' (mod W).  The t are
+    The links are those conjugate_report accepts, (a, N) to (a t^-1 mod q, N')
+    with t coprime to lcm(q, W), W = v q / gcd(u, q) for lam = u/v, and
+    t N = +-N' (mod W).  The t are
     bucketed per N by t N mod W; the first configuration in grid order not
     yet reached is a representative, and every configuration its buckets
     send it to with N' >= N is read from it, unless an earlier

@@ -67,7 +67,7 @@ class WellParams:
         return self.n_lam.denominator
 
     @property
-    def threshold(self) -> Fraction:
+    def threshold(self) -> int:
         return fragmentation_threshold(self.q)
 
 
@@ -85,9 +85,9 @@ PANELS: dict[str, tuple[Fraction, int, Fraction]] = {
 }
 
 
-def fragmentation_threshold(q: int) -> Fraction:
+def fragmentation_threshold(q: int) -> int:
     """Fragmentation threshold for lam: q for odd q, q/2 for even q."""
-    return Fraction(q) if q % 2 else Fraction(q, 2)
+    return q if q % 2 else q // 2
 
 
 def initial_g(x, lam, n_state: int) -> float:

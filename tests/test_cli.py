@@ -159,6 +159,16 @@ def test_the_cli_starts_without_the_process_pool():
     assert done.stdout.strip() == "False"
 
 
+def test_importing_qwell_loads_none_of_its_modules():
+    # each name is imported from the module that defines it; the package
+    # itself re-exports nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    probe = "import sys, qwell; print(sorted(m for m in sys.modules if m.startswith('qwell.')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_density_loads_numpy_and_writes_the_same_bytes(tmp_path):
     argv = ["density", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--samples", "64",
             "--out", "svg", "--output"]

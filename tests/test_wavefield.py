@@ -62,8 +62,9 @@ def test_well_params_validation():
         WellParams(Fraction(5, 2), 1, Fraction(-1, 3))
     p = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
     assert (p.a, p.q, p.s) == (13, 18, 2)
-    assert p.threshold == Fraction(9)
-    assert WellParams(Fraction(5, 2), 1, Fraction(1, 3)).threshold == 3
+    assert p.threshold == 9 and type(p.threshold) is int
+    odd = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    assert odd.threshold == 3 and type(odd.threshold) is int
 
 
 def test_n_lam_is_computed_once_and_params_compare_as_before():
