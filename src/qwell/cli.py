@@ -17,13 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
-from .plateau import PlateauReport, detect_plateaux
+from .plateau import detect_plateaux
 from .predictors import (
     MAX_SCAN_CONFIGS,
     ScanRecord,
     _LINE_ENCODER,
-    _interval_json,
     _params_json,
+    _report_json,
     _round12,
     conjecture_scan,
     fragmentation_layout,
@@ -89,14 +89,6 @@ def _bounded_params_from(args) -> WellParams:
     return params
 
 
-def _report_json(report: PlateauReport) -> dict:
-    out = _params_json(report.params)
-    out["fragmentation"] = report.fragmentation
-    out["intervals"] = [_interval_json(iv) for iv in report.intervals]
-    out["zero_checks"] = report.zero_checks
-    return out
-
-
 def _write_text(path: str | None, content: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(content)
@@ -119,7 +111,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_plateaux(args) -> int:
     report = detect_plateaux(_bounded_params_from(args))
-    _write_text(args.output, _dump(_report_json(report)))
+    _write_text(args.output, _dump(_report_json(report) | {"fragmentation": report.fragmentation}))
     return 0
 
 

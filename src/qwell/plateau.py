@@ -116,11 +116,6 @@ class PlateauReport:
     zero_checks: int = 0
 
 
-def _window_at(num: int, den: int, lam: Fraction, q: int) -> range:
-    """Contributing integers of the window at x = num/den, exactly."""
-    return contributing(window(num, den, lam, q), q)
-
-
 def _contributing_ks(lam: Fraction, q: int) -> range:
     """The contributing k whose window meets [0, 1/2]."""
     return contributing(range(window(0, 1, lam, q).start, window(1, 2, lam, q).stop), q)
@@ -147,7 +142,7 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     cells = []
     for x0, x1 in zip(bounds, bounds[1:]):
         cell = Cell(x0, x1, ks[bisect_left(upper, x1):bisect_right(lower, x0)])
-        if _window_at(x0 + x1, 2 * den, lam, q) != cell.members:
+        if contributing(window(x0 + x1, 2 * den, lam, q), q) != cell.members:
             raise ValueError(
                 f"corrupt cell ({Fraction(x0, den)}, {Fraction(x1, den)}):"
                 " window membership is not constant"
@@ -265,21 +260,14 @@ def _side_sum(members: range, order: int, rule: tuple[int, int], sign: int, q: i
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
     zeta_M^(A k^2 +- B k) of the exponent rule of the term table over the
-    cell's members, times sqrt(2) = zeta_8 + zeta_8^-1 for even q; lam, q and
-    the params come from the table.  The members are first checked against
-    the window at the cell's midpoint (x0 + x1) / (4uq), on integers, and the
-    float shadow of each assembled sum is compared against the cell's shadow
-    in the table, its plus or mirrored slice, read in O(1).
+    cell's members, times sqrt(2) = zeta_8 + zeta_8^-1 for even q; q and the
+    params come from the table.  The cell comes from build_cells, which
+    checked its members against the window at its midpoint; the float shadow
+    of each assembled sum is compared against the cell's shadow in the table,
+    its plus or mirrored slice, read in O(1).
     """
     params = terms.params
-    lam, q = params.lam, params.q
-    den = 2 * lam.numerator * q
-    if not 0 <= cell.x0 + cell.x1 <= den or (
-        _window_at(cell.x0 + cell.x1, 2 * den, lam, q) != cell.members
-    ):
-        raise ValueError(
-            f"corrupt cell {cell}: outside [0, 1/2] or members do not match its midpoint window"
-        )
+    q = params.q
     s_re, s_im = terms.shadows
     weight = 1.0 if q % 2 else math.sqrt(2.0)
     sums = []

@@ -196,6 +196,14 @@ def _interval_json(interval) -> dict:
     }
 
 
+def _report_json(report: PlateauReport) -> dict:
+    """The params, intervals and zero_checks of a report, as plateaux and a scan
+    record both print them."""
+    return _params_json(report.params) | {
+        "intervals": [_interval_json(iv) for iv in report.intervals],
+        "zero_checks": report.zero_checks}
+
+
 def _check_record(params: WellParams, report: PlateauReport, exists: bool) -> str:
     """The note of one configuration whose predicted existence is exists: the
     first of existence, uniqueness, interval and kind on which the report
@@ -223,10 +231,8 @@ def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str,
     only, so that the pool pickles no Fraction or report."""
     exists = doubled_drift_is_odd(params)
     note = _check_record(params, report, exists)
-    out = _params_json(params) | {
-        "predicted_exists": exists, "consistent": not note,
-        "intervals": [_interval_json(iv) for iv in report.intervals],
-        "zero_checks": report.zero_checks}
+    out = _report_json(report)
+    out["predicted_exists"], out["consistent"] = exists, not note
     if note:
         out["note"] = note
     line = _LINE_ENCODER.encode(out)

@@ -1,5 +1,5 @@
-"""Exact rational helpers: modular inverses, the distance-to-the-nearest-
-integer map, and exact parsing and printing of rationals.
+"""Exact rational helpers: the distance-to-the-nearest-integer map, and
+exact parsing and printing of rationals.
 
 Reduced fractions are `fractions.Fraction` throughout (arbitrary precision,
 auto-reduced, positive denominator).
@@ -8,18 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-def mod_inverse(a: int, q: int) -> int:
-    """Inverse of a modulo q, in [1, q) for q > 1 and 0 for q == 1.
-
-    Raises ValueError when gcd(a, q) != 1.
-    """
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    try:
-        return pow(a, -1, q)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {q}") from None
 
 
 def dist_nearest_int(x: Fraction) -> Fraction:

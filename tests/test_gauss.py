@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qwell.gauss import (
     coefficient_c,
+    coefficient_exponent,
     factorization_residual,
     gauss_abs_sq,
     gauss_sum_direct,
@@ -84,6 +85,17 @@ def test_coefficient_matches_the_closed_form():
                     expected = cmath.exp(2j * cmath.pi * float(x))
                     expected = expected if q % 2 else expected * math.sqrt(2.0)
                 assert coefficient_c(a, q, k) == expected, (a, q, k)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 500))
+def test_coefficient_exponent_inverts_4a_mod_odd_q_and_a_mod_even_q(a, q):
+    assume(math.gcd(a, q) == 1)
+    inv, modulus = coefficient_exponent(a, q)
+    assert 0 <= inv < q
+    if q % 2:
+        assert modulus == q and (inv * 4 * a - 1) % q == 0
+    else:
+        assert modulus == 4 * q and (inv * a - 1) % q == 0
 
 
 @given(st.integers(-30, 30), st.integers(1, 30), st.integers(-100, 100))

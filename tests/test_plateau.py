@@ -22,7 +22,6 @@ from qwell.plateau import (
     SIDE_MINUS,
     SIDE_PLUS,
     ZERO_LEVEL,
-    Cell,
     PlateauInterval,
     PlateauReport,
     _checked_is_zero,
@@ -154,16 +153,22 @@ def test_cells_where_one_k_leaves_as_another_enters():
     assert [(c.x0, c.x1, tuple(c.members)) for c in cells] == [(0, 6, (-1, 1)), (6, 18, (1, 3))]
 
 
-def test_window_sums_rejects_members_off_the_midpoint_window():
-    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    cell = build_cells(p.lam, p.q)[1]
-    assert tuple(cell.members) == (0, 1)
-    terms = term_table(p)
-    with pytest.raises(ValueError, match="midpoint window"):
-        window_sums(dataclasses.replace(cell, members=range(0, 1)), terms)
-    outside = Cell(60, 90, cell.members)  # (2, 3) on the lattice 1/30
-    with pytest.raises(ValueError, match="outside"):
-        window_sums(outside, terms)
+def test_window_sums_only_sees_the_checked_cells_of_build_cells(monkeypatch):
+    # window_sums makes no membership check of its own: it relies on getting
+    # the very cells that build_cells checked against the midpoint window
+    seen = []
+
+    def recording(cell, terms):
+        seen.append(cell)
+        return window_sums(cell, terms)
+
+    monkeypatch.setattr(plateau, "window_sums", recording)
+    for lam, n_state, tau, *_ in GOLDEN_PLATEAUX:
+        seen.clear()
+        p = WellParams(lam, n_state, tau)
+        detect_plateaux(p)
+        cells = build_cells(p.lam, p.q)  # the cached tuple the detector walked
+        assert seen and all(any(cell is c for c in cells) for cell in seen)
 
 
 def test_window_sums_check_the_cell_shadow_of_the_term_table():
