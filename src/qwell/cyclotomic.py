@@ -9,7 +9,9 @@ vanishing sums of roots of unity, Lam and Leung, J. Algebra 224, 2000).  The
 cyclotomic polynomials and the remainder modulo them (`reduced`) are kept as
 a canonical form and as an independent oracle for that test.  `image_root`
 gives a ring map Z[zeta_M] -> F_ell into a prime field, under which a nonzero
-image certifies a nonzero element.  sqrt(2) is representable as
+image certifies a nonzero element; ell lies just above 2^29, so it fits one
+30-bit CPython digit, and a false zero image (a chance of about 2^-29 per
+nonzero element) only costs one exact test.  sqrt(2) is representable as
 zeta_8 + zeta_8^7, so any order divisible by 8 also houses the
 sqrt(2)-weighted terms that show up in even-denominator Gauss coefficients.
 """
@@ -159,16 +161,21 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=1024)
 def image_root(order: int) -> tuple[int, int]:
-    """(ell, r): the least prime ell > 2^61 with ell = 1 (mod order), and
+    """(ell, r): the least prime ell > 2^29 with ell = 1 (mod order), and
     r = g^((ell - 1) / order) mod ell for the least g >= 2 that makes the
     multiplicative order of r exactly `order`.
 
     Then Phi_order(r) = 0 (mod ell), so zeta_order -> r is a ring
     homomorphism Z[zeta_order] -> F_ell: an element whose image is nonzero is
     nonzero.  A zero image proves nothing (a nonzero element maps to 0 with a
-    chance of about 1/ell), so vanishing is still decided by `is_zero`.
+    chance of about 1/ell, about 2^-29), so vanishing is still decided by
+    `is_zero`: a false zero image costs one exact test and never changes a
+    verdict.  The floor is 2^29, not higher, because then ell < 2^30 is one
+    30-bit CPython digit, as are the images and the factors of each product
+    mod ell, for every order of the default scan and of large-q runs such
+    as q = 199999 (the largest ell there is 538,397,309).
     """
-    ell = ((1 << 61) // order + 1) * order + 1
+    ell = ((1 << 29) // order + 1) * order + 1
     while not _is_prime(ell):
         ell += order
     primes = _prime_factors(order)

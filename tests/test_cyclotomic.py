@@ -292,8 +292,10 @@ IMAGE_ORDERS = [
 @pytest.mark.parametrize("m", sorted({1, *ORACLE_ORDERS, *IMAGE_ORDERS}))
 def test_image_root_has_exact_order(m):
     ell, r = image_root(m)
-    assert sympy.isprime(ell) and 2**61 < ell < 2**62
+    assert sympy.isprime(ell) and 2**29 < ell < 2**30
     assert (ell - 1) % m == 0
+    # the least such prime: no m j + 1 between 2^29 and ell is prime
+    assert not any(sympy.isprime(n) for n in range(ell - m, 2**29, -m))
     assert pow(r, m, ell) == 1
     assert all(pow(r, m // p, ell) != 1 for p in sympy.primefactors(m))
     # hence r is a root of Phi_m mod ell

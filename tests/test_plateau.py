@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwell import cyclotomic, plateau
+from qwell import cyclotomic, plateau, predictors
 from qwell.cyclotomic import CycInt, galois_conjugate
 from qwell.gauss import coefficient_c
 from qwell.plateau import (
@@ -33,7 +33,7 @@ from qwell.plateau import (
     window_sums,
 )
 from qwell.predictors import galois_links
-from qwell.wavefield import WellParams, density_p, interval_I
+from qwell.wavefield import WellParams, density_p, fragmentation_threshold, interval_I
 
 GOLDEN_PLATEAUX = [
     (Fraction(5, 2), 1, Fraction(1, 3), Fraction(2, 15), Fraction(1, 5), POSITIVE_LEVEL),
@@ -759,6 +759,41 @@ def test_sqrt2_image_is_a_unit_of_square_2():
         ell, root = cyclotomic.image_root(order)
         t = pow(root, order // 8, ell) + pow(root, -order // 8, ell)
         assert t * t % ell == 2
+
+
+def test_image_primes_fit_one_cpython_digit():
+    """ell < 2^30, one 30-bit CPython digit, for every order of the default
+    scan grid (lambda = u/v with v <= 8 up to 6, q <= 20, N <= 3; the order
+    does not depend on a) and of plateaux --lambda 5/2 --N 1 --tau 1/q at
+    large q, so the image arithmetic mod ell stays on one-digit ints."""
+    orders = {
+        cyclotomic_order(WellParams(lam, n_state, Fraction(1, q)))
+        for lam in predictors._lambda_grid(8, Fraction(6))
+        for q in range(2, 21) if lam < fragmentation_threshold(q)
+        for n_state in (1, 2, 3)
+    }
+    orders |= {cyclotomic_order(WellParams(Fraction(5, 2), 1, Fraction(1, q)))
+               for q in (10001, 20001, 199999)}
+    assert len(orders) > 80
+    assert all(cyclotomic.image_root(order)[0] < 2**30 for order in orders)
+
+
+def test_every_vanishing_image_is_an_exact_zero(monkeypatch):
+    """A nonzero sum whose image in F_ell vanishes would send its side to
+    the exact test, which would answer False.  On the oracle cases, the
+    golden plateaux among them, no side does: the exact path sees only true
+    zeros."""
+    checked_is_zero = plateau._checked_is_zero
+    verdicts = []
+
+    def recording(z, params, cell):
+        verdicts.append(checked_is_zero(z, params, cell))
+        return verdicts[-1]
+
+    monkeypatch.setattr(plateau, "_checked_is_zero", recording)
+    for case in ORACLE_CASES:
+        detect_plateaux(WellParams(*case))
+    assert verdicts and all(verdicts)
 
 
 def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
