@@ -9,7 +9,6 @@ call `PyOS_double_to_string`, so the bytes are the same.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 # whoever imports this module renders a density, which needs numpy
 import numpy as np
@@ -18,21 +17,17 @@ from .plateau import PlateauReport, detect_plateaux
 from .wavefield import PANELS, WellParams, density_p
 
 
-def panel_params(panel: str) -> WellParams:
-    lam, n_state, tau = PANELS[panel]
-    return WellParams(lam, n_state, tau)
-
-
-def density_samples(params: WellParams, samples: int) -> list[tuple[float, float]]:
+def density_samples(params: WellParams, samples: int) -> np.ndarray:
     """Density on a half-step offset grid over [0, 1/2], away from the exact
-    singular points; the CLI refuses fewer than 2 samples."""
+    singular points, as a C-contiguous (samples, 2) float64 array whose row i
+    is (x_i, p_i); the CLI refuses fewer than 2 samples."""
     xs = (np.arange(samples) + 0.5) * (0.5 / samples)
-    return list(zip(xs.tolist(), density_p(xs, params).tolist()))
+    return np.column_stack((xs, density_p(xs, params)))
 
 
-def render_csv(rows: list[tuple[float, float]]) -> str:
+def render_csv(rows: np.ndarray) -> str:
     """`x,p`, then one `%.12g,%.12g` line per row, in one printf pass."""
-    return "x,p\n" + ("%.12g,%.12g\n" * len(rows)) % tuple(chain.from_iterable(rows))
+    return "x,p\n" + ("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 _VIEW_W, _VIEW_H = 640, 360
@@ -41,14 +36,15 @@ _ML, _MR, _MT, _MB = 46, 12, 12, 30
 _SVG_CHUNK = 1 << 16
 
 
-def render_svg(rows: list[tuple[float, float]], report: PlateauReport) -> str:
+def render_svg(rows: np.ndarray, report: PlateauReport) -> str:
     """Self-contained SVG: density polyline, solid plateau center lines,
     dashed boundary lines (boundaries on 0 or 1/2 are skipped).  The polyline
     maps numpy columns with the scalar operations in order (same IEEE doubles)
     and prints them in chunks of _SVG_CHUNK rows."""
     w = _VIEW_W - _ML - _MR
     h = _VIEW_H - _MT - _MB
-    y_max = max((p for _, p in rows), default=1.0)
+    xs, ps = rows.T
+    y_max = float(ps.max()) if len(ps) else 1.0
     y_max = y_max * 1.05 if y_max > 0 else 1.0
 
     def px(x: float) -> float:
@@ -76,7 +72,6 @@ def render_svg(rows: list[tuple[float, float]], report: PlateauReport) -> str:
                 f'stroke="black" stroke-width="1" stroke-dasharray="6 4">'
                 f'<title>boundary {edge.numerator}/{edge.denominator}</title></line>'
             )
-    xs, ps = np.fromiter(chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2).T
     xys = np.column_stack((_ML + xs / 0.5 * w, _MT + h - ps / y_max * h)).ravel()
     step = 2 * _SVG_CHUNK
     points = " ".join(
@@ -106,7 +101,7 @@ def render_svg(rows: list[tuple[float, float]], report: PlateauReport) -> str:
 
 def render_panel(panel: str, samples: int = 2000) -> tuple[str, str]:
     """CSV and SVG content for one reference panel."""
-    params = panel_params(panel)
+    params = WellParams(*PANELS[panel])
     report = detect_plateaux(params)
     rows = density_samples(params, samples)
     return render_csv(rows), render_svg(rows, report)

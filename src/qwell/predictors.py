@@ -30,7 +30,7 @@ from .cyclotomic import image_root
 from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, conjugate_report,
                       cyclotomic_order, detect_plateaux)
 from .rationals import dist_nearest_int, format_rational
-from .wavefield import WellParams, density_p, fragmentation_threshold
+from .wavefield import WellParams, fragmentation_threshold
 
 # one encoder renders every scan record line, as json.dumps would with these options
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -157,11 +157,15 @@ def peak_count(params: WellParams) -> int:
 
 
 def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
-    """Strict local maxima of the density on an offset grid over [0, 1/2];
-    the numeric cross-check for peak_count."""
+    """Local maxima of the density on the grid of figures.density_samples,
+    the numeric cross-check for peak_count.  Each run of equal samples counts
+    as one sample, so a peak whose two nearest samples tie is counted once."""
     import numpy as np
 
-    ps = density_p((np.arange(samples) + 0.5) / (2.0 * samples), params)
+    from .figures import density_samples
+
+    ps = density_samples(params, samples)[:, 1]
+    ps = ps[np.r_[True, ps[1:] != ps[:-1]]]
     return int(np.count_nonzero((ps[:-2] < ps[1:-1]) & (ps[1:-1] > ps[2:])))
 
 

@@ -2,6 +2,7 @@
 replaced, which are kept here as the byte oracle."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qwell import figures
 from qwell.figures import _MB, _ML, _MR, _MT, _VIEW_H, _VIEW_W
 from qwell.plateau import PlateauReport, detect_plateaux
+from qwell.wavefield import PANELS, WellParams
 
 
 def oracle_csv(rows):
@@ -73,12 +75,16 @@ def oracle_svg(rows, report):
     return "\n".join(parts) + "\n"
 
 
+def as_array(rows):
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
 def assert_same_bytes(rows, report):
-    assert figures.render_csv(rows) == oracle_csv(rows)
-    assert figures.render_svg(rows, report) == oracle_svg(rows, report)
+    assert figures.render_csv(as_array(rows)) == oracle_csv(rows)
+    assert figures.render_svg(as_array(rows), report) == oracle_svg(rows, report)
 
 
-REPORTS = {panel: detect_plateaux(figures.panel_params(panel)) for panel in ("plat-a", "frag-a", "zero-b")}
+REPORTS = {panel: detect_plateaux(WellParams(*PANELS[panel])) for panel in ("plat-a", "frag-a", "zero-b")}
 XS = st.floats(min_value=0.0, max_value=0.5)
 PS = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e300))
 
@@ -94,7 +100,15 @@ def test_renderers_match_the_f_string_oracle_on_any_rows(rows, panel):
 def test_renderers_match_the_f_string_oracle_on_panels(panel, samples):
     report = REPORTS[panel]
     assert report.intervals
-    assert_same_bytes(figures.density_samples(report.params, samples), report)
+    assert_same_bytes(figures.density_samples(report.params, samples).tolist(), report)
+
+
+def test_density_samples_are_one_float64_array_of_x_p_rows():
+    params = REPORTS["frag-a"].params
+    rows = figures.density_samples(params, 37)
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (37, 2) and rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows[:, 0].tolist() == [(i + 0.5) * (0.5 / 37) for i in range(37)]
 
 
 def test_polyline_keeps_the_scalar_order_of_operations():
@@ -102,7 +116,7 @@ def test_polyline_keeps_the_scalar_order_of_operations():
     # and p * (h / y_max) round them to the other side of the .xx5 boundary
     rows = [(0.0, 1.0), (0.25, 0.09970047169811327), (0.375, 0.09847877358490571)]
     assert_same_bytes(rows, REPORTS["plat-a"])
-    assert "337.00,299.80 482.50,300.17" in figures.render_svg(rows, REPORTS["plat-a"])
+    assert "337.00,299.80 482.50,300.17" in figures.render_svg(as_array(rows), REPORTS["plat-a"])
 
 
 def test_polyline_chunks_match_the_per_row_format():
@@ -115,14 +129,14 @@ def test_polyline_chunks_match_the_per_row_format():
 def test_all_zero_density_falls_back_to_unit_y_max():
     rows = [(0.125, 0.0), (0.25, 0.0), (0.375, 0.0)]
     assert_same_bytes(rows, REPORTS["plat-a"])
-    assert 'font-family="sans-serif">1</text>' in figures.render_svg(rows, REPORTS["plat-a"])
+    assert 'font-family="sans-serif">1</text>' in figures.render_svg(as_array(rows), REPORTS["plat-a"])
 
 
 def test_empty_rows_give_a_header_and_an_empty_polyline():
-    report = PlateauReport(figures.panel_params("plat-a"), (), False)
+    report = PlateauReport(WellParams(*PANELS["plat-a"]), (), False)
     assert_same_bytes([], report)
-    assert figures.render_csv([]) == "x,p\n"
-    assert '<polyline points=""' in figures.render_svg([], report)
+    assert figures.render_csv(as_array([])) == "x,p\n"
+    assert '<polyline points=""' in figures.render_svg(as_array([]), report)
 
 
 @pytest.mark.parametrize(

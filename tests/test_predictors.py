@@ -115,6 +115,28 @@ def test_peak_count_matches_grid_maxima():
     assert count_local_maxima(p, samples=4000) == 7
 
 
+def test_grid_maxima_count_a_peak_whose_nearest_samples_tie():
+    # at 4000 samples each of the 5 peaks falls midway between two samples
+    p = WellParams(Fraction(25, 2), 1, Fraction(1, 10))
+    assert count_local_maxima(p, samples=4000) == peak_count(p) == 5
+
+
+def test_grid_maxima_match_peak_count_where_samples_tie():
+    # the lambdas at which the nearest samples of a peak can tie
+    pairs = 0
+    for lam in (Fraction(9, 2), Fraction(21, 2), Fraction(25, 2), Fraction(15)):
+        for q in range(2, 13):
+            for a in range(1, q):
+                for n_state in (1, 2):
+                    p = WellParams(lam, n_state, Fraction(a, q))
+                    if math.gcd(a, q) != 1 or not has_fragmentation(p):
+                        continue
+                    for samples in (2000, 4000):
+                        assert count_local_maxima(p, samples) == peak_count(p), (p, samples)
+                        pairs += 1
+    assert pairs == 544
+
+
 @pytest.mark.parametrize(
     "lam,tau",
     [

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwell.figures import PANELS, density_samples, panel_params
+from qwell.figures import density_samples
 from qwell.gauss import coefficient_c
 from qwell.wavefield import (
+    PANELS,
     WellParams,
     density_p,
     initial_g,
@@ -179,14 +180,14 @@ def test_density_array_is_bit_identical_to_the_point_loop():
     # no tolerance: the figure bytes depend on every last bit, zero-level
     # samples included (they are pure rounding noise)
     for panel in PANELS:
-        p = panel_params(panel)
+        p = WellParams(*PANELS[panel])
         for samples in (2, 37, 2000):
-            rows = density_samples(p, samples)
-            assert rows == [(x, density_by_point(x, p)) for x, _ in rows]
+            rows = density_samples(p, samples).tolist()
+            assert rows == [[x, density_by_point(x, p)] for x, _ in rows]
     rng = random.Random(11)
     for p in ARRAY_CASES:
-        rows = density_samples(p, 2000)
-        assert rows == [(x, density_by_point(x, p)) for x, _ in rows]
+        rows = density_samples(p, 2000).tolist()
+        assert rows == [[x, density_by_point(x, p)] for x, _ in rows]
         # unsorted points, including cell edges, one call or one point per call
         edges = [float(Fraction(m, p.q) + s / (2 * p.lam)) for m in range(p.q) for s in (-1, 1)]
         xs = np.array([rng.uniform(0.0, 0.5) for _ in range(200)] + edges)
