@@ -111,7 +111,8 @@ def _cmd_density(args) -> int:
 
 def _cmd_plateaux(args) -> int:
     report = detect_plateaux(_bounded_params_from(args))
-    _write_text(args.output, _dump(_report_json(report) | {"fragmentation": report.fragmentation}))
+    _write_text(args.output, _dump(_report_json(report)
+                                        | {"fragmentation": has_fragmentation(report.params)}))
     return 0
 
 

@@ -6,14 +6,15 @@ pairs, so arithmetic, the float shadow and the zero test cost the number of
 terms, not M.  The zero test decides vanishing exactly, with no numeric
 thresholds, by splitting the order one prime at a time (the structure of
 vanishing sums of roots of unity, Lam and Leung, J. Algebra 224, 2000).  The
-cyclotomic polynomials and the remainder modulo them (`reduced`) are kept as
-a canonical form and as an independent oracle for that test.  `image_root`
-gives a ring map Z[zeta_M] -> F_ell into a prime field, under which a nonzero
-image certifies a nonzero element; ell lies just above 2^29, so it fits one
-30-bit CPython digit, and a false zero image (a chance of about 2^-29 per
-nonzero element) only costs one exact test.  sqrt(2) is representable as
-zeta_8 + zeta_8^7, so any order divisible by 8 also houses the
-sqrt(2)-weighted terms that show up in even-denominator Gauss coefficients.
+cyclotomic polynomials, as coefficient tuples, and the remainder modulo them
+(`reduced`) are kept as a canonical form and as an independent oracle for
+that test.  `image_root` gives a ring map Z[zeta_M] -> F_ell into a prime
+field, under which a nonzero image certifies a nonzero element; ell lies just
+above 2^29, so it fits one 30-bit CPython digit, and a false zero image (a
+chance of about 2^-29 per nonzero element) only costs one exact test.
+sqrt(2) is representable as zeta_8 + zeta_8^7, so any order divisible by 8
+also houses the sqrt(2)-weighted terms that show up in even-denominator
+Gauss coefficients.
 """
 from __future__ import annotations
 
@@ -22,38 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial; coeffs ascending in degree, no trailing zeros."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def from_coeffs(seq) -> "IntPoly":
-        cs = list(seq)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPoly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPoly.from_coeffs(out)
 
 
 def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -83,21 +52,22 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(order: int) -> IntPoly:
-    """The order-th cyclotomic polynomial, monic of degree phi(order).
+def cyclotomic_poly(order: int) -> tuple[int, ...]:
+    """The coefficient tuple of the order-th cyclotomic polynomial, ascending.
 
     Computed by exact division of x^order - 1 by the product of the lower
-    cyclotomic polynomials, one proper divisor at a time.  Cached per order;
+    cyclotomic polynomials, one proper divisor at a time; an exact quotient of
+    monic polynomials is monic, so it has no trailing zero.  Cached per order;
     the cache is only ever appended to, so concurrent readers are safe.
     """
     if order < 1:
         raise ValueError("order must be positive")
     rem = [-1] + [0] * (order - 1) + [1]
     for d in _divisors(order)[:-1]:
-        rem, left = _divmod_monic(rem, cyclotomic_poly(d).coeffs)
+        rem, left = _divmod_monic(rem, cyclotomic_poly(d))
         if any(left):
             raise ArithmeticError("division is not exact")
-    return IntPoly.from_coeffs(rem)
+    return tuple(rem)
 
 
 @lru_cache(maxsize=1)  # each caller reuses one order
@@ -304,7 +274,7 @@ class CycInt:
         Two elements of equal order represent the same complex number iff
         their reduced forms coincide.
         """
-        return tuple(_divmod_monic(list(self.coeffs), cyclotomic_poly(self.order).coeffs)[1])
+        return tuple(_divmod_monic(list(self.coeffs), cyclotomic_poly(self.order))[1])
 
     def equals(self, other: "CycInt") -> bool:
         return (self - other).is_zero()

@@ -78,6 +78,7 @@ SIDE_BOTH = "both"
 # component, less than a float summation of the same terms may.
 FLOAT_ERROR_C = 128
 SHADOW_SCALE = 1 << 60
+_WEIGHT = (math.sqrt(2.0), 1.0)  # w = |c(k)| by q % 2: sqrt(2) for even q, 1 for odd q
 
 
 class ExactFloatMismatch(RuntimeError):
@@ -100,20 +101,23 @@ class Cell:
 class PlateauInterval:
     lo: Fraction
     hi: Fraction
-    level: float
+    level: float         # (lam/q) |level_exact|^2, so +0.0 for forbidden zones
     level_exact: CycInt  # the surviving windowed sum; all-zero for forbidden zones
-    kind: str            # ZERO_LEVEL or POSITIVE_LEVEL
     vanishing_side: str  # SIDE_PLUS, SIDE_MINUS or SIDE_BOTH
+
+    @property
+    def kind(self) -> str:
+        """ZERO_LEVEL, a forbidden zone, iff both sums vanish, else POSITIVE_LEVEL."""
+        return ZERO_LEVEL if self.vanishing_side == SIDE_BOTH else POSITIVE_LEVEL
 
 
 @dataclass(frozen=True)
 class PlateauReport:
     params: WellParams
     intervals: tuple[PlateauInterval, ...]
-    fragmentation: bool
     # the cell sides decided, 2 len(build_cells(lam, q)), most by an F_ell image
     # and its shadow check; a report from conjugate_report copies its partner's
-    zero_checks: int = 0
+    zero_checks: int
 
 
 def _contributing_ks(lam: Fraction, q: int) -> range:
@@ -158,9 +162,9 @@ def cyclotomic_order(params: WellParams) -> int:
     return math.lcm(coefficient_exponent(params.a, params.q)[1], params.q * params.s)
 
 
-def _float_bound(cell: Cell, params: WellParams) -> float:
-    weight = 1.0 if params.q % 2 else math.sqrt(2.0)
-    return FLOAT_ERROR_C * len(cell.members) * weight * sys.float_info.epsilon
+def _float_bound(n: int, weight: float = 1.0) -> float:
+    """C n w eps, the float bound of a sum of n terms of modulus w = weight."""
+    return n * weight * (FLOAT_ERROR_C * sys.float_info.epsilon)  # C eps = 2^-45 exactly
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def term_table(params: WellParams) -> _TermTable:
     coeff_step, drift_step = order // modulus, order // sq
     exp, rect, scale = cmath.exp, cmath.rect, SHADOW_SCALE
     two_pi_i, angle = 2j * math.pi, 2 * math.pi / order
-    bound = FLOAT_ERROR_C * sys.float_info.epsilon
+    bound = _float_bound(1)
     image, ratio, step = (pow(root, j % order, ell) for j in (
         a_rule * r * r - b_rule * r, (a_rule * (d - 2 * r) + b_rule) * d, 2 * a_rule * d * d))
     terms, re_parts, im_parts = [], [], []
@@ -269,12 +273,12 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     params = terms.params
     q = params.q
     s_re, s_im = terms.shadows
-    weight = 1.0 if q % 2 else math.sqrt(2.0)
+    weight = _WEIGHT[q % 2]
     sums = []
     for sign, (j0, j1) in zip((1, -1), _side_slices(cell.members, terms.ks)):
         s = _side_sum(cell.members, terms.order, terms.rule, sign, q)
         shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) * (weight / SHADOW_SCALE)
-        if abs(s.to_complex() - shadow) > _float_bound(cell, params):
+        if abs(s.to_complex() - shadow) > _float_bound(len(cell.members), weight):
             raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
         sums.append(s)
     return sums[0], sums[1]
@@ -282,7 +286,7 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
 
 def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
     exact = z.is_zero()
-    if exact != (abs(z.to_complex()) <= _float_bound(cell, params)):
+    if exact != (abs(z.to_complex()) <= _float_bound(len(cell.members), _WEIGHT[params.q % 2])):
         raise ExactFloatMismatch(
             f"exact zero test disagrees with float shadow for {params} on {cell}"
         )
@@ -311,7 +315,7 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     order, ks, ell, images = terms.order, terms.ks, terms.ell, terms.images
     s_re, s_im = terms.shadows
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
-    unit_bound = FLOAT_ERROR_C * sys.float_info.epsilon * SHADOW_SCALE
+    unit_bound = _float_bound(1) * SHADOW_SCALE
 
     cells = build_cells(lam, q)
     intervals: list[PlateauInterval] = []
@@ -347,18 +351,14 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         ):
             intervals[-1] = replace(intervals[-1], hi=Fraction(cell.x1, den))
         else:
-            kind = ZERO_LEVEL if side == SIDE_BOTH else POSITIVE_LEVEL
-            level = _level(kind, survivor, params)
             lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
-            intervals.append(PlateauInterval(lo, hi, level, survivor, kind, side))
+            intervals.append(PlateauInterval(lo, hi, _level(survivor, params), survivor, side))
         extends = True
 
-    return PlateauReport(params, tuple(intervals), lam > params.threshold, 2 * len(cells))
+    return PlateauReport(params, tuple(intervals), 2 * len(cells))
 
 
-def _level(kind: str, survivor: CycInt, params: WellParams) -> float:
-    if kind == ZERO_LEVEL:
-        return 0.0
+def _level(survivor: CycInt, params: WellParams) -> float:
     return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
 
 
@@ -382,9 +382,9 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     e(+-N lam k / q) to e(+-sign N' lam k / q).  So on every cell
     sigma_t(S_pm(a, N)) is a unit times S_pm(a', N') for sign 1 and
     S_mp(a', N') for sign -1: the same cells qualify, the same survivors
-    merge, and the intervals, kinds, zero_checks (the cell sides decided,
-    here through the partner) and fragmentation are the partner's, with plus
-    and minus swapped for sign -1.  A zero-level interval is copied as it is.
+    merge, and the intervals and zero_checks (the cell sides decided, here
+    through the partner) are the partner's, with plus and minus swapped for
+    sign -1.  A zero-level interval is copied as it is.
     Complex conjugation, t = -1 with sign -1, pairs a with q - a.
 
     Each survivor is rebuilt from its own exponent rule on the interval's
@@ -408,7 +408,7 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
             or partner.zero_checks != 2 * len(cells)):
         raise ValueError(f"{mate} is not the image of {params} under sigma_{t}, sign {sign}")
     if not partner.intervals:
-        return PlateauReport(params, (), partner.fragmentation, partner.zero_checks)
+        return PlateauReport(params, (), partner.zero_checks)
     order = cyclotomic_order(params)
     rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, order)
     a_own, b_own = rule
@@ -428,7 +428,7 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
                 raise ArithmeticError(f"the survivor of {params} on {cell} is not a unit times"
                                       f" the sigma_{t} image of its partner's")
             side = SIDE_PLUS if own_sign == -1 else SIDE_MINUS
-            iv = replace(iv, level=_level(iv.kind, survivor, params), level_exact=survivor,
+            iv = replace(iv, level=_level(survivor, params), level_exact=survivor,
                          vanishing_side=side)
         intervals.append(iv)
-    return PlateauReport(params, tuple(intervals), partner.fragmentation, partner.zero_checks)
+    return PlateauReport(params, tuple(intervals), partner.zero_checks)

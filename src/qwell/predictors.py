@@ -76,10 +76,6 @@ class ScanRecord(NamedTuple):
         return WellParams(self.lam, self.n_state, Fraction(self.a, self.q))
 
     @property
-    def predicted_exists(self) -> bool:
-        return doubled_drift_is_odd(self.params)
-
-    @property
     def consistent(self) -> bool:
         return not self.note
 
@@ -243,12 +239,17 @@ def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str,
     return params.n_state, params.tau.numerator, note, report.zero_checks, line
 
 
+def _task_configs(q: int, n_max: int) -> list[tuple[int, int]]:
+    """The (N, a) of a (lam, q) scan task in grid order: by N, then by a coprime to q."""
+    return [(n, a) for n in range(1, n_max + 1) for a in range(1, q) if math.gcd(a, q) == 1]
+
+
 def galois_links(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int] | None]:
     """The Galois orbit map of one (lam, q) scan task, with no detector call:
-    per configuration (N, a) in grid order (N = 1..n_max, then a coprime to q
-    ascending), None for a representative, which the scan detects, or
-    (source, t, sign) for a configuration read from the report at grid
-    position source through sigma_t (plateau.conjugate_report).
+    per configuration (N, a) in the grid order of _task_configs, None for a
+    representative, which the scan detects, or (source, t, sign) for a
+    configuration read from the report at grid position source through
+    sigma_t (plateau.conjugate_report).
 
     The links are those conjugate_report accepts, (a, N) to (a t^-1 mod q, N')
     with t coprime to lcm(q, W), W = v q / gcd(u, q) for lam = u/v, and
@@ -267,8 +268,7 @@ def galois_links(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int]
     for n_state, bucket in buckets.items():
         for t in units:
             bucket.setdefault(t * n_state % w, []).append(t)
-    coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    configs = [(n_state, a) for n_state in range(1, n_max + 1) for a in coprime]
+    configs = _task_configs(q, n_max)
     position = {config: i for i, config in enumerate(configs)}
     links: list[tuple[int, int, int] | None] = [None] * len(configs)
     reached = [False] * len(configs)
@@ -294,11 +294,9 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, in
     configurations, its cells and the F_ell root of each order (which depends
     on q and s only), are built first."""
     lam, q, n_max = args
-    coprime = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    grid = [WellParams(lam, n_state, Fraction(a, q))
-            for n_state in range(1, n_max + 1) for a in coprime]
+    grid = [WellParams(lam, n_state, Fraction(a, q)) for n_state, a in _task_configs(q, n_max)]
     build_cells(lam, q)
-    for order in {cyclotomic_order(params) for params in grid[::len(coprime)]}:  # one per N
+    for order in {cyclotomic_order(params) for params in grid[::len(grid) // n_max]}:  # one per N
         image_root(order)
     reports: list[PlateauReport] = []
     for params, link in zip(grid, galois_links(lam, q, n_max)):

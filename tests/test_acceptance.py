@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qwell.cli import _scan_json
-from qwell.cyclotomic import CycInt, IntPoly, cyclotomic_poly, galois_conjugate
+from qwell.cyclotomic import CycInt, cyclotomic_poly, galois_conjugate
 from qwell.gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from qwell.plateau import ZERO_LEVEL, detect_plateaux
 from qwell.predictors import (conjecture_scan, count_local_maxima, fragmentation_layout,
@@ -232,11 +232,16 @@ def test_default_scan_output_bytes_pinned(default_scan):
 def test_criterion_10_cyclotomic_identities():
     ok = True
     for m in range(1, 101):
-        prod = IntPoly((1,))
+        prod = [1]
         for d in range(1, m + 1):
             if m % d == 0:
-                prod = prod * cyclotomic_poly(d)
-        target = IntPoly.from_coeffs([-1] + [0] * (m - 1) + [1])
+                factor = cyclotomic_poly(d)
+                out = [0] * (len(prod) + len(factor) - 1)
+                for i, c in enumerate(prod):
+                    for j, f in enumerate(factor):
+                        out[i + j] += c * f
+                prod = out
+        target = [-1] + [0] * (m - 1) + [1]
         if prod != target:
             ok = False
             break
@@ -245,7 +250,7 @@ def test_criterion_10_cyclotomic_identities():
     for _ in range(1000):
         m = rng.choice([5, 8, 12, 15, 16, 21, 24, 36, 40, 60])
         base = [0] * m
-        for i, c in enumerate(cyclotomic_poly(m).coeffs):
+        for i, c in enumerate(cyclotomic_poly(m)):
             base[i % m] += c
         mult = [0] * m
         for _ in range(rng.randint(1, 3)):

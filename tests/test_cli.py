@@ -33,6 +33,27 @@ def test_plateaux_reports_golden_interval(capsys):
     assert payload["intervals"][0]["kind"] == "positive"
 
 
+@pytest.mark.parametrize("panel", ["zero-a", "zero-b", "frag-a", "frag-b"])
+def test_plateaux_prints_a_zero_level_as_plus_zero(capsys, panel):
+    lam, n_state, tau = figures.PANELS[panel]
+    code, out, _ = run_cli(capsys, "plateaux", "--lambda", str(lam), "--N", str(n_state),
+                           "--tau", str(tau))
+    assert code == 0
+    intervals = json.loads(out)["intervals"]
+    assert intervals and all(iv["kind"] == "zero" for iv in intervals)
+    assert out.count('"level": 0.0,') == len(intervals)
+
+
+@pytest.mark.parametrize("lam,tau,fragmentation", [
+    ("3", "1/3", False), ("301/100", "1/3", True),  # odd q: the period p is q = 3
+    ("3", "1/6", False), ("301/100", "1/6", True),  # even q: p is q/2 = 3
+])
+def test_plateaux_reports_fragmentation_only_above_the_period(capsys, lam, tau, fragmentation):
+    code, out, _ = run_cli(capsys, "plateaux", "--lambda", lam, "--N", "1", "--tau", tau)
+    assert code == 0
+    assert json.loads(out)["fragmentation"] is fragmentation
+
+
 def test_gauss_zero_case(capsys):
     code, out, _ = run_cli(capsys, "gauss", "1", "0", "2")
     assert code == 0

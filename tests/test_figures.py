@@ -133,7 +133,7 @@ def test_all_zero_density_falls_back_to_unit_y_max():
 
 
 def test_empty_rows_give_a_header_and_an_empty_polyline():
-    report = PlateauReport(WellParams(*PANELS["plat-a"]), (), False)
+    report = PlateauReport(WellParams(*PANELS["plat-a"]), (), 0)
     assert_same_bytes([], report)
     assert figures.render_csv(as_array([])) == "x,p\n"
     assert '<polyline points=""' in figures.render_svg(as_array([]), report)

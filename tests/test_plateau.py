@@ -32,8 +32,8 @@ from qwell.plateau import (
     term_table,
     window_sums,
 )
-from qwell.predictors import galois_links
-from qwell.wavefield import WellParams, density_p, fragmentation_threshold, interval_I
+from qwell.predictors import galois_links, has_fragmentation
+from qwell.wavefield import PANELS, WellParams, density_p, fragmentation_threshold, interval_I
 
 GOLDEN_PLATEAUX = [
     (Fraction(5, 2), 1, Fraction(1, 3), Fraction(2, 15), Fraction(1, 5), POSITIVE_LEVEL),
@@ -221,14 +221,14 @@ def test_detect_golden_intervals(lam, n_state, tau, lo, hi, kind):
     interval = report.intervals[0]
     assert (interval.lo, interval.hi) == (lo, hi)
     assert interval.kind == kind
-    assert not report.fragmentation
+    assert not has_fragmentation(report.params)
     assert report.zero_checks == 2 * len(build_cells(lam, tau.denominator))
 
 
 def test_detect_fragmentation_gaps_odd_q():
     p = WellParams(Fraction(107, 10), 1, Fraction(2, 7))
     report = detect_plateaux(p)
-    assert report.fragmentation
+    assert has_fragmentation(report.params)
     radius = Fraction(1, 14) - Fraction(5, 107)
     expected = [
         (Fraction(1, 14) - radius, Fraction(1, 14) + radius),
@@ -295,7 +295,7 @@ def test_vanishing_sums_are_galois_stable():
 def test_fragmentation_implies_zero_level_only():
     for n_state, tau in [(1, Fraction(2, 7)), (2, Fraction(1, 12)), (1, Fraction(3, 10))]:
         report = detect_plateaux(WellParams(Fraction(107, 10), n_state, tau))
-        assert report.fragmentation
+        assert has_fragmentation(report.params)
         assert report.intervals
         assert all(iv.kind == ZERO_LEVEL for iv in report.intervals)
 
@@ -421,17 +421,14 @@ def detect_by_cell(params):
         ):
             j += 1
         if side == SIDE_BOTH:
-            kind, level = ZERO_LEVEL, 0.0
+            level = 0.0
         else:
-            kind = POSITIVE_LEVEL
             level = float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
         lo = cell_bounds(cell, params.lam, params.q)[0]
         hi = cell_bounds(verdicts[j][0], params.lam, params.q)[1]
-        intervals.append(PlateauInterval(lo, hi, level, survivor, kind, side))
+        intervals.append(PlateauInterval(lo, hi, level, survivor, side))
         i = j + 1
-    return PlateauReport(
-        params, tuple(intervals), params.lam > params.threshold, 2 * len(verdicts)
-    )
+    return PlateauReport(params, tuple(intervals), 2 * len(verdicts))
 
 
 ORACLE_CASES = [g[:3] for g in GOLDEN_PLATEAUX] + [
@@ -475,10 +472,20 @@ def test_detector_matches_the_all_exact_cell_loop(lam, n_state, tau):
     assert detect_plateaux(p) == detect_by_cell(p)
 
 
+def test_every_zero_level_is_plus_zero():
+    # the level of a forbidden zone is computed from its all-zero survivor,
+    # not written as a literal, so its sign is checked as well as its value
+    cases = ORACLE_CASES + [PANELS[name] for name in ("frag-a", "frag-b", "frag-c")]
+    levels = [iv.level for case in cases for iv in detect_plateaux(WellParams(*case)).intervals
+              if iv.kind == ZERO_LEVEL]
+    assert len(levels) > len(cases)
+    assert all(level == 0.0 and math.copysign(1.0, level) == 1.0 for level in levels)
+
+
 def report_facts(report):
     """Everything a report says, with each level as its bits."""
-    return report.fragmentation, report.zero_checks, [
-        (iv.lo, iv.hi, iv.kind, iv.vanishing_side, iv.level.hex(),
+    return report.zero_checks, [
+        (iv.lo, iv.hi, iv.vanishing_side, iv.level.hex(),
          iv.level_exact.order, iv.level_exact.terms)
         for iv in report.intervals
     ]

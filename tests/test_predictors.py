@@ -179,14 +179,14 @@ def test_small_scan_is_consistent_and_ordered():
     assert all(r.consistent for r in records)
     # deterministic ordering: rerun matches
     again = conjecture_scan(lambda_dens=4, lambda_max=Fraction(3), q_max=8, n_max=2, workers=1)
-    assert [(r.params, r.predicted_exists) for r in records] == [
-        (r.params, r.predicted_exists) for r in again
+    assert [(r.params, doubled_drift_is_odd(r.params)) for r in records] == [
+        (r.params, doubled_drift_is_odd(r.params)) for r in again
     ]
     by_params = {r.params: r for r in records}
     golden = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     assert golden in by_params
     rec = by_params[golden]
-    assert rec.predicted_exists
+    assert doubled_drift_is_odd(rec.params)
     assert [(iv.lo, iv.hi) for iv in detect_plateaux(rec.params).intervals] == [
         (Fraction(2, 15), Fraction(1, 5))
     ]
