@@ -12,9 +12,6 @@ that test.  `image_root` gives a ring map Z[zeta_M] -> F_ell into a prime
 field, under which a nonzero image certifies a nonzero element; ell lies just
 above 2^29, so it fits one 30-bit CPython digit, and a false zero image (a
 chance of about 2^-29 per nonzero element) only costs one exact test.
-sqrt(2) is representable as zeta_8 + zeta_8^7, so any order divisible by 8
-also houses the sqrt(2)-weighted terms that show up in even-denominator
-Gauss coefficients.
 """
 from __future__ import annotations
 
@@ -195,7 +192,7 @@ class CycInt:
     enumerate(dense_coeffs); it is stored canonically, as (j mod M, total
     coefficient) pairs sorted by j with the zero totals dropped.  Structural
     equality (same order, same terms) is not equality of the represented
-    complex numbers; use `equals` for that.
+    complex numbers; (a - b).is_zero() decides that.
     """
 
     order: int
@@ -223,13 +220,6 @@ class CycInt:
     @staticmethod
     def integer(order: int, n: int) -> "CycInt":
         return CycInt(order, ((0, n),))
-
-    @staticmethod
-    def sqrt_two(order: int) -> "CycInt":
-        """sqrt(2) = zeta_8 + zeta_8^7; requires 8 | order."""
-        if order % 8:
-            raise ValueError("sqrt(2) needs an order divisible by 8")
-        return CycInt(order, ((order // 8, 1), (7 * order // 8, 1)))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -275,9 +265,6 @@ class CycInt:
         their reduced forms coincide.
         """
         return tuple(_divmod_monic(list(self.coeffs), cyclotomic_poly(self.order))[1])
-
-    def equals(self, other: "CycInt") -> bool:
-        return (self - other).is_zero()
 
     def to_complex(self) -> complex:
         """Float shadow: sum of c * e(j / order) over the terms, in ascending j;

@@ -12,9 +12,10 @@ each cell the two windowed sums
     S_pm = sum_{k in I} c(k) e(+-N lam k / q)
 
 are constants, and the density is constant on the cell iff one of them
-vanishes, with level (lam/q) |other|^2.  Both sums live in Z[zeta_M],
-M = cyclotomic_order, so the criterion is decided exactly.  Each term is
-|c(k)| zeta_M^(A k^2 +- B k), one exponent rule (A, B) per configuration;
+vanishes, with level (lam/q) |other|^2.  Each term is |c(k)| times the
+unit root zeta_M^(A k^2 +- B k), M = cyclotomic_order, of one exponent rule
+(A, B) per configuration.  |c(k)| is constant, so both sums are decided
+exactly as sums of unit roots in Z[zeta_M], and _level carries |c(k)|^2.
 c(k) is even in k, so the minus term at k is the plus term at -k.  One term
 table per configuration (term_table), built by the detector and passed to
 window_sums, holds one sequence over k = -R..R: the prefix sums of its term
@@ -53,11 +54,10 @@ SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
 SIDE_BOTH = "both"
 
-# A window sum of n terms of modulus w may be off by C n w eps in floats: the
-# worst seen on the default scan is 11.3 n w eps, and its smallest nonzero |S|
-# (9.2e-3) is far above the bound.  The shadows of the term table sum
-# unit-modulus terms (w = 1); the CycInts of window_sums carry the sqrt(2) of
-# even q (w = sqrt(2)).
+# A window sum of n unit-modulus terms may be off by C n eps in floats: over
+# the 978,804 cell sides of the default scan the worst float sum is off by
+# 5.6 n eps from long-double roots, and the smallest nonzero |S| (9.2e-3) is
+# far above the bound.
 #
 # C eps also bounds each single term of the table (term_table): its direct
 # float exp(2 pi i x), |x| < 2, and its float from the rule exponent,
@@ -78,7 +78,6 @@ SIDE_BOTH = "both"
 # component, less than a float summation of the same terms may.
 FLOAT_ERROR_C = 128
 SHADOW_SCALE = 1 << 60
-_WEIGHT = (math.sqrt(2.0), 1.0)  # w = |c(k)| by q % 2: sqrt(2) for even q, 1 for odd q
 
 
 class ExactFloatMismatch(RuntimeError):
@@ -101,8 +100,8 @@ class Cell:
 class PlateauInterval:
     lo: Fraction
     hi: Fraction
-    level: float         # (lam/q) |level_exact|^2, so +0.0 for forbidden zones
-    level_exact: CycInt  # the surviving windowed sum; all-zero for forbidden zones
+    level: float         # (lam/q) |c(k)|^2 |level_exact|^2, so +0.0 for forbidden zones
+    level_exact: CycInt  # the surviving sum of unit roots; all-zero for forbidden zones
     vanishing_side: str  # SIDE_PLUS, SIDE_MINUS or SIDE_BOTH
 
     @property
@@ -136,6 +135,14 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     with lower(k) <= X0 and X1 <= upper(k), a run of ks found by bisection.
     Each cell is checked once against the window at its midpoint, computed
     independently by wavefield.window, and a mismatch raises ValueError.
+
+    Each edge family is strictly increasing, so at a boundary one k enters
+    (a lower edge), one leaves (an upper edge) or both (where u d | v q,
+    d = ks.step), and adjacent member counts differ by one except at such
+    coincident edges.  So no interval spans two cells: across a count change
+    the sums differ by one unit root, and no side vanishes on both cells;
+    across a coincident edge equal entering and leaving terms would make
+    both qualify, but no pair does over lam <= 6, v <= 8, q <= 40, N <= 3.
     """
     u, v = lam.numerator, lam.denominator
     den, half = 2 * u * q, u * q
@@ -156,15 +163,15 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
 
 
 def cyclotomic_order(params: WellParams) -> int:
-    """Common order housing every term of both windowed sums: lcm(modulus, q s)
-    with the modulus of coefficient_exponent, so q s for odd q; for even q the
-    modulus 4q also holds zeta_8 for sqrt(2) = zeta_8 + zeta_8^7."""
+    """Common order housing every unit root of both windowed sums:
+    lcm(modulus, q s) with the modulus of coefficient_exponent, so q s for odd
+    q and lcm(4q, q s) for even q."""
     return math.lcm(coefficient_exponent(params.a, params.q)[1], params.q * params.s)
 
 
-def _float_bound(n: int, weight: float = 1.0) -> float:
-    """C n w eps, the float bound of a sum of n terms of modulus w = weight."""
-    return n * weight * (FLOAT_ERROR_C * sys.float_info.epsilon)  # C eps = 2^-45 exactly
+def _float_bound(n: int) -> float:
+    """C n eps, the float bound of a sum of n unit-modulus terms."""
+    return n * (FLOAT_ERROR_C * sys.float_info.epsilon)  # C eps = 2^-45 exactly
 
 
 @dataclass(frozen=True)
@@ -197,10 +204,8 @@ def term_table(params: WellParams) -> _TermTable:
     zeta_M^e(k), e(k) = (A k^2 + B k) mod M.  S_minus reads them mirrored
     (_side_slices).  ks steps by d, so the image ratios change by the
     constant r^(2 A d^2) and each image costs two multiplications mod ell.
-    For even q the terms leave out the sqrt(2) of c(k), whose image
-    t = r^(M/8) + r^(-M/8) has t^2 = 2 != 0, so t times a sum's image
-    vanishes iff the image does.  The shadows sum the parts of the direct
-    floats e(coeff / modulus + drift / (s q)), rounded at SHADOW_SCALE, with
+    The shadows sum the parts of the direct floats
+    e(coeff / modulus + drift / (s q)), rounded at SHADOW_SCALE, with
     coeff = inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.
     Before a term is kept, e(k) must equal coeff M / modulus + drift M / (s q)
     (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps
@@ -252,41 +257,36 @@ def _side_slices(members: range, ks: range) -> tuple[tuple[int, int], tuple[int,
     return (i0, i1), (n - i1, n - i0)
 
 
-def _side_sum(members: range, order: int, rule: tuple[int, int], sign: int, q: int) -> CycInt:
+def _side_sum(members: range, order: int, rule: tuple[int, int], sign: int) -> CycInt:
     """S_plus (sign 1) or S_minus (sign -1) over members in Z[zeta_M], M =
-    order: the roots zeta_M^(A k^2 +- B k) of the exponent rule (A, B), times
-    sqrt(2) = zeta_8 + zeta_8^-1 for even q."""
+    order: the sum of the unit roots zeta_M^(A k^2 +- B k) of the exponent
+    rule (A, B)."""
     a, b = rule
-    s = CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in members))
-    return s if q % 2 else s * CycInt.sqrt_two(order)
+    return CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in members))
 
 
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
-    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the roots
-    zeta_M^(A k^2 +- B k) of the exponent rule of the term table over the
-    cell's members, times sqrt(2) = zeta_8 + zeta_8^-1 for even q; q and the
-    params come from the table.  The cell comes from build_cells, which
+    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the sums
+    of the unit roots zeta_M^(A k^2 +- B k) of the exponent rule of the term
+    table over the cell's members.  The cell comes from build_cells, which
     checked its members against the window at its midpoint; the float shadow
     of each assembled sum is compared against the cell's shadow in the table,
     its plus or mirrored slice, read in O(1).
     """
-    params = terms.params
-    q = params.q
     s_re, s_im = terms.shadows
-    weight = _WEIGHT[q % 2]
     sums = []
     for sign, (j0, j1) in zip((1, -1), _side_slices(cell.members, terms.ks)):
-        s = _side_sum(cell.members, terms.order, terms.rule, sign, q)
-        shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) * (weight / SHADOW_SCALE)
-        if abs(s.to_complex() - shadow) > _float_bound(len(cell.members), weight):
-            raise ExactFloatMismatch(f"window sum shadow mismatch for {params} on {cell}")
+        s = _side_sum(cell.members, terms.order, terms.rule, sign)
+        shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) / SHADOW_SCALE
+        if abs(s.to_complex() - shadow) > _float_bound(len(cell.members)):
+            raise ExactFloatMismatch(f"window sum shadow mismatch for {terms.params} on {cell}")
         sums.append(s)
     return sums[0], sums[1]
 
 
 def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
     exact = z.is_zero()
-    if exact != (abs(z.to_complex()) <= _float_bound(len(cell.members), _WEIGHT[params.q % 2])):
+    if exact != (abs(z.to_complex()) <= _float_bound(len(cell.members))):
         raise ExactFloatMismatch(
             f"exact zero test disagrees with float shadow for {params} on {cell}"
         )
@@ -294,8 +294,8 @@ def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
 
 
 def detect_plateaux(params: WellParams) -> PlateauReport:
-    """Classify every cell by the exact criterion and assemble the maximal
-    constant-density intervals in one pass over the cells.
+    """Classify every cell by the exact criterion in one pass over the cells
+    and report each qualifying cell as its own constant-density interval.
 
     The term table (term_table) is built once, and each cell reads its two
     term images and its two shadows from it in O(1).  A nonzero image proves
@@ -303,11 +303,11 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     this raises.  Only a side whose image vanishes is built in Z[zeta_M]
     (window_sums) and decided by the exact zero test, cross-checked against
     that sum's own float shadow, so a wrong image can only raise or be
-    overruled, never change a verdict.  A qualifying cell extends the
-    interval of the cell before it when that one qualified too, the vanishing
-    side matches and the surviving sums are exactly equal as cyclotomic
-    integers; reported intervals are closures, clipped to [0, 1/2], with
-    Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
+    overruled, never change a verdict.  No interval spans two cells (see
+    build_cells); if two adjacent cells ever qualified, they would show as
+    two intervals, and a scan would record the configuration as
+    inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
+    with Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
     """
     lam, q = params.lam, params.q
     den = 2 * lam.numerator * q
@@ -319,7 +319,6 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
 
     cells = build_cells(lam, q)
     intervals: list[PlateauInterval] = []
-    extends = False  # did the cell before this one qualify?
     for cell in cells:
         scaled_bound = len(cell.members) * unit_bound
         vanishing = []
@@ -342,24 +341,16 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         elif zm:
             side, survivor = SIDE_MINUS, s_plus
         else:
-            extends = False
             continue
-        if (
-            extends
-            and intervals[-1].vanishing_side == side
-            and survivor.equals(intervals[-1].level_exact)
-        ):
-            intervals[-1] = replace(intervals[-1], hi=Fraction(cell.x1, den))
-        else:
-            lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
-            intervals.append(PlateauInterval(lo, hi, _level(survivor, params), survivor, side))
-        extends = True
+        lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
+        intervals.append(PlateauInterval(lo, hi, _level(survivor, params), survivor, side))
 
     return PlateauReport(params, tuple(intervals), 2 * len(cells))
 
 
 def _level(survivor: CycInt, params: WellParams) -> float:
-    return float(params.lam) / params.q * abs(survivor.to_complex()) ** 2
+    """(lam/q) |c(k)|^2 |survivor|^2, with |c(k)|^2 = 2 for even q, 1 for odd q."""
+    return float(params.lam) / params.q * (2 - params.q % 2) * abs(survivor.to_complex()) ** 2
 
 
 def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
@@ -376,28 +367,26 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
 
     Both share the cyclotomic order M: it reads only q and s = v / gcd(N, v),
     and as v | W and t is a unit mod v, gcd(N', v) = gcd(t N, v) = gcd(N, v).
-    sigma_t maps c_a(k) to a constant unit times c_{a'}(k) (for even q, the
-    lifted inverse of a t^-1 differs from t inv(a) by a multiple of q, which
-    moves q k^2 / (4q) by a constant on the contributing k) and
-    e(+-N lam k / q) to e(+-sign N' lam k / q).  So on every cell
-    sigma_t(S_pm(a, N)) is a unit times S_pm(a', N') for sign 1 and
-    S_mp(a', N') for sign -1: the same cells qualify, the same survivors
-    merge, and the intervals and zero_checks (the cell sides decided, here
-    through the partner) are the partner's, with plus and minus swapped for
-    sign -1.  A zero-level interval is copied as it is.
-    Complex conjugation, t = -1 with sign -1, pairs a with q - a.
+    sigma_t maps c_a(k) / |c(k)| to a constant unit times c_{a'}(k) / |c(k)|
+    (for even q, the lifted inverse of a t^-1 differs from t inv(a) by a
+    multiple of q, which moves q k^2 / (4q) by a constant on the contributing
+    k) and e(+-N lam k / q) to e(+-sign N' lam k / q).  So on every cell, as
+    sums of unit roots, sigma_t(S_pm(a, N)) is a unit times S_pm(a', N') for
+    sign 1 and S_mp(a', N') for sign -1: the same cells qualify, and the
+    intervals and zero_checks (the cell sides decided, here through the
+    partner) are the partner's, with plus and minus swapped for sign -1.  A
+    zero-level interval is copied as it is.  Complex conjugation, t = -1
+    with sign -1, pairs a with q - a.
 
     Each survivor is rebuilt from its own exponent rule on the interval's
     first cell and must equal zeta_M^e galois_conjugate(partner survivor, t)
     as a CycInt, order and terms, else this raises ArithmeticError, with
 
-        e = j'(k0) - t j(k0) + flip  (mod M),
+        e = j'(k0) - t j(k0)  (mod M),
 
     j and j' the partner's and this configuration's rule exponents of the
-    surviving sides at the cell's first member k0, and flip = M / 2 when q
-    is even and t = +-3 (mod 8), where sigma_t(sqrt(2)) = -sqrt(2).  Its
-    level comes from the rebuilt survivor, as detect_plateaux(params)
-    computes it.
+    surviving sides at the cell's first member k0.  Its level comes from
+    the rebuilt survivor, as detect_plateaux(params) computes it.
     """
     mate = partner.params
     lam, q = params.lam, params.q
@@ -412,7 +401,6 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     order = cyclotomic_order(params)
     rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, order)
     a_own, b_own = rule
-    flip = order // 2 if q % 2 == 0 and t % 8 in (3, 5) else 0
     den = 2 * lam.numerator * q
     intervals = []
     for iv in partner.intervals:
@@ -421,9 +409,9 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
             cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
             mate_sign = -1 if iv.vanishing_side == SIDE_PLUS else 1  # the surviving side
             own_sign, k0 = sign * mate_sign, cell.members[0]
-            survivor = _side_sum(cell.members, order, rule, own_sign, q)
+            survivor = _side_sum(cell.members, order, rule, own_sign)
             e = ((a_own * k0 + own_sign * b_own) * k0
-                 - t * (a_mate * k0 + mate_sign * b_mate) * k0 + flip)
+                 - t * (a_mate * k0 + mate_sign * b_mate) * k0)
             if survivor != CycInt.root(order, e) * galois_conjugate(iv.level_exact, t):
                 raise ArithmeticError(f"the survivor of {params} on {cell} is not a unit times"
                                       f" the sigma_{t} image of its partner's")
