@@ -89,7 +89,7 @@ def _bounded_params_from(args) -> WellParams:
     return params
 
 
-def _write_text(path: str | None, content: str) -> None:
+def _write_text(path: str | Path | None, content: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(content)
     else:
@@ -171,9 +171,8 @@ def _scan_json(records: list[ScanRecord], lambda_den: int, lambda_max: Fraction,
         "zero_checks": sum(r.zero_checks for r in records),
         "records": [],
     }
-    lines = ",".join(r.line for r in records)
-    header = _LINE_ENCODER.encode(payload)
-    return header.replace('"records":[]', f'"records":[{lines}]', 1) + "\n"
+    head, tail = _LINE_ENCODER.encode(payload).split('"records":[]')
+    return "".join((head, '"records":[', ",".join(r.line for r in records), "]", tail, "\n"))
 
 
 def _cmd_scan(args) -> int:
@@ -217,9 +216,8 @@ def _cmd_figures(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for panel in panels:
-        csv_text, svg_text = figures.render_panel(panel, args.samples)
-        (outdir / f"{panel}.csv").write_text(csv_text, encoding="utf-8")
-        (outdir / f"{panel}.svg").write_text(svg_text, encoding="utf-8")
+        for suffix, text in zip(("csv", "svg"), figures.render_panel(panel, args.samples)):
+            _write_text(outdir / f"{panel}.{suffix}", text)
         sys.stderr.write(f"wrote {outdir / panel}.csv and .svg\n")
     return 0
 

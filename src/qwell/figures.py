@@ -2,9 +2,9 @@
 
 The nine reference panels pair three fragmentation layouts with six
 single-plateau configurations, drawn with the plateau centers solid and the
-interior boundaries dashed.  Rows are formatted by printf passes, one per
-CSV file and one per chunk of SVG polyline points: `%` and f-strings both
-call `PyOS_double_to_string`, so the bytes are the same.
+interior boundaries dashed.  CSV rows and SVG polyline points are printed
+by _printf_rows in passes of _ROW_CHUNK rows: `%` and f-strings both call
+`PyOS_double_to_string`, so the bytes are the same.
 """
 from __future__ import annotations
 
@@ -25,22 +25,27 @@ def density_samples(params: WellParams, samples: int) -> np.ndarray:
     return np.column_stack((xs, density_p(xs, params)))
 
 
-def render_csv(rows: np.ndarray) -> str:
-    """`x,p`, then one `%.12g,%.12g` line per row, in one printf pass."""
-    return "x,p\n" + ("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist())
-
-
 _VIEW_W, _VIEW_H = 640, 360
 _ML, _MR, _MT, _MB = 46, 12, 12, 30
-# polyline rows per printf pass, which bounds the tuple of floats `%` needs
-_SVG_CHUNK = 1 << 16
+# rows per printf pass, which bounds the tuple of floats `%` needs
+_ROW_CHUNK = 1 << 16
+
+
+def _printf_rows(rows: np.ndarray, fmt: str, sep: str) -> str:
+    """Each row of a 2-d float array printed with fmt, joined by sep."""
+    return sep.join(sep.join([fmt] * len(part)) % tuple(part.ravel().tolist())
+                    for part in (rows[i:i + _ROW_CHUNK] for i in range(0, len(rows), _ROW_CHUNK)))
+
+
+def render_csv(rows: np.ndarray) -> str:
+    """`x,p`, then one `%.12g,%.12g` line per row."""
+    return "x,p\n" + _printf_rows(rows, "%.12g,%.12g\n", "")
 
 
 def render_svg(rows: np.ndarray, report: PlateauReport) -> str:
     """Self-contained SVG: density polyline, solid plateau center lines,
     dashed boundary lines (boundaries on 0 or 1/2 are skipped).  The polyline
-    maps numpy columns with the scalar operations in order (same IEEE doubles)
-    and prints them in chunks of _SVG_CHUNK rows."""
+    maps numpy columns through px and the scalar y operations (same doubles)."""
     w = _VIEW_W - _ML - _MR
     h = _VIEW_H - _MT - _MB
     xs, ps = rows.T
@@ -72,12 +77,7 @@ def render_svg(rows: np.ndarray, report: PlateauReport) -> str:
                 f'stroke="black" stroke-width="1" stroke-dasharray="6 4">'
                 f'<title>boundary {edge.numerator}/{edge.denominator}</title></line>'
             )
-    xys = np.column_stack((_ML + xs / 0.5 * w, _MT + h - ps / y_max * h)).ravel()
-    step = 2 * _SVG_CHUNK
-    points = " ".join(
-        " ".join(["%.2f,%.2f"] * (len(part) // 2)) % tuple(part.tolist())
-        for part in (xys[i:i + step] for i in range(0, len(xys), step))
-    )
+    points = _printf_rows(np.column_stack((px(xs), _MT + h - ps / y_max * h)), "%.2f,%.2f", " ")
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1060c0" stroke-width="1.3"/>'
     )

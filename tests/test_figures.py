@@ -119,11 +119,20 @@ def test_polyline_keeps_the_scalar_order_of_operations():
     assert "337.00,299.80 482.50,300.17" in figures.render_svg(as_array(rows), REPORTS["plat-a"])
 
 
-def test_polyline_chunks_match_the_per_row_format():
-    # two full printf chunks of polyline points and a partial third
-    n = 2 * figures._SVG_CHUNK + 3
+def test_row_chunks_match_the_per_row_format():
+    # two full printf chunks of CSV rows and polyline points and a partial third
+    n = 2 * figures._ROW_CHUNK + 3
     rows = [(0.5 * i / n, (i * 7919 % 1000) / 997) for i in range(n)]
     assert_same_bytes(rows, REPORTS["plat-a"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_small_row_chunks_leave_no_seam(monkeypatch, n):
+    # chunks of 3 rows: a partial chunk, one full chunk, and one or three
+    # full chunks followed by a lone row
+    monkeypatch.setattr(figures, "_ROW_CHUNK", 3)
+    rows = [(0.5 * i / n, (i * 7919 % 1000) / 997) for i in range(n)]
+    assert_same_bytes(rows, REPORTS["frag-a"])
 
 
 def test_all_zero_density_falls_back_to_unit_y_max():

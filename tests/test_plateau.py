@@ -856,6 +856,52 @@ def test_every_vanishing_image_is_an_exact_zero(monkeypatch):
     assert verdicts and all(verdicts)
 
 
+def reflection_verdicts(params):
+    """(exact, law) for both sides of every cell.  exact: the side's sum
+    vanishes, certified nonzero by a nonzero F_ell image and otherwise decided
+    by the exact zero test.  law: the members k0..k1, stepping by d, are
+    empty, or M is even, 2 d x = 0 and (c - 2 k0) x = M/2 (mod M), with
+    c = k0 + k1 and x = A c +- B for the exponent rule (A, B) of order M.
+    Then the term at c - k is minus the term at k, since the exponents differ
+    by (c - 2 k) x, and the terms cancel in pairs; an odd member count fails
+    the congruences, as (c - 2 k0) x = ((n - 1) / 2) 2 d x = 0 (mod M)."""
+    terms = term_table(params)
+    m, (a, b), images = terms.order, terms.rule, terms.images
+    verdicts = []
+    for cell in build_cells(params.lam, params.q):
+        members = cell.members
+        for sign, (j0, j1) in zip((1, -1), plateau._side_slices(members, terms.ks)):
+            exact = (not (images[j1] - images[j0]) % terms.ell
+                     and plateau._side_sum(members, m, terms.rule, sign).is_zero())
+            law = not members
+            if members:
+                k0, c, d = members[0], members[0] + members[-1], members.step
+                x = a * c + sign * b
+                law = m % 2 == 0 and 2 * d * x % m == 0 and (c - 2 * k0) * x % m == m // 2
+            verdicts.append((exact, law))
+    return verdicts
+
+
+def reflection_grid():
+    """Every configuration with lam = u/v, v <= 8, 1 < lam <= 6, q <= 12 and
+    N <= 3, fragmentation included: 15,180 of them."""
+    lams = sorted({Fraction(u, v) for v in range(1, 9) for u in range(v + 1, 6 * v + 1)})
+    return [WellParams(lam, n_state, Fraction(a, q)) for lam in lams for q in range(1, 13)
+            for a in range(q) if math.gcd(a, q) == 1 for n_state in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("cases,zeros,sides", [
+    ([WellParams(*case) for case in ORACLE_CASES + LARGE_Q_CASES], 48, 12_996),
+    (reflection_grid(), 12_084, 225_240),
+], ids=["oracle-cases", "small-grid"])
+def test_a_side_vanishes_exactly_when_it_is_a_reflection(cases, zeros, sides):
+    """The reflection law of every zero the detector has met, as an exact
+    oracle: a side's sum is zero iff the reflection congruences hold."""
+    verdicts = [v for params in cases for v in reflection_verdicts(params)]
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    assert (sum(exact for exact, _ in verdicts), len(verdicts)) == (zeros, sides)
+
+
 def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
     """lam = 2.00000001 at q = 1001 has the order M = 1001 * 10^8: a table
     of the powers of the root would be huge next to the 2,002 exponents, and
