@@ -6,6 +6,8 @@ and regeneration of the nine reference figure panels.  All rationals are
 printed as "num/den" strings and floats with 12 significant digits, so
 identical invocations produce byte-identical output.  A scan record is its
 JSON line, rendered in the pool worker; the scan output only joins them.
+A call builds only the parser of the command it names, from `COMMANDS`:
+building all six took about a third of a large-q `plateaux` call.
 """
 from __future__ import annotations
 
@@ -230,41 +232,19 @@ def _add_params_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau", required=True, help='fractional time t/T, e.g. "1/3"')
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qwell",
-        description="Exact plateau analysis of the suddenly expanded infinite well",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("density", help="sample the density over [0, 1/2]",
-                        description=MAX_Q_HELP)
+def _density_args(p: argparse.ArgumentParser) -> None:
     _add_params_args(p)
     p.add_argument("--samples", type=int, default=4000, help=SAMPLES_HELP)
     p.add_argument("--out", choices=["csv", "svg"], default="csv", help="output format")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_density)
 
-    p = subs.add_parser("plateaux", help="exact plateau report as JSON",
-                        description=MAX_Q_HELP)
+
+def _report_args(p: argparse.ArgumentParser) -> None:  # plateaux and predict
     _add_params_args(p)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_plateaux)
 
-    p = subs.add_parser("predict", help="closed-form plateau prediction as JSON",
-                        description="q of tau = a/q: any in the uniform and critical"
-                        f" regimes, at most {MAX_Q} in the fragmentation regime, whose"
-                        " layout lists about p/2 intervals, p = q or q/2 the threshold")
-    _add_params_args(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_predict)
 
-    p = subs.add_parser(
-        "scan", help="conjecture scan over a parameter grid",
-        description=f"at most {MAX_SCAN_CONFIGS} configurations, counted before any"
-        " work as (L - 1) D (D + 1) / 2 * nmax * qmax (qmax - 1) / 2 with D the"
-        " --lambda-den and L the --lambda-max capped at --qmax",
-    )
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-den", type=int, default=8)
     p.add_argument("--lambda-max", default="6")
     p.add_argument("--qmax", type=int, default=20)
@@ -272,34 +252,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", default="scan.json", help="output JSON path")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when inconsistencies are found")
-    p.set_defaults(func=_cmd_scan)
 
-    p = subs.add_parser("gauss", help="inspect one quadratic Gauss sum",
-                        description=f"q at most {MAX_Q}")
+
+def _gauss_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("a", type=int)
     p.add_argument("k", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_gauss)
 
-    p = subs.add_parser("figures", help="regenerate the reference panels")
+
+def _figures_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel", choices=list(PANELS) + ["all"], default="all")
     p.add_argument("--outdir", default="figures")
     p.add_argument("--samples", type=int, default=2000,
                    help=f"number of samples per panel, at least 2 and at most {MAX_SAMPLES}")
-    p.set_defaults(func=_cmd_figures)
+
+
+# name -> (help, description, the function that adds its arguments, handler)
+COMMANDS = {
+    "density": ("sample the density over [0, 1/2]", MAX_Q_HELP, _density_args, _cmd_density),
+    "plateaux": ("exact plateau report as JSON", MAX_Q_HELP, _report_args, _cmd_plateaux),
+    "predict": ("closed-form plateau prediction as JSON",
+                "q of tau = a/q: any in the uniform and critical regimes, at most"
+                f" {MAX_Q} in the fragmentation regime, whose layout lists about p/2"
+                " intervals, p = q or q/2 the threshold", _report_args, _cmd_predict),
+    "scan": ("conjecture scan over a parameter grid",
+             f"at most {MAX_SCAN_CONFIGS} configurations, counted before any work as"
+             " (L - 1) D (D + 1) / 2 * nmax * qmax (qmax - 1) / 2 with D the"
+             " --lambda-den and L the --lambda-max capped at --qmax", _scan_args, _cmd_scan),
+    "gauss": ("inspect one quadratic Gauss sum", f"q at most {MAX_Q}", _gauss_args, _cmd_gauss),
+    "figures": ("regenerate the reference panels", None, _figures_args, _cmd_figures),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qwell",
+        description="Exact plateau analysis of the suddenly expanded infinite well",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, description, add_args, _) in COMMANDS.items():
+        add_args(subs.add_parser(name, help=help_, description=description))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        _, description, add_args, handler = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"qwell {argv[0]}", description=description)
+        add_args(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:  # the full parser reports them, with its own usage line
+            build_parser().parse_args(argv)
+    else:  # no command named: the full parser prints its help or a usage error
+        args = build_parser().parse_args(argv)
+        handler = COMMANDS[args.command][3]
     output = getattr(args, "output", None)
     try:
         if output not in (None, "-"):  # refused before any work starts
             if Path(output).is_dir() or not Path(output).parent.is_dir():
                 raise ValueError(f"cannot write {output}: not a file in an existing directory")
-        return args.func(args)
+        return handler(args)
     except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -222,6 +222,83 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+    choices = err.split("choose from", 1)[1]
+    assert all(name in choices for name in cli.COMMANDS) and len(cli.COMMANDS) == 6
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+# each command with one argument missing: a required option, a positional or
+# an option's value
+MISSING_ARGUMENT = {
+    "density": ["--lambda", "5/2", "--N", "1"],
+    "plateaux": ["--N", "1", "--tau", "1/3"],
+    "predict": ["--lambda", "5/2", "--tau", "1/3"],
+    "scan": ["--qmax"],
+    "gauss": ["1", "2"],
+    "figures": ["--outdir"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_ARGUMENT))
+def test_both_parser_routes_print_the_same_text(capsys, name):
+    # main builds only the named command's parser; build_parser builds all six
+    for argv, code in (([name, "--help"], 0), ([name, *MISSING_ARGUMENT[name]], 2)):
+        routed = _exit_and_output(capsys, main, argv)
+        assert routed == _exit_and_output(capsys, _full_parse, argv)
+        assert routed[0] == code
+        assert routed[1 if code == 0 else 2].startswith(f"usage: qwell {name} ")
+
+
+def test_an_unrecognized_argument_gets_the_full_parsers_usage(capsys):
+    argv = ["plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--bogus"]
+    routed = _exit_and_output(capsys, main, argv)
+    assert routed == _exit_and_output(capsys, _full_parse, argv)
+    assert routed[0] == 2 and "qwell: error: unrecognized arguments: --bogus" in routed[2]
+
+
+def test_a_valid_call_never_builds_the_full_parser(monkeypatch, capsys):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    params = ["--lambda", "5/2", "--N", "1", "--tau", "1/3"]
+    for argv in (["plateaux", *params], ["predict", *params], ["gauss", "3", "2", "7"],
+                 ["density", *params, "--samples", "64"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv in ([], ["--help"], ["frobnicate"]):
+        with pytest.raises(AssertionError, match="full parser"):
+            main(argv)
+
+
+def test_the_console_script_path_reads_sys_argv(tmp_path):
+    # `qwell = "qwell.cli:main"` calls main() with no argv, as python -m does
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    argv = ["plateaux", "--lambda", "5/2", "--N", "1", "--tau", "1/3", "--output"]
+    done = subprocess.run([sys.executable, "-m", "qwell.cli", *argv, str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert main(argv + [str(tmp_path / "here")]) == 0
+    assert (tmp_path / "fresh").read_bytes() == (tmp_path / "here").read_bytes()
+    done = subprocess.run([sys.executable, "-m", "qwell.cli"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "required" in done.stderr
 
 
 # sha256 of CSV + SVG of each reference panel at the default 2000 samples
