@@ -23,11 +23,11 @@ images under the ring map Z[zeta_M] -> F_ell, zeta_M -> r
 (cyclotomic.image_root), and of its float terms rounded to multiples of
 2^-60.  S_plus reads a cell's members as a slice of it and S_minus reads
 the mirrored slice.  A nonzero verdict is certified by a cell's image, read
-in O(1) from the table; only a sum whose image vanishes is built in
-Z[zeta_M], and a zero verdict comes only from the exact cyclotomic zero
-test.  Every verdict is cross-checked against the float shadow, read in
-O(1) as well, and a disagreement raises, so the detector is linear in the
-number of cells and terms.
+in O(1) from the table; only a cell with a vanishing image has its sums
+built in Z[zeta_M], and a zero verdict comes only from the exact cyclotomic
+zero test.  Every verdict, from either path, is cross-checked at one site
+against the side's table shadow, read in O(1) as well, and a disagreement
+raises, so the detector is linear in the number of cells and terms.
 
 conjugate_report reads a report off its Galois partner's through
 sigma_t: zeta -> zeta^t, and states the orbit identity.
@@ -81,7 +81,7 @@ SHADOW_SCALE = 1 << 60
 
 
 class ExactFloatMismatch(RuntimeError):
-    """The exact zero test and the float shadow disagreed; this would mean a
+    """An exact verdict and its float shadow disagreed; this would mean a
     corrupted coefficient path and must never be silently ignored."""
 
 
@@ -284,29 +284,21 @@ def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
     return sums[0], sums[1]
 
 
-def _checked_is_zero(z: CycInt, params: WellParams, cell: Cell) -> bool:
-    exact = z.is_zero()
-    if exact != (abs(z.to_complex()) <= _float_bound(len(cell.members))):
-        raise ExactFloatMismatch(
-            f"exact zero test disagrees with float shadow for {params} on {cell}"
-        )
-    return exact
-
-
 def detect_plateaux(params: WellParams) -> PlateauReport:
     """Classify every cell by the exact criterion in one pass over the cells
     and report each qualifying cell as its own constant-density interval.
 
     The term table (term_table) is built once, and each cell reads its two
     term images and its two shadows from it in O(1).  A nonzero image proves
-    its sum nonzero, and its shadow must then exceed the float bound, else
-    this raises.  Only a side whose image vanishes is built in Z[zeta_M]
-    (window_sums) and decided by the exact zero test, cross-checked against
-    that sum's own float shadow, so a wrong image can only raise or be
-    overruled, never change a verdict.  No interval spans two cells (see
-    build_cells); if two adjacent cells ever qualified, they would show as
-    two intervals, and a scan would record the configuration as
-    inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
+    its side nonzero; if an image vanishes, window_sums builds both sums in
+    Z[zeta_M] once and the exact zero test decides that side.  Each verdict
+    is compared at one site with its side's table shadow, which must lie
+    within the float bound iff the side is zero, else this raises
+    ExactFloatMismatch naming the deciding path; so a wrong image can only
+    raise or be overruled, never change a verdict.  No interval spans two
+    cells (see build_cells); if two adjacent cells ever qualified, they
+    would show as two intervals, and a scan would record the configuration
+    as inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
     with Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
     """
     lam, q = params.lam, params.q
@@ -321,25 +313,24 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     intervals: list[PlateauInterval] = []
     for cell in cells:
         scaled_bound = len(cell.members) * unit_bound
-        vanishing = []
-        for j0, j1 in _side_slices(cell.members, ks):
+        sums, zeros = None, []
+        for i, (j0, j1) in enumerate(_side_slices(cell.members, ks)):
             image = (images[j1] - images[j0]) % ell
-            if image and abs(complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0])) <= scaled_bound:
+            if not image and sums is None:
+                sums = window_sums(cell, terms)
+            zero = not image and sums[i].is_zero()
+            if zero != (abs(complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0])) <= scaled_bound):
+                path = f"nonzero image in F_{ell}" if image else "exact zero test"
                 raise ExactFloatMismatch(
-                    f"nonzero image in F_{ell} disagrees with float shadow for {params} on {cell}"
-                )
-            vanishing.append(not image)
-        zp = zm = False
-        if any(vanishing):
-            s_plus, s_minus = window_sums(cell, terms)
-            zp = vanishing[0] and _checked_is_zero(s_plus, params, cell)
-            zm = vanishing[1] and _checked_is_zero(s_minus, params, cell)
+                    f"{path} disagrees with the table shadow for {params} on {cell}")
+            zeros.append(zero)
+        zp, zm = zeros
         if zp and zm:
             side, survivor = SIDE_BOTH, CycInt.zero(order)
         elif zp:
-            side, survivor = SIDE_PLUS, s_minus
+            side, survivor = SIDE_PLUS, sums[1]
         elif zm:
-            side, survivor = SIDE_MINUS, s_plus
+            side, survivor = SIDE_MINUS, sums[0]
         else:
             continue
         lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)

@@ -131,7 +131,17 @@ def fragmentation_layout(params: WellParams) -> FragmentationLayout:
 def nonfrag_prediction(params: WellParams) -> PlateauPrediction:
     """Predicted unique plateau below the threshold p when 2 N lam is odd:
     center D(2 a N lam / q + 1/2), radius D(p/(2 lam) + 1/2)/p, intersected
-    with [0, 1/2]."""
+    with [0, 1/2], D the distance to the nearest integer.
+
+    Derivation (README, "Why the predicted interval"): with m = 2 N lam odd,
+    S_pm vanishes by reflection, k against c - k for c = k0 + k1 its first
+    and last members, iff c = q -+ 2 a m (mod 2 q); for odd q that is n even
+    and c = -+2 a m (mod q), for even q it is q | x, x / q odd, x = A c +- 2 m.
+    The contributing k = d j + e, d = q / p, of the window of x are the j
+    within h = p / (2 lam) of (q x - e) / d, and j0 + j1 = (c - 2 e) / d is
+    the odd 2 J + 1 iff |2 q x - c| < 2 d D(h + 1/2): the radius; and
+    c / (2 q) = 1/2 -+ a m / q (mod 1) has D(a m / q + 1/2) in [0, 1/2].
+    """
     if params.lam >= params.threshold:
         raise ValueError("prediction requires lam strictly below the threshold")
     if not doubled_drift_is_odd(params):

@@ -27,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 
 # extra eigenmodes beyond the L2-tail requirement, for pointwise accuracy
 _POINTWISE_TERMS = 1 << 17
+_SQUARE_CHUNK = 1 << 16  # points per pass of density_p's Python-float squaring
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,10 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
         sine = np.sin(TWO_PI * n_lam_f * (xs[mask] - k / q))
         re[mask] += c.real * sine
         im[mask] += c.imag * sine
-    h = np.hypot(re, im).tolist()
-    ps = 4.0 * float(params.lam) / q * np.fromiter(map(pow, h, repeat(2.0)), float, len(h))
+    ps = np.hypot(re, im)
+    for part in np.split(ps, range(_SQUARE_CHUNK, ps.size, _SQUARE_CHUNK)):  # views of ps
+        part[:] = np.fromiter(map(pow, part.tolist(), repeat(2.0)), float, part.size)
+    ps *= 4.0 * float(params.lam) / q
     return float(ps[0]) if np.ndim(x) == 0 else ps
 
 

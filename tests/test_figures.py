@@ -1,5 +1,6 @@
 """The one-pass CSV/SVG renderers against the per-row f-string renderers they
 replaced, which are kept here as the byte oracle."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,20 @@ def test_density_samples_are_one_float64_array_of_x_p_rows():
     assert isinstance(rows, np.ndarray)
     assert rows.shape == (37, 2) and rows.dtype == np.float64 and rows.flags.c_contiguous
     assert rows[:, 0].tolist() == [(i + 0.5) * (0.5 / 37) for i in range(37)]
+
+
+def test_density_samples_peak_below_64_bytes_a_sample():
+    """density_p squares |S| with Python's float pow a chunk of points at a
+    time, so its peak is its arrays, about 59 bytes a sample; one Python
+    float list of every sample took it to about 82."""
+    samples = 1 << 18
+    tracemalloc.start()
+    try:
+        figures.density_samples(WellParams(*PANELS["plat-a"]), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * samples
 
 
 def test_polyline_keeps_the_scalar_order_of_operations():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qwell import cyclotomic, plateau, predictors
 from qwell.cyclotomic import CycInt, galois_conjugate
-from qwell.gauss import coefficient_c, gauss_abs_sq
+from qwell.gauss import coefficient_c, coefficient_exponent, gauss_abs_sq
 from qwell.plateau import (
     POSITIVE_LEVEL,
     ExactFloatMismatch,
@@ -25,7 +25,6 @@ from qwell.plateau import (
     ZERO_LEVEL,
     PlateauInterval,
     PlateauReport,
-    _checked_is_zero,
     build_cells,
     conjugate_report,
     cyclotomic_order,
@@ -427,11 +426,17 @@ def detect_by_cell(params):
     merge that detect_plateaux no longer makes shows as a mismatch.  A level
     is (lam/q) |G(a, k, q)|^2 / q |survivor|^2 at a member k, the exact
     gauss_abs_sq standing for |c(k)|^2 of the unit-root survivor."""
+    def checked_is_zero(z, cell):
+        exact = z.is_zero()
+        if exact != (abs(z.to_complex()) <= plateau._float_bound(len(cell.members))):
+            raise ExactFloatMismatch(f"exact zero test disagrees with float shadow on {cell}")
+        return exact
+
     verdicts, terms = [], term_table(params)
     for cell in build_cells(params.lam, params.q):
         s_plus, s_minus = window_sums(cell, terms)
-        zp = _checked_is_zero(s_plus, params, cell)
-        zm = _checked_is_zero(s_minus, params, cell)
+        zp = checked_is_zero(s_plus, cell)
+        zm = checked_is_zero(s_minus, cell)
         if zp and zm:
             verdicts.append((cell, SIDE_BOTH, CycInt.zero(s_plus.order)))
         elif zp:
@@ -843,14 +848,14 @@ def test_every_vanishing_image_is_an_exact_zero(monkeypatch):
     the exact test, which would answer False.  On the oracle cases, the
     golden plateaux among them, no side does: the exact path sees only true
     zeros."""
-    checked_is_zero = plateau._checked_is_zero
+    is_zero = CycInt.is_zero
     verdicts = []
 
-    def recording(z, params, cell):
-        verdicts.append(checked_is_zero(z, params, cell))
+    def recording(z):
+        verdicts.append(is_zero(z))
         return verdicts[-1]
 
-    monkeypatch.setattr(plateau, "_checked_is_zero", recording)
+    monkeypatch.setattr(CycInt, "is_zero", recording)
     for case in ORACLE_CASES:
         detect_plateaux(WellParams(*case))
     assert verdicts and all(verdicts)
@@ -866,27 +871,33 @@ def reflection_verdicts(params):
     by (c - 2 k) x, and the terms cancel in pairs; an odd member count fails
     the congruences, as (c - 2 k0) x = ((n - 1) / 2) 2 d x = 0 (mod M)."""
     terms = term_table(params)
-    m, (a, b), images = terms.order, terms.rule, terms.images
+    m, images = terms.order, terms.images
     verdicts = []
     for cell in build_cells(params.lam, params.q):
         members = cell.members
         for sign, (j0, j1) in zip((1, -1), plateau._side_slices(members, terms.ks)):
             exact = (not (images[j1] - images[j0]) % terms.ell
                      and plateau._side_sum(members, m, terms.rule, sign).is_zero())
-            law = not members
-            if members:
-                k0, c, d = members[0], members[0] + members[-1], members.step
-                x = a * c + sign * b
-                law = m % 2 == 0 and 2 * d * x % m == 0 and (c - 2 * k0) * x % m == m // 2
-            verdicts.append((exact, law))
+            verdicts.append((exact, reflection_law(members, m, terms.rule, sign)))
     return verdicts
 
 
-def reflection_grid():
-    """Every configuration with lam = u/v, v <= 8, 1 < lam <= 6, q <= 12 and
-    N <= 3, fragmentation included: 15,180 of them."""
+def reflection_law(members, order, rule, sign):
+    """The law of reflection_verdicts for S_plus (sign 1) or S_minus (sign -1)
+    over members, with the exponent rule (A, B) of order M."""
+    if not members:
+        return True
+    (a, b), k0, c = rule, members[0], members[0] + members[-1]
+    x = a * c + sign * b
+    return (order % 2 == 0 and 2 * members.step * x % order == 0
+            and (c - 2 * k0) * x % order == order // 2)
+
+
+def reflection_grid(q_max=12):
+    """Every configuration with lam = u/v, v <= 8, 1 < lam <= 6, q <= q_max
+    and N <= 3, fragmentation included: 15,180 of them for q_max = 12."""
     lams = sorted({Fraction(u, v) for v in range(1, 9) for u in range(v + 1, 6 * v + 1)})
-    return [WellParams(lam, n_state, Fraction(a, q)) for lam in lams for q in range(1, 13)
+    return [WellParams(lam, n_state, Fraction(a, q)) for lam in lams for q in range(1, q_max + 1)
             for a in range(q) if math.gcd(a, q) == 1 for n_state in (1, 2, 3)]
 
 
@@ -900,6 +911,54 @@ def test_a_side_vanishes_exactly_when_it_is_a_reflection(cases, zeros, sides):
     verdicts = [v for params in cases for v in reflection_verdicts(params)]
     assert [v for v in verdicts if v[0] != v[1]] == []
     assert (sum(exact for exact, _ in verdicts), len(verdicts)) == (zeros, sides)
+
+
+def closed_form_zero(params, members, sign):
+    """Whether S_plus (sign 1) or S_minus (sign -1) vanishes on a window by
+    the closed forms for an odd m = 2 N lam: always on an empty window; else,
+    with n members, the first k0, the last k1 and c = k0 + k1, iff n is even
+    and, for odd q, c = -+2 a m (mod q), or, for even q, x = A c +- 2 m, with
+    A the lifted inverse of coefficient_exponent, has x = 0 (mod q) and x / q
+    odd."""
+    if not members:
+        return True
+    if len(members) % 2:
+        return False
+    c, m, q = members[0] + members[-1], (2 * params.n_lam).numerator, params.q
+    if q % 2:
+        return (c + sign * 2 * params.a * m) % q == 0
+    x = coefficient_exponent(params.a, q)[0] * c + sign * 2 * m
+    return x % q == 0 and x // q % 2 == 1
+
+
+def test_closed_forms_are_the_reflection_law_and_select_the_predicted_interval():
+    """Over reflection_grid(16) with 2 N lam odd, fragmentation included, each
+    side vanishes by closed_form_zero iff the reflection congruences hold.
+    Below the threshold the cells where a side vanishes are consecutive, and
+    their closure is exactly nonfrag_prediction's [lo, hi]."""
+    configs = predicted = sides = zeros = 0
+    for params in reflection_grid(16):
+        if not predictors.doubled_drift_is_odd(params):
+            continue
+        order = cyclotomic_order(params)
+        rule = plateau._exponent_rule(params, order)
+        cells = build_cells(params.lam, params.q)
+        selected = []
+        for cell in cells:
+            closed = [closed_form_zero(params, cell.members, sign) for sign in (1, -1)]
+            assert closed == [reflection_law(cell.members, order, rule, sign) for sign in (1, -1)]
+            zeros += sum(closed)
+            if any(closed):
+                selected.append(cell)
+        configs, sides = configs + 1, sides + 2 * len(cells)
+        if params.lam < params.threshold:
+            prediction = predictors.nonfrag_prediction(params)
+            den = 2 * params.lam.numerator * params.q
+            assert all(left.x1 == right.x0 for left, right in zip(selected, selected[1:]))
+            assert ((Fraction(selected[0].x0, den), Fraction(selected[-1].x1, den))
+                    == (prediction.lo, prediction.hi))
+            predicted += 1
+    assert (configs, predicted, sides, zeros) == (2400, 2124, 43_452, 3340)
 
 
 def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
