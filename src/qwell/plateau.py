@@ -13,8 +13,8 @@ each cell the two windowed sums
 
 are constants, and the density is constant on the cell iff one of them
 vanishes, with level (lam/q) |other|^2.  Each term is |c(k)| times the
-unit root zeta_M^(A k^2 +- B k), M = cyclotomic_order, of one exponent rule
-(A, B) per configuration.  |c(k)| is constant, so both sums are decided
+unit root zeta_M^(A k^2 +- B k) of one order M and exponent rule (A, B) per
+configuration (exponent_rule).  |c(k)| is constant, so both sums are decided
 exactly as sums of unit roots in Z[zeta_M], and _level carries |c(k)|^2.
 c(k) is even in k, so the minus term at k is the plus term at -k.  One term
 table per configuration (term_table), built by the detector and passed to
@@ -162,13 +162,6 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def cyclotomic_order(params: WellParams) -> int:
-    """Common order housing every unit root of both windowed sums:
-    lcm(modulus, q s) with the modulus of coefficient_exponent, so q s for odd
-    q and lcm(4q, q s) for even q."""
-    return math.lcm(coefficient_exponent(params.a, params.q)[1], params.q * params.s)
-
-
 def _float_bound(n: int) -> float:
     """C n eps, the float bound of a sum of n unit-modulus terms."""
     return n * (FLOAT_ERROR_C * sys.float_info.epsilon)  # C eps = 2^-45 exactly
@@ -188,11 +181,14 @@ class _TermTable:
     shadows: tuple[list[int], list[int]]
 
 
-def _exponent_rule(params: WellParams, order: int) -> tuple[int, int]:
-    """(A, B) with c(k) e(+-N lam k / q) / |c(k)| = zeta_M^(A k^2 +- B k), M = order."""
+def exponent_rule(params: WellParams) -> tuple[int, int, int]:
+    """(M, A, B): the order M = lcm(modulus, q s) of every unit root of both sums,
+    modulus from coefficient_exponent (q s for odd q, lcm(4q, q s) for even q),
+    and (A, B) with c(k) e(+-N lam k / q) / |c(k)| = zeta_M^(A k^2 +- B k)."""
     inv, modulus = coefficient_exponent(params.a, params.q)
-    drift_step = order // (params.s * params.q)
-    return inv * (order // modulus) % order, params.n_lam.numerator * drift_step % order
+    sq = params.s * params.q
+    order = math.lcm(modulus, sq)
+    return order, inv * (order // modulus) % order, params.n_lam.numerator * (order // sq) % order
 
 
 def term_table(params: WellParams) -> _TermTable:
@@ -211,15 +207,14 @@ def term_table(params: WellParams) -> _TermTable:
     (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps
     of its direct float, else this raises ExactFloatMismatch.
     """
-    q, order = params.q, cyclotomic_order(params)
+    q, (order, a_rule, b_rule) = params.q, exponent_rule(params)
     try:
         ell, root = image_root(order)
-    except ValueError as err:  # no certified prime ell = 1 (mod M) in range
-        raise ValueError(f"the cyclotomic order M = {order} is beyond the range of the"
-                         " F_ell images: the denominator of N lambda is too large") from err
+    except ValueError as err:  # no certified prime ell = 1 (mod M), or M not factored
+        raise ValueError(f"the cyclotomic order M = {order} is beyond the range of the F_ell"
+                         f" images ({err}): the denominator of N lambda is too large") from err
     inv, modulus = coefficient_exponent(params.a, q)
     drift_num, sq = params.n_lam.numerator, params.s * q
-    a_rule, b_rule = _exponent_rule(params, order)
     r = _contributing_ks(params.lam, q)[-1]
     ks = contributing(range(-r, r + 1), q)
     d = ks.step
@@ -376,8 +371,10 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
         e = j'(k0) - t j(k0)  (mod M),
 
     j and j' the partner's and this configuration's rule exponents of the
-    surviving sides at the cell's first member k0.  Its level comes from
-    the rebuilt survivor, as detect_plateaux(params) computes it.
+    surviving sides at the cell's first member k0, each with its own M from
+    exponent_rule (were the two to differ, the product would raise ValueError).
+    Its level comes from the rebuilt survivor, as detect_plateaux(params)
+    computes it.
     """
     mate = partner.params
     lam, q = params.lam, params.q
@@ -387,11 +384,6 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
             or (t * params.a - mate.a) % q or (t * mate.n_state - sign * params.n_state) % w
             or partner.zero_checks != 2 * len(cells)):
         raise ValueError(f"{mate} is not the image of {params} under sigma_{t}, sign {sign}")
-    if not partner.intervals:
-        return PlateauReport(params, (), partner.zero_checks)
-    order = cyclotomic_order(params)
-    rule, (a_mate, b_mate) = _exponent_rule(params, order), _exponent_rule(mate, order)
-    a_own, b_own = rule
     den = 2 * lam.numerator * q
     intervals = []
     for iv in partner.intervals:
@@ -400,7 +392,8 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
             cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
             mate_sign = -1 if iv.vanishing_side == SIDE_PLUS else 1  # the surviving side
             own_sign, k0 = sign * mate_sign, cell.members[0]
-            survivor = _side_sum(cell.members, order, rule, own_sign)
+            (order, a_own, b_own), (_, a_mate, b_mate) = exponent_rule(params), exponent_rule(mate)
+            survivor = _side_sum(cell.members, order, (a_own, b_own), own_sign)
             e = ((a_own * k0 + own_sign * b_own) * k0
                  - t * (a_mate * k0 + mate_sign * b_mate) * k0)
             if survivor != CycInt.root(order, e) * galois_conjugate(iv.level_exact, t):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .cyclotomic import image_root
 from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, conjugate_report,
-                      cyclotomic_order, detect_plateaux)
+                      detect_plateaux, exponent_rule)
 from .rationals import dist_nearest_int, format_rational
 from .wavefield import WellParams, fragmentation_threshold
 
@@ -302,11 +302,12 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, in
     record is its source's report carried over by sigma_t
     (plateau.conjugate_report).  The layers shared by all of the task's
     configurations, its cells and the F_ell root of each order (which depends
-    on q and s only), are built first."""
+    on q and s only), are built first, though both are cached: else the first
+    detector run of the task or order pays for them, a slow tail in latency."""
     lam, q, n_max = args
     grid = [WellParams(lam, n_state, Fraction(a, q)) for n_state, a in _task_configs(q, n_max)]
     build_cells(lam, q)
-    for order in {cyclotomic_order(params) for params in grid[::len(grid) // n_max]}:  # one per N
+    for order in {exponent_rule(params)[0] for params in grid[::len(grid) // n_max]}:  # one per N
         image_root(order)
     reports: list[PlateauReport] = []
     for params, link in zip(grid, galois_links(lam, q, n_max)):

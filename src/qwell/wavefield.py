@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .gauss import coefficient_c, contributing, gauss_sum_direct
@@ -27,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 
 # extra eigenmodes beyond the L2-tail requirement, for pointwise accuracy
 _POINTWISE_TERMS = 1 << 17
-_SQUARE_CHUNK = 1 << 16  # points per pass of density_p's Python-float squaring
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
     cell boundaries.
 
     A number x (a Fraction as float(x)) gives a float, a 1-D float array an
-    array; bit for bit the per-point loop (so hypot, and Python's float pow).
+    array; bit for bit the per-point loop (hypot, and libm pow via np.float_power).
     """
     import numpy as np
 
@@ -161,9 +159,7 @@ def density_p(x, params: WellParams) -> float | np.ndarray:
         sine = np.sin(TWO_PI * n_lam_f * (xs[mask] - k / q))
         re[mask] += c.real * sine
         im[mask] += c.imag * sine
-    ps = np.hypot(re, im)
-    for part in np.split(ps, range(_SQUARE_CHUNK, ps.size, _SQUARE_CHUNK)):  # views of ps
-        part[:] = np.fromiter(map(pow, part.tolist(), repeat(2.0)), float, part.size)
+    ps = np.float_power(np.hypot(re, im), 2.0)
     ps *= 4.0 * float(params.lam) / q
     return float(ps[0]) if np.ndim(x) == 0 else ps
 

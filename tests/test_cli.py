@@ -417,6 +417,33 @@ def test_order_beyond_the_image_range_exits_2_before_any_work(capsys, command):
     assert "denominator of N lambda is too large" in err
 
 
+def test_a_large_prime_denominator_is_factored_within_5_s():
+    # N lam = (v + 1) / v with v = 100000000000000000039 a prime: M = 3 v, and
+    # trial division up to sqrt(M) would take about 20 minutes to finish
+    v = 100000000000000000039
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "qwell.cli", "plateaux", "--lambda",
+                           f"{v + 1}/{v}", "--N", "1", "--tau", "1/3"],
+                          env=env, capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    assert (payload["lambda"], payload["zero_checks"]) == (f"{v + 1}/{v}", 8)
+
+
+def test_a_denominator_of_two_large_primes_exits_2_within_5_s(capsys):
+    # v = p p' with both primes above the trial-division bound 2^20: M = 3 v
+    # is not factored, and the message names M and the cofactor left
+    v = 2097169 * 4194319
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "plateaux", "--lambda", f"{v + 1}/{v}", "--N", "1",
+                             "--tau", "1/3")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"M = {3 * v}" in err
+    assert f"({v} has no prime factor up to 1048576 but is not a prime)" in err
+
+
 def test_samples_at_the_limits_are_accepted():
     # the default 4000 samples at q = MAX_Q, and MAX_SAMPLES with and without a q
     for samples, q in ((4000, MAX_Q), (MAX_SAMPLES, 800), (MAX_SAMPLES, 1)):

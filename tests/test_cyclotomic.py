@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwell import cyclotomic
 from qwell.cyclotomic import (
     CycInt,
     cyclotomic_poly,
@@ -322,3 +323,19 @@ def test_image_map_at_detector_orders(case):
     if known_zero is not None:
         assert zero == known_zero
     assert not zero or image(z) == 0
+
+
+def test_prime_factors_stop_trial_division_at_the_bound():
+    """Trial division stops at _TRIAL_BOUND: a cofactor left above it is kept
+    as a prime factor only if it is a prime, so 2^k P factors for any prime P
+    above the bound, and a product of two such primes raises ValueError."""
+    bound = cyclotomic._TRIAL_BOUND
+    for big in (sympy.nextprime(bound), sympy.nextprime(bound**2)):
+        for k in range(4):
+            assert cyclotomic._prime_factors(2**k * big) == [2] * bool(k) + [big]
+        assert cyclotomic._prime_factors(3 * 5**2 * 7 * big) == sympy.primefactors(105 * big)
+    product = sympy.nextprime(2 * bound) * sympy.nextprime(4 * bound)
+    with pytest.raises(ValueError, match="not a prime"):
+        cyclotomic._prime_factors(product)
+    with pytest.raises(ValueError, match="not a prime"):
+        cyclotomic._prime_factors(6 * product)

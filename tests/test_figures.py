@@ -113,9 +113,9 @@ def test_density_samples_are_one_float64_array_of_x_p_rows():
 
 
 def test_density_samples_peak_below_64_bytes_a_sample():
-    """density_p squares |S| with Python's float pow a chunk of points at a
-    time, so its peak is its arrays, about 59 bytes a sample; one Python
-    float list of every sample took it to about 82."""
+    """density_p squares |S| in one np.float_power call, so its peak is its
+    arrays, about 59 bytes a sample; one Python float list of every sample
+    took it to about 82."""
     samples = 1 << 18
     tracemalloc.start()
     try:

@@ -27,8 +27,8 @@ from qwell.plateau import (
     PlateauReport,
     build_cells,
     conjugate_report,
-    cyclotomic_order,
     detect_plateaux,
+    exponent_rule,
     term_table,
     window_sums,
 )
@@ -332,7 +332,7 @@ def test_cyclotomic_order_is_q_s_for_odd_q():
     for lam, n_state, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
         p = WellParams(lam, n_state, tau)
         expected = p.q * p.s if p.q % 2 else math.lcm(8, 4 * p.q, p.q * p.s)
-        assert cyclotomic_order(p) == expected
+        assert exponent_rule(p)[0] == expected
 
 
 def e(x):
@@ -662,7 +662,7 @@ def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
     for case in ORACLE_CASES:
         p = WellParams(*case)
         expected = detect_plateaux(p)
-        for prime in cyclotomic._prime_factors(cyclotomic_order(p)):
+        for prime in cyclotomic._prime_factors(exponent_rule(p)[0]):
 
             def bad_root(m, prime=prime):
                 ell, r = image_root(m)
@@ -692,15 +692,14 @@ LARGE_ORDER_CASE = (Fraction("2.00000000000001"), 1, Fraction(1, 1001))
 @pytest.fixture
 def off_by_one_rule(monkeypatch):
     """Patch the exponent rule (A, B) of every term table built from here on
-    to (A + da, B + db)."""
-    exponent_rule = plateau._exponent_rule
+    to (A + da, B + db) modulo its order M."""
 
     def patch(da, db):
-        def rule(params, order):
-            a, b = exponent_rule(params, order)
-            return (a + da) % order, (b + db) % order
+        def rule(params):
+            order, a, b = exponent_rule(params)
+            return order, (a + da) % order, (b + db) % order
 
-        monkeypatch.setattr(plateau, "_exponent_rule", rule)
+        monkeypatch.setattr(plateau, "exponent_rule", rule)
 
     return patch
 
@@ -709,7 +708,7 @@ def test_member_terms_exponent_off_by_one_raises(off_by_one_rule):
     """A rule off by one in A or in B fails the exact exponent check for any
     M, up to M = 1001 * 10^14, where it moves a root by as little as
     2 pi / M."""
-    assert cyclotomic_order(WellParams(*LARGE_ORDER_CASE)) == 1001 * 10**14
+    assert exponent_rule(WellParams(*LARGE_ORDER_CASE))[0] == 1001 * 10**14
     for da, db in [(1, 0), (0, 1), (0, -1)]:
         off_by_one_rule(da, db)
         for case in ORACLE_CASES + [LARGE_ORDER_CASE]:
@@ -832,12 +831,12 @@ def test_image_primes_fit_one_cpython_digit():
     does not depend on a) and of plateaux --lambda 5/2 --N 1 --tau 1/q at
     large q, so the image arithmetic mod ell stays on one-digit ints."""
     orders = {
-        cyclotomic_order(WellParams(lam, n_state, Fraction(1, q)))
+        exponent_rule(WellParams(lam, n_state, Fraction(1, q)))[0]
         for lam in predictors._lambda_grid(8, Fraction(6))
         for q in range(2, 21) if lam < fragmentation_threshold(q)
         for n_state in (1, 2, 3)
     }
-    orders |= {cyclotomic_order(WellParams(Fraction(5, 2), 1, Fraction(1, q)))
+    orders |= {exponent_rule(WellParams(Fraction(5, 2), 1, Fraction(1, q)))[0]
                for q in (10001, 20001, 199999)}
     assert len(orders) > 80
     assert all(cyclotomic.image_root(order)[0] < 2**30 for order in orders)
@@ -940,8 +939,7 @@ def test_closed_forms_are_the_reflection_law_and_select_the_predicted_interval()
     for params in reflection_grid(16):
         if not predictors.doubled_drift_is_odd(params):
             continue
-        order = cyclotomic_order(params)
-        rule = plateau._exponent_rule(params, order)
+        order, *rule = exponent_rule(params)
         cells = build_cells(params.lam, params.q)
         selected = []
         for cell in cells:
@@ -966,7 +964,7 @@ def test_image_tables_stay_linear_in_the_terms_for_a_large_denominator():
     of the powers of the root would be huge next to the 2,002 exponents, and
     the detector's peak stays small.  The report is the cell loop's."""
     p = WellParams(Fraction("2.00000001"), 1, Fraction(1, 1001))
-    assert cyclotomic_order(p) == 1001 * 10**8
+    assert exponent_rule(p)[0] == 1001 * 10**8
     tracemalloc.start()
     try:
         report = detect_plateaux(p)

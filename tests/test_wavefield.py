@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwell import wavefield
 from qwell.figures import density_samples
 from qwell.gauss import coefficient_c
 from qwell.wavefield import (
@@ -196,16 +195,6 @@ def test_density_array_is_bit_identical_to_the_point_loop():
         assert density_p(xs, p).tolist() == expected
         assert [density_p(x, p) for x in xs.tolist()] == expected
         assert type(density_p(xs[0], p)) is float
-
-
-def test_small_square_chunks_leave_no_seam(monkeypatch):
-    # chunks of 3 points: a partial chunk, one full chunk, and one or three
-    # full chunks followed by a lone point
-    monkeypatch.setattr(wavefield, "_SQUARE_CHUNK", 3)
-    p = WellParams(*PANELS["plat-a"])
-    for n in (2, 3, 4, 10):
-        xs = np.linspace(0.01, 0.49, n)
-        assert density_p(xs, p).tolist() == [density_by_point(x, p) for x in xs.tolist()]
 
 
 def test_overlap_single_mode_at_unit_expansion():
