@@ -45,7 +45,7 @@ from .wavefield import PANELS, WellParams
 MAX_Q = 200_000
 MAX_Q_HELP = (
     f"q of tau = a/q at most {MAX_Q}: at tau = 1/199999 and lambda 5/2, plateaux"
-    " takes about 2.0-3.1 s and 138 MB, density --out csv about 8-11 s and 31 MB"
+    " takes about 1.9-3.0 s and 132 MB, density --out csv about 8-11 s and 31 MB"
     " (2 cores, Python 3.11)"
 )
 # The most density samples that density and figures accept; density's work

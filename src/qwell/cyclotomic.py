@@ -140,9 +140,10 @@ def image_root(order: int) -> tuple[int, int]:
     Then Phi_order(r) = 0 (mod ell), so zeta_order -> r is a ring
     homomorphism Z[zeta_order] -> F_ell: an element whose image is nonzero is
     nonzero.  A zero image proves nothing (a nonzero element maps to 0 with a
-    chance of about 1/ell, about 2^-29), so vanishing is still decided by
-    `is_zero`: a false zero image costs one exact test and never changes a
-    verdict.  The floor is 2^29, not higher, because then ell < 2^30 is one
+    chance of about 1/ell, about 2^-29), so vanishing is still decided
+    exactly, by the detector's reflection congruences or by `is_zero`: a
+    false zero image costs one exact test and never changes a verdict.  The
+    floor is 2^29, not higher, because then ell < 2^30 is one
     30-bit CPython digit, as are the images and the factors of each product
     mod ell, for every order of the default scan and of large-q runs such
     as q = 199999 (the largest ell there is 538,397,309).

@@ -23,11 +23,14 @@ images under the ring map Z[zeta_M] -> F_ell, zeta_M -> r
 (cyclotomic.image_root), and of its float terms rounded to multiples of
 2^-60.  S_plus reads a cell's members as a slice of it and S_minus reads
 the mirrored slice.  A nonzero verdict is certified by a cell's image, read
-in O(1) from the table; only a cell with a vanishing image has its sums
-built in Z[zeta_M], and a zero verdict comes only from the exact cyclotomic
-zero test.  Every verdict, from either path, is cross-checked at one site
-against the side's table shadow, read in O(1) as well, and a disagreement
-raises, so the detector is linear in the number of cells and terms.
+in O(1) from the table.  A side with a vanishing image is zero if its window
+is empty or its terms cancel in reflected pairs, decided by two integer
+congruences (_reflection_zero); only if they fail is its sum built in
+Z[zeta_M] for the exact cyclotomic zero test.  So a zero verdict comes only
+from these congruences or from that test.  Every verdict, from any path, is
+cross-checked at one site against the side's table shadow, read in O(1) as
+well, and a disagreement raises, so the detector is linear in the number of
+cells and terms.
 
 conjugate_report reads a report off its Galois partner's through
 sigma_t: zeta -> zeta^t, and states the orbit identity.
@@ -37,11 +40,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .cyclotomic import CycInt, galois_conjugate, image_root
 from .gauss import coefficient_exponent, contributing
@@ -85,8 +89,7 @@ class ExactFloatMismatch(RuntimeError):
     corrupted coefficient path and must never be silently ignored."""
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """Open interval (x0, x1) / (2uq), lam = u/v, between consecutive singular
     points, with the integers of its window (zero-coefficient k already
     dropped for even q)."""
@@ -132,9 +135,12 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     k for odd q, k = q/2 (mod 2) for even q) put window edges at
     lower(k) = 2uk - vq and upper(k) = 2uk + vq, both increasing in k, and
     the open cell (X0, X1) between consecutive edges holds exactly the k
-    with lower(k) <= X0 and X1 <= upper(k), a run of ks found by bisection.
-    Each cell is checked once against the window at its midpoint, computed
-    independently by wavefield.window, and a mismatch raises ValueError.
+    with lower(k) <= X0 and X1 <= upper(k): ks[j:i], with i the lower edges
+    and j the upper edges at or below X0.  So one walk with two pointers
+    over the two edge progressions gives every cell in order, each ending at
+    the next edge of either.  Each cell is checked once against the window
+    at its midpoint, computed independently by wavefield.window, and a
+    mismatch raises ValueError.
 
     Each edge family is strictly increasing, so at a boundary one k enters
     (a lower edge), one leaves (an upper edge) or both (where u d | v q,
@@ -147,12 +153,18 @@ def build_cells(lam: Fraction, q: int) -> tuple[Cell, ...]:
     u, v = lam.numerator, lam.denominator
     den, half = 2 * u * q, u * q
     ks = _contributing_ks(lam, q)
-    lower = [2 * u * k - v * q for k in ks]
-    upper = [2 * u * k + v * q for k in ks]
-    bounds = [0, *sorted({x for x in (*lower, *upper) if 0 < x < half}), half]
+    step = 2 * u * ks.step
+    # the edges of the next k to enter, ks[i], and to leave, ks[j]
+    lower, upper = 2 * u * ks.start - v * q, 2 * u * ks.start + v * q
+    i = j = x1 = 0
     cells = []
-    for x0, x1 in zip(bounds, bounds[1:]):
-        cell = Cell(x0, x1, ks[bisect_left(upper, x1):bisect_right(lower, x0)])
+    while x1 < half:
+        while lower <= x1:
+            i, lower = i + 1, lower + step
+        while upper <= x1:
+            j, upper = j + 1, upper + step
+        x0, x1 = x1, min(lower, upper, half)
+        cell = Cell(x0, x1, ks[j:i])
         if contributing(window(x0 + x1, 2 * den, lam, q), q) != cell.members:
             raise ValueError(
                 f"corrupt cell ({Fraction(x0, den)}, {Fraction(x1, den)}):"
@@ -219,7 +231,7 @@ def term_table(params: WellParams) -> _TermTable:
     ks = contributing(range(-r, r + 1), q)
     d = ks.step
     coeff_step, drift_step = order // modulus, order // sq
-    exp, rect, scale = cmath.exp, cmath.rect, SHADOW_SCALE
+    exp, rect, scale = cmath.exp, cmath.rect, float(SHADOW_SCALE)  # no int-to-float per product
     two_pi_i, angle = 2j * math.pi, 2 * math.pi / order
     bound = _float_bound(1)
     image, ratio, step = (pow(root, j % order, ell) for j in (
@@ -246,8 +258,9 @@ def term_table(params: WellParams) -> _TermTable:
 def _side_slices(members: range, ks: range) -> tuple[tuple[int, int], tuple[int, int]]:
     """The slices of the term table holding a cell's S_plus terms, its members
     [i0, i1) of ks, and its S_minus terms, the mirror [n - i1, n - i0): ks is
-    symmetric, and the minus term at k is the plus term at -k."""
-    i0 = ks.index(members[0]) if members else 0
+    symmetric, and the minus term at k is the plus term at -k.  The members
+    step by ks.step like ks, so i0 = (k0 - ks.start) / ks.step."""
+    i0 = (members.start - ks.start) // ks.step
     i1, n = i0 + len(members), len(ks)
     return (i0, i1), (n - i1, n - i0)
 
@@ -258,6 +271,26 @@ def _side_sum(members: range, order: int, rule: tuple[int, int], sign: int) -> C
     rule (A, B)."""
     a, b = rule
     return CycInt(order, (((a * k * k + sign * b * k) % order, 1) for k in members))
+
+
+def _reflection_zero(members: range, order: int, rule: tuple[int, int], sign: int) -> bool:
+    """Whether S_plus (sign 1) or S_minus (sign -1) over members vanishes by
+    reflection: the window is empty, or M = order is even and, with the first
+    member k0, the last k1, the step d, c = k0 + k1 and x = A c +- B for the
+    exponent rule (A, B),
+
+        2 d x = 0  and  (c - 2 k0) x = M/2  (mod M).
+
+    Then the exponents at k and c - k differ by (c - 2 k) x, an odd multiple
+    of M/2, so the term at c - k is minus the term at k and the terms cancel
+    in pairs.  An odd member count n fails, as (c - 2 k0) x =
+    ((n - 1) / 2) 2 d x = 0 (mod M).  False proves nothing."""
+    if not members:
+        return True
+    k0, c = members.start, members.start + members[-1]
+    x = rule[0] * c + sign * rule[1]
+    return (not order % 2 and not 2 * members.step * x % order
+            and (c - 2 * k0) * x % order == order >> 1)
 
 
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
@@ -284,13 +317,17 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     and report each qualifying cell as its own constant-density interval.
 
     The term table (term_table) is built once, and each cell reads its two
-    term images and its two shadows from it in O(1).  A nonzero image proves
-    its side nonzero; if an image vanishes, window_sums builds both sums in
-    Z[zeta_M] once and the exact zero test decides that side.  Each verdict
-    is compared at one site with its side's table shadow, which must lie
-    within the float bound iff the side is zero, else this raises
-    ExactFloatMismatch naming the deciding path; so a wrong image can only
-    raise or be overruled, never change a verdict.  No interval spans two
+    term images and its two shadows from it in O(1), at the slices
+    i0 = (k0 - ks.start) / d of its first member k0 (_side_slices).  A
+    nonzero image proves its side nonzero.  A vanishing image is a zero
+    certified by the reflection congruences (_reflection_zero), which also
+    make an empty window zero; only if they fail is the side's sum built in
+    Z[zeta_M] and decided by the exact zero test.  Each verdict is compared
+    at one site with its side's table shadow, which must lie within the
+    float bound iff the side is zero, else this raises ExactFloatMismatch
+    naming the deciding path; so a wrong image can only raise or be
+    overruled, never change a verdict.  A qualifying cell has both sums
+    built by window_sums, for its survivor and level.  No interval spans two
     cells (see build_cells); if two adjacent cells ever qualified, they
     would show as two intervals, and a scan would record the configuration
     as inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
@@ -299,7 +336,8 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     lam, q = params.lam, params.q
     den = 2 * lam.numerator * q
     terms = term_table(params)
-    order, ks, ell, images = terms.order, terms.ks, terms.ell, terms.images
+    order, rule, ell, images = terms.order, terms.rule, terms.ell, terms.images
+    first, d, n = terms.ks.start, terms.ks.step, len(terms.ks)
     s_re, s_im = terms.shadows
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
     unit_bound = _float_bound(1) * SHADOW_SCALE
@@ -307,27 +345,31 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     cells = build_cells(lam, q)
     intervals: list[PlateauInterval] = []
     for cell in cells:
-        scaled_bound = len(cell.members) * unit_bound
-        sums, zeros = None, []
-        for i, (j0, j1) in enumerate(_side_slices(cell.members, ks)):
+        members = cell.members
+        count = len(members)
+        i0 = (members.start - first) // d
+        i1, scaled_bound = i0 + count, count * unit_bound
+        zeros = []
+        for sign, j0, j1 in ((1, i0, i1), (-1, n - i1, n - i0)):
             image = (images[j1] - images[j0]) % ell
-            if not image and sums is None:
-                sums = window_sums(cell, terms)
-            zero = not image and sums[i].is_zero()
+            reflection = not image and _reflection_zero(members, order, rule, sign)
+            zero = reflection or (not image and _side_sum(members, order, rule, sign).is_zero())
             if zero != (abs(complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0])) <= scaled_bound):
-                path = f"nonzero image in F_{ell}" if image else "exact zero test"
+                path = (f"nonzero image in F_{ell}" if image
+                        else "reflection law" if reflection else "exact zero test")
                 raise ExactFloatMismatch(
                     f"{path} disagrees with the table shadow for {params} on {cell}")
             zeros.append(zero)
         zp, zm = zeros
+        if not (zp or zm):
+            continue
+        s_plus, s_minus = window_sums(cell, terms)
         if zp and zm:
             side, survivor = SIDE_BOTH, CycInt.zero(order)
         elif zp:
-            side, survivor = SIDE_PLUS, sums[1]
-        elif zm:
-            side, survivor = SIDE_MINUS, sums[0]
+            side, survivor = SIDE_PLUS, s_minus
         else:
-            continue
+            side, survivor = SIDE_MINUS, s_plus
         lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
         intervals.append(PlateauInterval(lo, hi, _level(survivor, params), survivor, side))
 

@@ -4,6 +4,7 @@ import gc
 import math
 import sys
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 
@@ -143,6 +144,30 @@ def test_build_cells_raises_when_an_edge_is_lost(monkeypatch):
     monkeypatch.setattr(plateau, "_contributing_ks", lambda lam, q: contributing_ks(lam, q)[1:])
     with pytest.raises(ValueError, match="window membership is not constant"):
         build_cells.__wrapped__(Fraction(5, 2), 3)
+
+
+def cells_by_sorting(lam, q):
+    """The set, sort and bisection construction build_cells used to make,
+    kept as the reference of its walk: every edge inside (0, uq) sorted once,
+    and each cell's members bisected out of the two edge lists."""
+    u, v = lam.numerator, lam.denominator
+    ks = plateau._contributing_ks(lam, q)
+    lower = [2 * u * k - v * q for k in ks]
+    upper = [2 * u * k + v * q for k in ks]
+    bounds = [0, *sorted({x for x in (*lower, *upper) if 0 < x < u * q}), u * q]
+    return tuple(plateau.Cell(x0, x1, ks[bisect_left(upper, x1):bisect_right(lower, x0)])
+                 for x0, x1 in zip(bounds, bounds[1:]))
+
+
+def test_the_edge_walk_gives_the_sorted_edge_cells():
+    """lam = u/v <= 6 with v <= 8 and q <= 40, and lam = 5/2 at q = 20001:
+    the same cells, the first member of every member range included."""
+    pairs = [(lam, q) for lam in predictors._lambda_grid(8, Fraction(6)) for q in range(1, 41)]
+    for lam, q in [*pairs, (Fraction(5, 2), 20001)]:
+        walked, reference = build_cells.__wrapped__(lam, q), cells_by_sorting(lam, q)
+        assert walked == reference
+        assert [c.members.start for c in walked] == [c.members.start for c in reference]
+    assert len(pairs) == 4400
 
 
 def test_cells_where_one_k_leaves_as_another_enters():
@@ -385,12 +410,24 @@ def test_detector_decides_on_the_sparse_terms_only(monkeypatch):
 
 
 def test_flipped_verdict_or_shadow_drift_raises(monkeypatch):
+    """A flipped reflection verdict on a nonzero side with a vanishing image,
+    here made by a root of order M/3, is refuted by the table shadow.  A
+    flipped reflection verdict on a true zero goes to the exact test, so it
+    raises when that test is flipped too.  Shadow drift raises as well."""
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    reflection_zero, image_root = plateau._reflection_zero, cyclotomic.image_root
+    monkeypatch.setattr(plateau, "_reflection_zero", lambda *side: not reflection_zero(*side))
+    assert detect_plateaux(p) == detect_by_cell(p)  # the exact test overrules it
+    monkeypatch.setattr(plateau, "image_root", root_of_order_m_over(3))
+    with pytest.raises(ExactFloatMismatch, match="reflection law disagrees"):
+        detect_plateaux(p)
+    monkeypatch.setattr(plateau, "image_root", image_root)
     is_zero, to_complex = CycInt.is_zero, CycInt.to_complex
     monkeypatch.setattr(CycInt, "is_zero", lambda z: not is_zero(z))
-    with pytest.raises(ExactFloatMismatch, match="zero test"):
+    with pytest.raises(ExactFloatMismatch, match="exact zero test disagrees"):
         detect_plateaux(p)
     monkeypatch.setattr(CycInt, "is_zero", is_zero)
+    monkeypatch.setattr(plateau, "_reflection_zero", reflection_zero)
     # far below the old fixed 1e-9 tolerance, far above n w eps
     monkeypatch.setattr(CycInt, "to_complex", lambda z: to_complex(z) + 1e-12)
     with pytest.raises(ExactFloatMismatch, match="shadow"):
@@ -652,24 +689,31 @@ def test_detector_matches_the_cell_loop_on_the_default_grid(p):
     assert detect_plateaux(p) == detect_by_cell(p)
 
 
+def root_of_order_m_over(prime):
+    """An image_root whose root has order M / prime, for an order M that prime
+    divides: the image map is no longer a ring map.  The term table holds the
+    images, so a detector run patched with it builds its table with this
+    root."""
+    image_root = cyclotomic.image_root
+
+    def bad_root(m):
+        ell, r = image_root(m)
+        return ell, pow(r, prime, ell)
+
+    return bad_root
+
+
 def test_image_root_of_wrong_order_raises_never_flips(monkeypatch):
-    """With a root of order M/p the image map is no longer a ring map: a
-    vanishing sum may get a nonzero image, which its float shadow refutes,
-    and a nonzero sum may get a zero image, which the exact test overrules.
-    Either way no verdict changes."""
+    """With a root of order M/p a vanishing sum may get a nonzero image,
+    which its float shadow refutes, and a nonzero sum may get a zero image,
+    which the exact test overrules.  Either way no verdict changes."""
     image_root = cyclotomic.image_root
     raised = set()
     for case in ORACLE_CASES:
         p = WellParams(*case)
         expected = detect_plateaux(p)
         for prime in cyclotomic._prime_factors(exponent_rule(p)[0]):
-
-            def bad_root(m, prime=prime):
-                ell, r = image_root(m)
-                return ell, pow(r, prime, ell)
-
-            # the term table holds the images, so each run builds it with this root
-            monkeypatch.setattr(plateau, "image_root", bad_root)
+            monkeypatch.setattr(plateau, "image_root", root_of_order_m_over(prime))
             try:
                 assert detect_plateaux(p) == expected
             except ExactFloatMismatch as err:
@@ -842,33 +886,51 @@ def test_image_primes_fit_one_cpython_digit():
     assert all(cyclotomic.image_root(order)[0] < 2**30 for order in orders)
 
 
-def test_every_vanishing_image_is_an_exact_zero(monkeypatch):
-    """A nonzero sum whose image in F_ell vanishes would send its side to
-    the exact test, which would answer False.  On the oracle cases, the
-    golden plateaux among them, no side does: the exact path sees only true
-    zeros."""
-    is_zero = CycInt.is_zero
-    verdicts = []
+def test_every_vanishing_image_is_a_reflection_zero(monkeypatch):
+    """On the oracle cases, the golden plateaux among them, every side whose
+    image in F_ell vanishes is a reflection zero, so the exact test, the
+    fallback, never runs."""
+    reflection_zero, verdicts, fallbacks = plateau._reflection_zero, [], []
 
-    def recording(z):
-        verdicts.append(is_zero(z))
+    def recording(*side):
+        verdicts.append(reflection_zero(*side))
         return verdicts[-1]
 
-    monkeypatch.setattr(CycInt, "is_zero", recording)
+    monkeypatch.setattr(plateau, "_reflection_zero", recording)
+    monkeypatch.setattr(CycInt, "is_zero", lambda z: fallbacks.append(z))
     for case in ORACLE_CASES:
         detect_plateaux(WellParams(*case))
-    assert verdicts and all(verdicts)
+    assert verdicts and all(verdicts) and fallbacks == []
+
+
+def test_false_zero_images_fall_back_to_the_exact_test(monkeypatch):
+    """With a root of order M/p, p an odd prime of M, every reflection zero
+    still has a zero image (r^(M/2) = -1), and some nonzero sides get one
+    too.  The reflection congruences fail on those, the exact test answers
+    False, and each report is still the all-exact cell loop's."""
+    is_zero, fallbacks = CycInt.is_zero, []
+
+    def recording(z):
+        fallbacks.append(is_zero(z))
+        return fallbacks[-1]
+
+    for case in ORACLE_CASES:
+        p = WellParams(*case)
+        expected = detect_by_cell(p)
+        for prime in [f for f in cyclotomic._prime_factors(exponent_rule(p)[0]) if f > 2]:
+            monkeypatch.setattr(plateau, "image_root", root_of_order_m_over(prime))
+            monkeypatch.setattr(CycInt, "is_zero", recording)
+            assert detect_plateaux(p) == expected
+            monkeypatch.setattr(CycInt, "is_zero", is_zero)
+    assert (len(fallbacks), any(fallbacks)) == (1022, False)
 
 
 def reflection_verdicts(params):
     """(exact, law) for both sides of every cell.  exact: the side's sum
     vanishes, certified nonzero by a nonzero F_ell image and otherwise decided
-    by the exact zero test.  law: the members k0..k1, stepping by d, are
-    empty, or M is even, 2 d x = 0 and (c - 2 k0) x = M/2 (mod M), with
-    c = k0 + k1 and x = A c +- B for the exponent rule (A, B) of order M.
-    Then the term at c - k is minus the term at k, since the exponents differ
-    by (c - 2 k) x, and the terms cancel in pairs; an odd member count fails
-    the congruences, as (c - 2 k0) x = ((n - 1) / 2) 2 d x = 0 (mod M)."""
+    by the exact zero test.  law: the detector's reflection verdict
+    (plateau._reflection_zero), the window empty or the reflection
+    congruences holding."""
     terms = term_table(params)
     m, images = terms.order, terms.images
     verdicts = []
@@ -877,19 +939,8 @@ def reflection_verdicts(params):
         for sign, (j0, j1) in zip((1, -1), plateau._side_slices(members, terms.ks)):
             exact = (not (images[j1] - images[j0]) % terms.ell
                      and plateau._side_sum(members, m, terms.rule, sign).is_zero())
-            verdicts.append((exact, reflection_law(members, m, terms.rule, sign)))
+            verdicts.append((exact, plateau._reflection_zero(members, m, terms.rule, sign)))
     return verdicts
-
-
-def reflection_law(members, order, rule, sign):
-    """The law of reflection_verdicts for S_plus (sign 1) or S_minus (sign -1)
-    over members, with the exponent rule (A, B) of order M."""
-    if not members:
-        return True
-    (a, b), k0, c = rule, members[0], members[0] + members[-1]
-    x = a * c + sign * b
-    return (order % 2 == 0 and 2 * members.step * x % order == 0
-            and (c - 2 * k0) * x % order == order // 2)
 
 
 def reflection_grid(q_max=12):
@@ -944,7 +995,8 @@ def test_closed_forms_are_the_reflection_law_and_select_the_predicted_interval()
         selected = []
         for cell in cells:
             closed = [closed_form_zero(params, cell.members, sign) for sign in (1, -1)]
-            assert closed == [reflection_law(cell.members, order, rule, sign) for sign in (1, -1)]
+            assert closed == [plateau._reflection_zero(cell.members, order, rule, sign)
+                              for sign in (1, -1)]
             zeros += sum(closed)
             if any(closed):
                 selected.append(cell)
