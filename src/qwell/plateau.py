@@ -17,23 +17,23 @@ unit root zeta_M^(A k^2 +- B k) of one order M and exponent rule (A, B) per
 configuration (exponent_rule).  |c(k)| is constant, so both sums are decided
 exactly as sums of unit roots in Z[zeta_M], and _level carries |c(k)|^2.
 c(k) is even in k, so the minus term at k is the plus term at -k.  One term
-table per configuration (term_table), built by the detector and passed to
-window_sums, holds one sequence over k = -R..R: the prefix sums of its term
-images under the ring map Z[zeta_M] -> F_ell, zeta_M -> r
-(cyclotomic.image_root), and of its float terms rounded to multiples of
-2^-60.  S_plus reads a cell's members as a slice of it and S_minus reads
-the mirrored slice.  A nonzero verdict is certified by a cell's image, read
-in O(1) from the table.  A side with a vanishing image is zero if its window
-is empty or its terms cancel in reflected pairs, decided by two integer
-congruences (_reflection_zero); only if they fail is its sum built in
-Z[zeta_M] for the exact cyclotomic zero test.  So a zero verdict comes only
-from these congruences or from that test.  Every verdict, from any path, is
-cross-checked at one site against the side's table shadow, read in O(1) as
-well, and a disagreement raises, so the detector is linear in the number of
-cells and terms.
+table per configuration (term_table), built by the detector, holds one
+sequence over k = -R..R: the prefix sums of its term images under the ring
+map Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), and of its
+float terms rounded to multiples of 2^-60.  S_plus reads a cell's members
+as a slice of it and S_minus reads the mirrored slice.  A nonzero verdict is
+certified by a cell's image, read in O(1) from the table.  A side with a
+vanishing image is zero if its window is empty or its terms cancel in
+reflected pairs, decided by two integer congruences (_reflection_zero);
+only if they fail is its sum built in Z[zeta_M] for the exact cyclotomic
+zero test.  So a zero verdict comes only from these congruences or from
+that test.  Every verdict, from any path, is cross-checked at one site
+against the side's table shadow, read in O(1) as well, and a disagreement
+raises, so the detector is linear in the number of cells and terms.  Of a
+qualifying cell only the surviving sum is built, for its level.
 
 conjugate_report reads a report off its Galois partner's through
-sigma_t: zeta -> zeta^t, and states the orbit identity.
+sigma_t: zeta -> zeta^t, and checks the orbit identity term by term.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .cyclotomic import CycInt, galois_conjugate, image_root
+from .cyclotomic import CycInt, image_root
 from .gauss import coefficient_exponent, contributing
 from .wavefield import WellParams, window
 
@@ -103,8 +103,7 @@ class Cell(NamedTuple):
 class PlateauInterval:
     lo: Fraction
     hi: Fraction
-    level: float         # (lam/q) |c(k)|^2 |level_exact|^2, so +0.0 for forbidden zones
-    level_exact: CycInt  # the surviving sum of unit roots; all-zero for forbidden zones
+    level: float         # (lam/q) |c(k)|^2 |surviving sum|^2, +0.0 for forbidden zones
     vanishing_side: str  # SIDE_PLUS, SIDE_MINUS or SIDE_BOTH
 
     @property
@@ -294,12 +293,12 @@ def _reflection_zero(members: range, order: int, rule: tuple[int, int], sign: in
 
 
 def window_sums(cell: Cell, terms: _TermTable) -> tuple[CycInt, CycInt]:
-    """Assemble (S_plus, S_minus) for the cell exactly in Z[zeta_M]: the sums
-    of the unit roots zeta_M^(A k^2 +- B k) of the exponent rule of the term
-    table over the cell's members.  The cell comes from build_cells, which
-    checked its members against the window at its midpoint; the float shadow
-    of each assembled sum is compared against the cell's shadow in the table,
-    its plus or mirrored slice, read in O(1).
+    """Assemble (S_plus, S_minus) for a cell of build_cells exactly in
+    Z[zeta_M]: the sums of the unit roots zeta_M^(A k^2 +- B k) of the term
+    table's exponent rule over the cell's members, each checked against its
+    table shadow, the plus or mirrored slice, read in O(1).  The detector
+    builds survivors only; this is the all-exact reference of both sums,
+    which bench/tracer.py patches by name.
     """
     s_re, s_im = terms.shadows
     sums = []
@@ -326,9 +325,10 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     at one site with its side's table shadow, which must lie within the
     float bound iff the side is zero, else this raises ExactFloatMismatch
     naming the deciding path; so a wrong image can only raise or be
-    overruled, never change a verdict.  A qualifying cell has both sums
-    built by window_sums, for its survivor and level.  No interval spans two
-    cells (see build_cells); if two adjacent cells ever qualified, they
+    overruled, never change a verdict.  A qualifying cell builds its
+    surviving sum only, for the level, and its float must agree with the
+    table shadow likewise; a forbidden zone builds none.  No interval spans
+    two cells (see build_cells); if two adjacent cells ever qualified, they
     would show as two intervals, and a scan would record the configuration
     as inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
     with Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
@@ -363,22 +363,24 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
         zp, zm = zeros
         if not (zp or zm):
             continue
-        s_plus, s_minus = window_sums(cell, terms)
         if zp and zm:
-            side, survivor = SIDE_BOTH, CycInt.zero(order)
-        elif zp:
-            side, survivor = SIDE_PLUS, s_minus
-        else:
-            side, survivor = SIDE_MINUS, s_plus
+            side, level = SIDE_BOTH, 0.0
+        else:  # the surviving side: minus, at the mirrored slice, or plus
+            side, sign, j0, j1 = (SIDE_PLUS, -1, n - i1, n - i0) if zp else (SIDE_MINUS, 1, i0, i1)
+            survivor = _side_sum(members, order, rule, sign).to_complex()
+            shadow = complex(s_re[j1] - s_re[j0], s_im[j1] - s_im[j0]) / SHADOW_SCALE
+            if abs(survivor - shadow) > _float_bound(count):
+                raise ExactFloatMismatch(f"survivor shadow mismatch for {params} on {cell}")
+            level = _level(survivor, params)
         lo, hi = Fraction(cell.x0, den), Fraction(cell.x1, den)
-        intervals.append(PlateauInterval(lo, hi, _level(survivor, params), survivor, side))
+        intervals.append(PlateauInterval(lo, hi, level, side))
 
     return PlateauReport(params, tuple(intervals), 2 * len(cells))
 
 
-def _level(survivor: CycInt, params: WellParams) -> float:
-    """(lam/q) |c(k)|^2 |survivor|^2, with |c(k)|^2 = 2 for even q, 1 for odd q."""
-    return float(params.lam) / params.q * (2 - params.q % 2) * abs(survivor.to_complex()) ** 2
+def _level(s: complex, params: WellParams) -> float:
+    """(lam/q) |c(k)|^2 |S|^2 for the float S of a survivor, |c(k)|^2 = 2 (even q) or 1 (odd q)."""
+    return float(params.lam) / params.q * (2 - params.q % 2) * abs(s) ** 2
 
 
 def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
@@ -406,17 +408,16 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     zero-level interval is copied as it is.  Complex conjugation, t = -1
     with sign -1, pairs a with q - a.
 
-    Each survivor is rebuilt from its own exponent rule on the interval's
-    first cell and must equal zeta_M^e galois_conjugate(partner survivor, t)
-    as a CycInt, order and terms, else this raises ArithmeticError, with
+    On the interval's first cell, with j and j' the partner's and this
+    configuration's rule exponents of the surviving sides, each from its own
+    exponent_rule, every member k must satisfy
 
-        e = j'(k0) - t j(k0)  (mod M),
+        j'(k) = t j(k) + e  (mod M),  e = j'(k0) - t j(k0),
 
-    j and j' the partner's and this configuration's rule exponents of the
-    surviving sides at the cell's first member k0, each with its own M from
-    exponent_rule (were the two to differ, the product would raise ValueError).
-    Its level comes from the rebuilt survivor, as detect_plateaux(params)
-    computes it.
+    k0 the first member, and the two orders M must be equal, else this
+    raises ArithmeticError.  Term by term, the survivor is then zeta_M^e
+    times the sigma_t image of the partner's.  Its level comes from its own
+    sum, built as detect_plateaux(params) builds it.
     """
     mate = partner.params
     lam, q = params.lam, params.q
@@ -433,16 +434,15 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
             x0 = iv.lo.numerator * den // iv.lo.denominator
             cell = cells[bisect_left(cells, x0, key=lambda c: c.x0)]
             mate_sign = -1 if iv.vanishing_side == SIDE_PLUS else 1  # the surviving side
-            own_sign, k0 = sign * mate_sign, cell.members[0]
-            (order, a_own, b_own), (_, a_mate, b_mate) = exponent_rule(params), exponent_rule(mate)
-            survivor = _side_sum(cell.members, order, (a_own, b_own), own_sign)
-            e = ((a_own * k0 + own_sign * b_own) * k0
-                 - t * (a_mate * k0 + mate_sign * b_mate) * k0)
-            if survivor != CycInt.root(order, e) * galois_conjugate(iv.level_exact, t):
+            own_sign, members = sign * mate_sign, cell.members
+            (order, a_own, b_own), (m_mate, a_mate, b_mate) = map(exponent_rule, (params, mate))
+            twists = {((a_own * k + own_sign * b_own) - t * (a_mate * k + mate_sign * b_mate))
+                      * k % order for k in members}
+            if m_mate != order or len(twists) != 1:
                 raise ArithmeticError(f"the survivor of {params} on {cell} is not a unit times"
                                       f" the sigma_{t} image of its partner's")
+            survivor = _side_sum(members, order, (a_own, b_own), own_sign).to_complex()
             side = SIDE_PLUS if own_sign == -1 else SIDE_MINUS
-            iv = replace(iv, level=_level(survivor, params), level_exact=survivor,
-                         vanishing_side=side)
+            iv = replace(iv, level=_level(survivor, params), vanishing_side=side)
         intervals.append(iv)
     return PlateauReport(params, tuple(intervals), partner.zero_checks)

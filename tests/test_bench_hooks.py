@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from qwell import plateau
 from qwell.plateau import detect_plateaux
 from qwell.wavefield import WellParams
 
@@ -39,14 +40,19 @@ def test_every_traced_name_resolves():
 
 
 def test_tracer_counts_the_window_sums_of_a_detector_run():
-    # lam = 5/2, N = 1, tau = 1/3 has a vanishing cell, so window_sums runs
+    # lam = 5/2, N = 1, tau = 1/3 has a vanishing cell; the detector builds
+    # its survivor only, so window_sums, the all-exact reference, is called
+    # here on that cell through the name the tracer patches
+    p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        report = detect_plateaux(WellParams(Fraction(5, 2), 1, Fraction(1, 3)))
+        report = detect_plateaux(p)
+        cell = plateau.build_cells(p.lam, p.q)[1]
+        s_plus, s_minus = plateau.window_sums(cell, plateau.term_table(p))
     finally:
         tracer.uninstall()
-    assert report.intervals
+    assert report.intervals and s_minus.is_zero() and not s_plus.is_zero()
     summary = tracer.summary()
     assert summary["plateau.window_sums.calls"] >= 1
     assert summary["plateau.terms"] > 0

@@ -89,6 +89,25 @@ def cell_bounds(cell, lam, q):
     return Fraction(cell.x0, den), Fraction(cell.x1, den)
 
 
+def interval_cell(params, interval):
+    """The cell of build_cells that a reported interval starts on."""
+    cells, den = build_cells(params.lam, params.q), 2 * params.lam.numerator * params.q
+    return cells[bisect_left(cells, interval.lo * den, key=lambda c: c.x0)]
+
+
+def survivors(report):
+    """The surviving sum of each reported interval, rebuilt with window_sums
+    on its cell: the sum of the side that does not vanish, or all-zero for a
+    forbidden zone."""
+    p, terms = report.params, term_table(report.params)
+    out = []
+    for iv in report.intervals:
+        s_plus, s_minus = window_sums(interval_cell(p, iv), terms)
+        out.append({SIDE_PLUS: s_minus, SIDE_MINUS: s_plus}.get(
+            iv.vanishing_side, CycInt.zero(terms.order)))
+    return out
+
+
 def singular_points(lam, q):
     """The inner cell boundaries of build_cells, as Fractions."""
     return [cell_bounds(cell, lam, q)[1] for cell in build_cells(lam, q)[:-1]]
@@ -207,21 +226,23 @@ def test_adjacent_cells_differ_by_one_member_except_at_coincident_edges():
 
 
 def test_window_sums_only_sees_the_checked_cells_of_build_cells(monkeypatch):
-    # window_sums makes no membership check of its own: it relies on getting
-    # the very cells that build_cells checked against the midpoint window
-    seen = []
+    # no sum makes a membership check of its own: the detector builds its
+    # survivors (_side_sum) on the very members of the cells that build_cells
+    # checked against the midpoint window; a forbidden zone builds none
+    seen, side_sum = [], plateau._side_sum
 
-    def recording(cell, terms):
-        seen.append(cell)
-        return window_sums(cell, terms)
+    def recording(members, *rest):
+        seen.append(members)
+        return side_sum(members, *rest)
 
-    monkeypatch.setattr(plateau, "window_sums", recording)
-    for lam, n_state, tau, *_ in GOLDEN_PLATEAUX:
+    monkeypatch.setattr(plateau, "_side_sum", recording)
+    for lam, n_state, tau, *_, kind in GOLDEN_PLATEAUX:
         seen.clear()
         p = WellParams(lam, n_state, tau)
         detect_plateaux(p)
         cells = build_cells(p.lam, p.q)  # the cached tuple the detector walked
-        assert seen and all(any(cell is c for c in cells) for cell in seen)
+        assert all(any(members is c.members for c in cells) for members in seen)
+        assert bool(seen) == (kind == POSITIVE_LEVEL)
 
 
 def test_window_sums_check_the_cell_shadow_of_the_term_table():
@@ -295,9 +316,10 @@ def test_detect_fragmentation_gaps_odd_q():
 
 def test_plateau_level_consistency():
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
-    interval = detect_plateaux(p).intervals[0]
+    report = detect_plateaux(p)
+    interval, survivor = report.intervals[0], survivors(report)[0]
     level = interval.level
-    assert abs(level - float(p.lam) / p.q * abs(interval.level_exact.to_complex()) ** 2) < 1e-12
+    assert abs(level - float(p.lam) / p.q * abs(survivor.to_complex()) ** 2) < 1e-12
     assert abs(level - density_p(Fraction(1, 6), p)) < 1e-9
     assert level * float(interval.hi - interval.lo) <= 1.0
 
@@ -306,7 +328,7 @@ def test_zero_level_reports_exact_zero():
     p = WellParams(Fraction(3, 2), 1, Fraction(5, 3))
     interval = detect_plateaux(p).intervals[0]
     assert interval.level == 0.0
-    assert interval.level_exact.is_zero()
+    assert all(s.is_zero() for s in window_sums(interval_cell(p, interval), term_table(p)))
 
 
 @pytest.mark.parametrize("lam,n_state,tau,lo,hi,kind", GOLDEN_PLATEAUX)
@@ -413,7 +435,9 @@ def test_flipped_verdict_or_shadow_drift_raises(monkeypatch):
     """A flipped reflection verdict on a nonzero side with a vanishing image,
     here made by a root of order M/3, is refuted by the table shadow.  A
     flipped reflection verdict on a true zero goes to the exact test, so it
-    raises when that test is flipped too.  Shadow drift raises as well."""
+    raises when that test is flipped too.  Drift of the survivor's float
+    raises at its shadow check, and so does a level built from the
+    vanishing side instead of the surviving one."""
     p = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     reflection_zero, image_root = plateau._reflection_zero, cyclotomic.image_root
     monkeypatch.setattr(plateau, "_reflection_zero", lambda *side: not reflection_zero(*side))
@@ -430,7 +454,13 @@ def test_flipped_verdict_or_shadow_drift_raises(monkeypatch):
     monkeypatch.setattr(plateau, "_reflection_zero", reflection_zero)
     # far below the old fixed 1e-9 tolerance, far above n w eps
     monkeypatch.setattr(CycInt, "to_complex", lambda z: to_complex(z) + 1e-12)
-    with pytest.raises(ExactFloatMismatch, match="shadow"):
+    with pytest.raises(ExactFloatMismatch, match="survivor shadow mismatch"):
+        detect_plateaux(p)
+    monkeypatch.setattr(CycInt, "to_complex", to_complex)
+    side_sum = plateau._side_sum
+    monkeypatch.setattr(plateau, "_side_sum", lambda members, order, rule, sign:
+                        side_sum(members, order, rule, -sign))
+    with pytest.raises(ExactFloatMismatch, match="survivor shadow mismatch"):
         detect_plateaux(p)
 
 
@@ -448,7 +478,7 @@ def test_build_cells_memory_is_linear_in_q():
 
 def test_no_term_table_outlives_the_detector():
     # a table holds about 12 MB at q = 50001; the detector builds one per
-    # configuration and passes it to window_sums, so none is kept afterwards
+    # configuration and reads it in its cell loop only, so none is kept afterwards
     for tau in (Fraction(1, 2001), Fraction(2, 2001), Fraction(1, 3)):
         detect_plateaux(WellParams(Fraction(5, 2), 1, tau))
     gc.collect()
@@ -503,7 +533,7 @@ def detect_by_cell(params):
             level = float(params.lam) / params.q * weight * abs(survivor.to_complex()) ** 2
         lo = cell_bounds(cell, params.lam, params.q)[0]
         hi = cell_bounds(verdicts[j][0], params.lam, params.q)[1]
-        intervals.append(PlateauInterval(lo, hi, level, survivor, side))
+        intervals.append(PlateauInterval(lo, hi, level, side))
         i = j + 1
     return PlateauReport(params, tuple(intervals), 2 * len(verdicts))
 
@@ -560,7 +590,7 @@ EVEN_Q_LEVEL_CASES = [
 @pytest.mark.parametrize("lam,n_state,tau", ORACLE_CASES + LARGE_Q_CASES + EVEN_Q_LEVEL_CASES)
 def test_printed_levels_match_a_40_digit_evaluation(lam, n_state, tau):
     """Each printed level against (lam/q) |G(a, k, q)|^2 / q |S|^2, with S the
-    exact survivor level_exact summed by mpmath at 40 digits: within the
+    exact survivor (survivors) summed by mpmath at 40 digits: within the
     relative 2 C (sum of |coefficients|) eps / |S| that the float bound
     allows |S|^2, plus the 12-digit rounding of the print.  Over the 30
     positive levels here, the unrounded level's error is at most 4.1e-3 of
@@ -568,10 +598,10 @@ def test_printed_levels_match_a_40_digit_evaluation(lam, n_state, tau):
     of it rounding."""
     p = WellParams(lam, n_state, tau)
     weight = gauss_abs_sq(p.a, p.q // 2, p.q) // p.q  # k = q // 2 contributes for either parity
+    report = detect_plateaux(p)
     with mpmath.workdps(40):
-        for iv in detect_plateaux(p).intervals:
+        for iv, z in zip(report.intervals, survivors(report)):
             printed = predictors._interval_json(iv)["level"]
-            z = iv.level_exact
             s = abs(mpmath.fsum(c * mpmath.expjpi(mpmath.mpf(2 * j) / z.order) for j, c in z.terms))
             if not s:
                 assert printed == 0.0
@@ -583,8 +613,8 @@ def test_printed_levels_match_a_40_digit_evaluation(lam, n_state, tau):
 
 
 def test_every_zero_level_is_plus_zero():
-    # the level of a forbidden zone is computed from its all-zero survivor,
-    # not written as a literal, so its sign is checked as well as its value
+    # the level of a forbidden zone is the literal 0.0, built from no sum; a
+    # negative zero would print as -0.0, so its sign is checked as well
     cases = ORACLE_CASES + [PANELS[name] for name in ("frag-a", "frag-b", "frag-c")]
     levels = [iv.level for case in cases for iv in detect_plateaux(WellParams(*case)).intervals
               if iv.kind == ZERO_LEVEL]
@@ -593,11 +623,11 @@ def test_every_zero_level_is_plus_zero():
 
 
 def report_facts(report):
-    """Everything a report says, with each level as its bits."""
+    """Everything a report says, with each level as its bits, and the
+    survivor each interval's side names."""
     return report.zero_checks, [
-        (iv.lo, iv.hi, iv.vanishing_side, iv.level.hex(),
-         iv.level_exact.order, iv.level_exact.terms)
-        for iv in report.intervals
+        (iv.lo, iv.hi, iv.vanishing_side, iv.level.hex(), z.order, z.terms)
+        for iv, z in zip(report.intervals, survivors(report))
     ]
 
 
@@ -658,18 +688,26 @@ def test_a_conjugate_report_needs_a_galois_partner():
                          params, -1, -1)
 
 
-def test_a_partner_survivor_that_is_not_conjugate_raises():
+def test_a_partner_survivor_that_is_not_conjugate_raises(monkeypatch):
+    """The partner's rule B moved by one, for the partner only, moves its
+    exponent at k by k, so j'(k) - t j(k) differs between the members of the
+    interval's first cell: a check at its first member alone would pass."""
     for lam, partner_tau, tau, t, sign in [
         (Fraction(5, 2), Fraction(1, 3), Fraction(2, 3), -1, -1),  # complex conjugation
         (Fraction(3, 2), Fraction(1, 9), Fraction(4, 9), 7, 1),    # W = 6, 7 = 1 (mod 6)
     ]:
-        partner = detect_plateaux(WellParams(lam, 1, partner_tau))
-        iv = partner.intervals[0]
-        bent = CycInt(iv.level_exact.order, ((j + 1, c) for j, c in iv.level_exact.terms))
-        broken = dataclasses.replace(
-            partner, intervals=(dataclasses.replace(iv, level_exact=bent), *partner.intervals[1:]))
+        mate, params = WellParams(lam, 1, partner_tau), WellParams(lam, 1, tau)
+        partner = detect_plateaux(mate)
+        assert conjugate_report(partner, params, t, sign) == detect_plateaux(params)
+
+        def bent(p, rule=exponent_rule, mate=mate):
+            order, a, b = rule(p)
+            return (order, a, (b + 1) % order) if p == mate else (order, a, b)
+
+        monkeypatch.setattr(plateau, "exponent_rule", bent)
         with pytest.raises(ArithmeticError, match=f"sigma_{t} image"):
-            conjugate_report(broken, WellParams(lam, 1, tau), t, sign)
+            conjugate_report(partner, params, t, sign)
+        monkeypatch.setattr(plateau, "exponent_rule", exponent_rule)
 
 
 @st.composite
