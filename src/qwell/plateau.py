@@ -17,20 +17,14 @@ unit root zeta_M^(A k^2 +- B k) of one order M and exponent rule (A, B) per
 configuration (exponent_rule).  |c(k)| is constant, so both sums are decided
 exactly as sums of unit roots in Z[zeta_M], and _level carries |c(k)|^2.
 c(k) is even in k, so the minus term at k is the plus term at -k.  One term
-table per configuration (term_table), built by the detector, holds one
-sequence over k = -R..R: the prefix sums of its term images under the ring
-map Z[zeta_M] -> F_ell, zeta_M -> r (cyclotomic.image_root), and of its
-float terms rounded to multiples of 2^-60.  S_plus reads a cell's members
-as a slice of it and S_minus reads the mirrored slice.  A nonzero verdict is
-certified by a cell's image, read in O(1) from the table.  A side with a
-vanishing image is zero if its window is empty or its terms cancel in
-reflected pairs, decided by two integer congruences (_reflection_zero);
-only if they fail is its sum built in Z[zeta_M] for the exact cyclotomic
-zero test.  So a zero verdict comes only from these congruences or from
-that test.  Every verdict, from any path, is cross-checked at one site
-against the side's table shadow, read in O(1) as well, and a disagreement
-raises, so the detector is linear in the number of cells and terms.  Of a
-qualifying cell only the surviving sum is built, for its level.
+table per configuration (term_table) holds one sequence over k = -R..R: the
+prefix sums of its term images under the ring map Z[zeta_M] -> F_ell,
+zeta_M -> r (cyclotomic.image_root), and of its float terms rounded to
+multiples of 2^-60.  S_plus reads a cell's members as a slice of it and
+S_minus the mirrored slice, so detect_plateaux decides and cross-checks each
+side in O(1), linear in the number of cells and terms; a zero verdict comes
+only from integer congruences (_reflection_zero) or the exact cyclotomic
+zero test.
 
 conjugate_report reads a report off its Galois partner's through
 sigma_t: zeta -> zeta^t, and checks the orbit identity term by term.
@@ -41,10 +35,9 @@ import cmath
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 from .cyclotomic import CycInt, image_root
@@ -184,6 +177,7 @@ class _TermTable:
     of k, read forwards for S_plus and mirrored for S_minus (term_table)."""
 
     params: WellParams
+    cells: tuple[Cell, ...]
     order: int
     ks: range
     rule: tuple[int, int]
@@ -197,23 +191,27 @@ def exponent_rule(params: WellParams) -> tuple[int, int, int]:
     modulus from coefficient_exponent (q s for odd q, lcm(4q, q s) for even q),
     and (A, B) with c(k) e(+-N lam k / q) / |c(k)| = zeta_M^(A k^2 +- B k)."""
     inv, modulus = coefficient_exponent(params.a, params.q)
-    sq = params.s * params.q
+    drift, sq = _drift(params)
     order = math.lcm(modulus, sq)
-    return order, inv * (order // modulus) % order, params.n_lam.numerator * (order // sq) % order
+    return order, inv * (order // modulus) % order, drift * (order // sq) % order
+
+
+def _drift(params: WellParams) -> tuple[int, int]:
+    """(n, s q), N lam = n / s in lowest terms: s = v / gcd(N, v) for lam = u/v."""
+    u, v, n_state = params.lam.numerator, params.lam.denominator, params.n_state
+    return n_state // math.gcd(n_state, v) * u, v // math.gcd(n_state, v) * params.q
 
 
 def term_table(params: WellParams) -> _TermTable:
     """The term table of a configuration, built once per detector run in one
-    pass over ks, the contributing k in -R..R with R the last k of
-    build_cells: its params, the order M, ks, the exponent rule (A, B), ell
-    of image_root(M), and prefix sums over ks of the images r^e(k) in F_ell
-    and of the shadows of the unit roots c(k) e(N lam k / q) / |c(k)| =
-    zeta_M^e(k), e(k) = (A k^2 + B k) mod M.  S_minus reads them mirrored
-    (_side_slices).  ks steps by d, so the image ratios change by the
-    constant r^(2 A d^2) and each image costs two multiplications mod ell.
-    The shadows sum the parts of the direct floats
-    e(coeff / modulus + drift / (s q)), rounded at SHADOW_SCALE, with
-    coeff = inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.
+    pass over ks = -R..R, the contributing k (step d), R the last member of
+    the cells of build_cells, which it keeps: running prefix sums over ks of
+    the images r^e(k) in F_ell, r of image_root(M), and of the shadows of
+    the unit roots c(k) e(N lam k / q) / |c(k)| = zeta_M^e(k), with
+    e(k) = (A k^2 + B k) mod M.  The image ratios change by the constant
+    r^(2 A d^2), so each costs two products mod ell.  The shadows sum the
+    direct floats e(coeff / modulus + drift / (s q)), rounded at SHADOW_SCALE,
+    with coeff = inv k^2 mod modulus and drift = n k mod s q for N lam = n / s.
     Before a term is kept, e(k) must equal coeff M / modulus + drift M / (s q)
     (mod M) exactly and rect(1, 2 pi e(k) / M) lie within FLOAT_ERROR_C eps
     of its direct float, else this raises ExactFloatMismatch.
@@ -225,33 +223,35 @@ def term_table(params: WellParams) -> _TermTable:
         raise ValueError(f"the cyclotomic order M = {order} is beyond the range of the F_ell"
                          f" images ({err}): the denominator of N lambda is too large") from err
     inv, modulus = coefficient_exponent(params.a, q)
-    drift_num, sq = params.n_lam.numerator, params.s * q
-    r = _contributing_ks(params.lam, q)[-1]
-    ks = contributing(range(-r, r + 1), q)
-    d = ks.step
+    drift_num, sq = _drift(params)
+    cells = build_cells(params.lam, q)
+    last = cells[-1].members  # ks[j:i] with the largest i, so its stop is ks[i]
+    d, r = last.step, last.stop - last.step
+    ks = range(-r, r + 1, d)
     coeff_step, drift_step = order // modulus, order // sq
-    exp, rect, scale = cmath.exp, cmath.rect, float(SHADOW_SCALE)  # no int-to-float per product
-    two_pi_i, angle = 2j * math.pi, 2 * math.pi / order
-    bound = _float_bound(1)
+    rect, scale = cmath.rect, float(SHADOW_SCALE)  # no int-to-float per product
+    two_pi, angle, bound = 2 * math.pi, 2 * math.pi / order, _float_bound(1)
     image, ratio, step = (pow(root, j % order, ell) for j in (
         a_rule * r * r - b_rule * r, (a_rule * (d - 2 * r) + b_rule) * d, 2 * a_rule * d * d))
-    terms, re_parts, im_parts = [], [], []
+    images, s_re, s_im = [0], [0], [0]
+    total = re_total = im_total = 0
     for k in ks:
         kk = k * k
         coeff_num, drift_mod = inv * kk % modulus, drift_num * k % sq
         j = (a_rule * kk + b_rule * k) % order
         if j != (coeff_num * coeff_step + drift_mod * drift_step) % order:
             raise ExactFloatMismatch(f"exponent rule of order {order} is off at k = {k}")
-        direct = exp(two_pi_i * (coeff_num / modulus + drift_mod / sq))
+        direct = rect(1.0, two_pi * (coeff_num / modulus + drift_mod / sq))
         if abs(rect(1.0, angle * j) - direct) > bound:
             raise ExactFloatMismatch(f"term shadow mismatch: an exponent of order {order} is off")
-        terms.append(image)
-        re_parts.append(round(direct.real * scale))
-        im_parts.append(round(direct.imag * scale))
+        total += image
+        re_total += round(direct.real * scale)
+        im_total += round(direct.imag * scale)
+        images.append(total)
+        s_re.append(re_total)
+        s_im.append(im_total)
         image, ratio = image * ratio % ell, ratio * step % ell
-    images, s_re, s_im = (list(accumulate(parts, initial=0))
-                          for parts in (terms, re_parts, im_parts))
-    return _TermTable(params, order, ks, (a_rule, b_rule), ell, images, (s_re, s_im))
+    return _TermTable(params, cells, order, ks, (a_rule, b_rule), ell, images, (s_re, s_im))
 
 
 def _side_slices(members: range, ks: range) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -333,16 +333,14 @@ def detect_plateaux(params: WellParams) -> PlateauReport:
     as inconsistent.  Reported intervals are closures, clipped to [0, 1/2],
     with Fraction endpoints (x0 / (2uq), x1 / (2uq)) made only for them.
     """
-    lam, q = params.lam, params.q
-    den = 2 * lam.numerator * q
+    den = 2 * params.lam.numerator * params.q
     terms = term_table(params)
-    order, rule, ell, images = terms.order, terms.rule, terms.ell, terms.images
+    cells, order, rule, ell, images = terms.cells, terms.order, terms.rule, terms.ell, terms.images
     first, d, n = terms.ks.start, terms.ks.step, len(terms.ks)
     s_re, s_im = terms.shadows
     # the float bound of n unit-modulus terms is n unit_bound at SHADOW_SCALE
     unit_bound = _float_bound(1) * SHADOW_SCALE
 
-    cells = build_cells(lam, q)
     intervals: list[PlateauInterval] = []
     for cell in cells:
         members = cell.members
@@ -395,18 +393,12 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     the partner's report must have decided both sides of every cell of
     build_cells(lam, q).  Else this raises ValueError.
 
-    Both share the cyclotomic order M: it reads only q and s = v / gcd(N, v),
-    and as v | W and t is a unit mod v, gcd(N', v) = gcd(t N, v) = gcd(N, v).
-    sigma_t maps c_a(k) / |c(k)| to a constant unit times c_{a'}(k) / |c(k)|
-    (for even q, the lifted inverse of a t^-1 differs from t inv(a) by a
-    multiple of q, which moves q k^2 / (4q) by a constant on the contributing
-    k) and e(+-N lam k / q) to e(+-sign N' lam k / q).  So on every cell, as
-    sums of unit roots, sigma_t(S_pm(a, N)) is a unit times S_pm(a', N') for
-    sign 1 and S_mp(a', N') for sign -1: the same cells qualify, and the
-    intervals and zero_checks (the cell sides decided, here through the
-    partner) are the partner's, with plus and minus swapped for sign -1.  A
-    zero-level interval is copied as it is.  Complex conjugation, t = -1
-    with sign -1, pairs a with q - a.
+    Then both share the order M, and on every cell sigma_t(S_pm(a, N)) is a
+    unit times S_pm(a', N') for sign 1 and S_mp(a', N') for sign -1 (README,
+    `scan`; for even q the lifted inverse of a t^-1 differs from t inv(a) by
+    a multiple of q, a constant shift on the contributing k).  So the same
+    cells qualify: the intervals and zero_checks are the partner's, plus and
+    minus swapped for sign -1, and a zero-level interval is copied as it is.
 
     On the interval's first cell, with j and j' the partner's and this
     configuration's rule exponents of the surviving sides, each from its own
@@ -419,15 +411,15 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
     times the sigma_t image of the partner's.  Its level comes from its own
     sum, built as detect_plateaux(params) builds it.
     """
-    mate = partner.params
-    lam, q = params.lam, params.q
-    w = lam.denominator * q // math.gcd(lam.numerator, q)
+    mate, lam = partner.params, params.lam
+    u, v, q, a = lam.numerator, lam.denominator, params.tau.denominator, params.tau.numerator
+    w, den = v * q // math.gcd(u, q), 2 * u * q
     cells = build_cells(lam, q)
-    if (sign not in (1, -1) or (mate.lam, mate.q) != (lam, q) or math.gcd(t, math.lcm(q, w)) != 1
-            or (t * params.a - mate.a) % q or (t * mate.n_state - sign * params.n_state) % w
+    if (sign not in (1, -1) or (mate.lam.numerator, mate.lam.denominator, mate.q) != (u, v, q)
+            or math.gcd(t, math.lcm(q, w)) != 1 or (t * a - mate.a) % q
+            or (t * mate.n_state - sign * params.n_state) % w
             or partner.zero_checks != 2 * len(cells)):
         raise ValueError(f"{mate} is not the image of {params} under sigma_{t}, sign {sign}")
-    den = 2 * lam.numerator * q
     intervals = []
     for iv in partner.intervals:
         if iv.vanishing_side != SIDE_BOTH:
@@ -443,6 +435,6 @@ def conjugate_report(partner: PlateauReport, params: WellParams, t: int,
                                       f" the sigma_{t} image of its partner's")
             survivor = _side_sum(members, order, (a_own, b_own), own_sign).to_complex()
             side = SIDE_PLUS if own_sign == -1 else SIDE_MINUS
-            iv = replace(iv, level=_level(survivor, params), vanishing_side=side)
+            iv = PlateauInterval(iv.lo, iv.hi, _level(survivor, params), side)
         intervals.append(iv)
     return PlateauReport(params, tuple(intervals), partner.zero_checks)

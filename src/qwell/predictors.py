@@ -11,11 +11,11 @@ disagreement with the predicted picture verbatim: a disagreement is data,
 not an error.
 
 The scan runs the detector once per Galois orbit of each (lam, q) task
-(galois_links; the identity is stated at plateau.conjugate_report).
-
-A scan record is its JSON line, rendered in the pool worker that ran the
-detector; the pool ships builtins only, and detect_plateaux(record.params)
-gives a record's intervals.
+(galois_links; the identity is stated at plateau.conjugate_report).  A scan
+record is its JSON line, made in the pool worker from integers: predictions
+are integer numerators (_predicted_numerators), and most lines a template.
+The pool ships builtins only; detect_plateaux(record.params) gives a
+record's intervals.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .cyclotomic import image_root
 from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, conjugate_report,
                       detect_plateaux, exponent_rule)
-from .rationals import dist_nearest_int, format_rational
+from .rationals import format_rational
 from .wavefield import WellParams, fragmentation_threshold
 
 # one encoder renders every scan record line, as json.dumps would with these options
@@ -131,28 +131,27 @@ def fragmentation_layout(params: WellParams) -> FragmentationLayout:
 def nonfrag_prediction(params: WellParams) -> PlateauPrediction:
     """Predicted unique plateau below the threshold p when 2 N lam is odd:
     center D(2 a N lam / q + 1/2), radius D(p/(2 lam) + 1/2)/p, intersected
-    with [0, 1/2], D the distance to the nearest integer.
-
-    Derivation (README, "Why the predicted interval"): with m = 2 N lam odd,
-    S_pm vanishes by reflection, k against c - k for c = k0 + k1 its first
-    and last members, iff c = q -+ 2 a m (mod 2 q); for odd q that is n even
-    and c = -+2 a m (mod q), for even q it is q | x, x / q odd, x = A c +- 2 m.
-    The contributing k = d j + e, d = q / p, of the window of x are the j
-    within h = p / (2 lam) of (q x - e) / d, and j0 + j1 = (c - 2 e) / d is
-    the odd 2 J + 1 iff |2 q x - c| < 2 d D(h + 1/2): the radius; and
-    c / (2 q) = 1/2 -+ a m / q (mod 1) has D(a m / q + 1/2) in [0, 1/2].
+    with [0, 1/2], D the distance to the nearest integer (_predicted_numerators).
+    Derivation: the README, "Why the predicted interval".
     """
     if params.lam >= params.threshold:
         raise ValueError("prediction requires lam strictly below the threshold")
     if not doubled_drift_is_odd(params):
         raise ValueError("prediction requires 2 N lam to be an odd integer")
-    p = params.threshold
-    half = Fraction(1, 2)
-    center = dist_nearest_int(Fraction(2 * params.a, params.q) * params.n_lam + half)
-    radius = dist_nearest_int(p / (2 * params.lam) + half) / p
-    lo = max(Fraction(0), center - radius)
-    hi = min(half, center + radius)
+    *numerators, den = _predicted_numerators(params)
+    center, radius, lo, hi = (Fraction(x, den) for x in numerators)
     return PlateauPrediction(center, radius, zero_level_predicted(params), lo, hi)
+
+
+def _predicted_numerators(params: WellParams) -> tuple[int, int, int, int, int]:
+    """(center, radius, lo, hi, den): nonfrag_prediction over den = 4 u v p q,
+    lam = u/v, from integers: D((4 a N u + v q) / (2 v q)) and
+    D((p v + u) / (2 u)) / p, with D(n / m) = min(n % m, m - n % m) / m."""
+    u, v, q, p = params.lam.numerator, params.lam.denominator, params.q, params.threshold
+    c, r = (4 * params.a * params.n_state * u + v * q) % (2 * v * q), (p * v + u) % (2 * u)
+    center, radius = min(c, 2 * v * q - c) * 2 * u * p, min(r, 2 * u - r) * 2 * v * q
+    den = 4 * u * v * p * q
+    return center, radius, max(0, center - radius), min(den >> 1, center + radius), den
 
 
 def peak_count(params: WellParams) -> int:
@@ -217,7 +216,7 @@ def _report_json(report: PlateauReport) -> dict:
 def _check_record(params: WellParams, report: PlateauReport, exists: bool) -> str:
     """The note of one configuration whose predicted existence is exists: the
     first of existence, uniqueness, interval and kind on which the report
-    contradicts the prediction, or ""."""
+    contradicts the prediction, or "", compared on integers."""
     n_found = len(report.intervals)
     note = ""
     if not exists:
@@ -226,27 +225,34 @@ def _check_record(params: WellParams, report: PlateauReport, exists: bool) -> st
     elif n_found != 1:
         note = f"a unique plateau was predicted but {n_found} detected"
     else:
-        found, prediction = report.intervals[0], nonfrag_prediction(params)
-        if (found.lo, found.hi) != (prediction.lo, prediction.hi):
+        found, (*_, lo, hi, den) = report.intervals[0], _predicted_numerators(params)
+        if (found.lo.numerator * den != lo * found.lo.denominator
+                or found.hi.numerator * den != hi * found.hi.denominator):
             note = (f"interval [{found.lo}, {found.hi}] != predicted"
-                    f" [{prediction.lo}, {prediction.hi}]")
-        elif (found.kind == ZERO_LEVEL) != prediction.zero_level:
-            note = (f"kind {found.kind} contradicts zero-level prediction"
-                    f" {prediction.zero_level}")
+                    f" [{Fraction(lo, den)}, {Fraction(hi, den)}]")
+        elif (found.kind == ZERO_LEVEL) != (zero := zero_level_predicted(params)):
+            note = f"kind {found.kind} contradicts zero-level prediction {zero}"
     return note
 
 
 def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str, int, str]:
     """(n_state, a, note, zero_checks, line) of one configuration: builtins
-    only, so that the pool pickles no Fraction or report."""
+    only, so that the pool pickles no Fraction or report.  A consistent line
+    with no interval, most of a scan, is a template filled with integers."""
     exists = doubled_drift_is_odd(params)
     note = _check_record(params, report, exists)
-    out = _report_json(report)
-    out["predicted_exists"], out["consistent"] = exists, not note
-    if note:
-        out["note"] = note
-    line = _LINE_ENCODER.encode(out)
-    return params.n_state, params.tau.numerator, note, report.zero_checks, line
+    lam, tau = params.lam, params.tau
+    if note or report.intervals:
+        out = _report_json(report)
+        out["predicted_exists"], out["consistent"] = exists, not note
+        if note:
+            out["note"] = note
+        line = _LINE_ENCODER.encode(out)
+    else:  # consistent with no interval, so no plateau was predicted
+        line = (f'{{"consistent":true,"intervals":[],"lambda":"{lam.numerator}/{lam.denominator}",'
+                f'"n_state":{params.n_state},"predicted_exists":false,'
+                f'"tau":"{tau.numerator}/{tau.denominator}","zero_checks":{report.zero_checks}}}')
+    return params.n_state, tau.numerator, note, report.zero_checks, line
 
 
 def _task_configs(q: int, n_max: int) -> list[tuple[int, int]]:
@@ -305,7 +311,8 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, in
     on q and s only), are built first, though both are cached: else the first
     detector run of the task or order pays for them, a slow tail in latency."""
     lam, q, n_max = args
-    grid = [WellParams(lam, n_state, Fraction(a, q)) for n_state, a in _task_configs(q, n_max)]
+    taus = [Fraction(a, q) for a in range(1, q) if math.gcd(a, q) == 1]  # _task_configs' order
+    grid = [WellParams(lam, n_state, tau) for n_state in range(1, n_max + 1) for tau in taus]
     build_cells(lam, q)
     for order in {exponent_rule(params)[0] for params in grid[::len(grid) // n_max]}:  # one per N
         image_root(order)

@@ -38,13 +38,14 @@ class WellParams:
     tau: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "tau", Fraction(self.tau))
-        if self.lam <= 1:
+        lam, tau = self.lam, self.tau  # a Fraction is kept, not rebuilt
+        object.__setattr__(self, "lam", lam if type(lam) is Fraction else Fraction(lam))
+        object.__setattr__(self, "tau", tau if type(tau) is Fraction else Fraction(tau))
+        if self.lam.numerator <= self.lam.denominator:
             raise ValueError("expansion factor must exceed 1")
         if self.n_state < 1:
             raise ValueError("initial eigenstate index must be >= 1")
-        if self.tau < 0:
+        if self.tau.numerator < 0:
             raise ValueError("fractional time must be nonnegative")
 
     @property

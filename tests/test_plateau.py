@@ -896,15 +896,22 @@ def test_image_prefixes_match_pow():
 
 def test_term_table_ks_are_symmetric():
     """ks = -R..R holds every k of the cells and, with each k, -k: the
-    mirror of any cell's members lies in the table."""
-    parities = set()
-    for case in ORACLE_CASES + LARGE_Q_CASES + SMALL_TABLE_CASES:
+    mirror of any cell's members lies in the table.  R is the last member of
+    the cells, which drops a contributing k whose window meets [0, 1/2] only
+    at x = 1/2 (lam = 3, q = 3: k = 2), as no open cell holds it."""
+    parities, dropped = set(), 0
+    edge_case = (Fraction(3), 1, Fraction(1, 3))
+    for case in ORACLE_CASES + LARGE_Q_CASES + SMALL_TABLE_CASES + [edge_case]:
         p = WellParams(*case)
         ks = term_table(p).ks
         parities.add(p.q % 2)
         assert list(ks) == [-k for k in reversed(ks)]
-        assert set(plateau._contributing_ks(p.lam, p.q)) <= set(ks)
-    assert parities == {0, 1}
+        members = {k for cell in build_cells(p.lam, p.q) for k in cell.members}
+        assert members <= set(ks) and ks[-1] == max(members)
+        contributing = plateau._contributing_ks(p.lam, p.q)
+        assert set(contributing) - set(ks) <= {contributing[-1]}
+        dropped += contributing[-1] not in ks
+    assert parities == {0, 1} and dropped
 
 
 def test_image_primes_fit_one_cpython_digit():

@@ -343,6 +343,8 @@ def test_default_workers_follow_the_cpu_affinity_mask(monkeypatch):
 
 # the benchmark's tiny scan grid: lambda_den, lambda_max, q_max, n_max
 TINY_SCAN_GRID = (4, Fraction(3, 2), 8, 2)
+# the benchmark's scan grid
+BENCH_SCAN_GRID = (8, Fraction(5, 4), 20, 3)
 
 
 def test_the_pool_gives_the_records_and_bytes_of_the_serial_scan():
@@ -369,7 +371,7 @@ def test_a_scan_detects_each_galois_orbit_once(monkeypatch):
 
 @pytest.mark.parametrize("grid,counts", [
     (TINY_SCAN_GRID, (48, 120)),                   # the benchmark's tiny scan grid
-    ((8, Fraction(5, 4), 20, 3), (528, 1_890)),     # the benchmark's scan grid
+    (BENCH_SCAN_GRID, (528, 1_890)),                # the benchmark's scan grid
     ((8, Fraction(6), 20, 3), (10_110, 39_138)),    # the default grid
 ])
 def test_the_orbit_map_reads_each_configuration_from_an_earlier_representative(grid, counts):
@@ -426,29 +428,28 @@ def test_a_scan_chunk_ships_only_builtins(task):
 
 
 def _off_radius(predict):
-    # the radius off by 1/(2q), the interval moved with it
+    # the radius off by 1/(2q) = 2 u v p / den, the interval moved with it
     def mutated(params):
-        pred = predict(params)
-        radius = pred.radius + Fraction(1, 2 * params.q)
-        return replace(pred, radius=radius, lo=max(Fraction(0), pred.center - radius),
-                       hi=min(Fraction(1, 2), pred.center + radius))
+        center, radius, _, _, den = predict(params)
+        radius += den // (2 * params.q)
+        return center, radius, max(0, center - radius), min(den // 2, center + radius), den
     return mutated
 
 
-def _flipped_zero_level(predict):
-    def mutated(params):
-        pred = predict(params)
-        return replace(pred, zero_level=not pred.zero_level)
-    return mutated
-
-
-# (predictor patched, its mutation, the notes the mutation must reach)
+# (predictor patched, its mutation, the notes the mutation must reach); the
+# scan reads the integer predictions of _predicted_numerators and
+# zero_level_predicted, not the Fractions of nonfrag_prediction
 MUTATIONS = {
-    "radius": ("nonfrag_prediction", _off_radius, ("interval [",)),
-    "zero-level": ("nonfrag_prediction", _flipped_zero_level, ("kind ",)),
+    "radius": ("_predicted_numerators", _off_radius, ("interval [",)),
+    "zero-level": ("zero_level_predicted", lambda zero: lambda p: not zero(p), ("kind ",)),
     "existence": ("doubled_drift_is_odd", lambda odd: lambda p: not odd(p),
                   ("no plateau predicted but ", "a unique plateau was predicted but ")),
 }
+
+
+# the grid of the scans under a mutated prediction, as --lambda-den 2
+# --lambda-max 3 --qmax 6 --nmax 2
+MUTATION_GRID = dict(lambda_dens=2, lambda_max=Fraction(3), q_max=6, n_max=2)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -458,8 +459,7 @@ def test_a_mutated_prediction_is_recorded_as_data(tmp_path, monkeypatch, capsys,
     # one CPU in the affinity mask, as under taskset -c 0: the CLI scan below
     # runs serially, in this process, with the mutated predictor
     monkeypatch.setattr(predictors.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    grid = dict(lambda_dens=2, lambda_max=Fraction(3), q_max=6, n_max=2)
-    bad = [r for r in conjecture_scan(**grid, workers=1) if r.note]
+    bad = [r for r in conjecture_scan(**MUTATION_GRID, workers=1) if r.note]
     assert bad and not any(r.consistent for r in bad)
     assert all(any(r.note.startswith(note) for r in bad) for note in notes)
 
@@ -473,6 +473,74 @@ def test_a_mutated_prediction_is_recorded_as_data(tmp_path, monkeypatch, capsys,
     assert recorded == [r.note for r in bad]
     assert main(argv + ["--strict"]) == 1
     assert f"{len(bad)} inconsistent" in capsys.readouterr().err
+
+
+def encoded_lines(records):
+    """The line of each record as _LINE_ENCODER encodes the dict of
+    _report_json of a fresh detector run on its params, with the record's
+    predicted existence, verdict and note."""
+    lines = []
+    for record in records:
+        out = predictors._report_json(detect_plateaux(record.params))
+        out["predicted_exists"] = predictors.doubled_drift_is_odd(record.params)
+        out["consistent"] = record.consistent
+        if record.note:
+            out["note"] = record.note
+        lines.append(predictors._LINE_ENCODER.encode(out))
+    return lines
+
+
+def test_every_line_of_the_bench_scan_is_the_encoded_report():
+    # most lines fill a template; every one must be what the encoder writes
+    records = conjecture_scan(*BENCH_SCAN_GRID, workers=1)
+    assert len(records) == 1_890
+    assert [r.line for r in records] == encoded_lines(records)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_every_line_of_a_scan_with_notes_is_the_encoded_report(monkeypatch, mutation):
+    name, mutate, _ = MUTATIONS[mutation]
+    monkeypatch.setattr(predictors, name, mutate(getattr(predictors, name)))
+    records = conjecture_scan(**MUTATION_GRID, workers=1)
+    assert any(r.note for r in records)
+    assert [r.line for r in records] == encoded_lines(records)
+
+
+def test_an_interval_off_at_either_end_is_noted():
+    # lam = 5/2 at q = 3, N = 1: 2 N lam = 5 is odd, below the threshold 3
+    params = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
+    report = detect_plateaux(params)
+    (found,) = report.intervals
+    assert predictors._check_record(params, report, True) == ""
+    step = Fraction(1, 100)
+    for lo, hi in [(found.lo, found.hi + step), (found.lo + step, found.hi)]:
+        moved = replace(report, intervals=(replace(found, lo=lo, hi=hi),))
+        assert predictors._check_record(params, moved, True).startswith(
+            f"interval [{lo}, {hi}] != predicted [{found.lo}, {found.hi}]")
+
+
+def test_integer_predictions_equal_the_fraction_formulas():
+    # every configuration of the default grid below the threshold with 2 N lam odd
+    half, checked = Fraction(1, 2), 0
+    for lam in predictors._lambda_grid(8, Fraction(6)):
+        for q in range(2, 21):
+            if lam >= fragmentation_threshold(q):
+                continue
+            for n_state, a in predictors._task_configs(q, 3):
+                params = WellParams(lam, n_state, Fraction(a, q))
+                if not doubled_drift_is_odd(params):
+                    continue
+                p = params.threshold
+                center = dist_nearest_int(Fraction(2 * a, q) * n_state * lam + half)
+                radius = dist_nearest_int(p / (2 * lam) + half) / p
+                expected = (center, radius, max(Fraction(0), center - radius),
+                            min(half, center + radius))
+                *numerators, den = predictors._predicted_numerators(params)
+                assert tuple(Fraction(x, den) for x in numerators) == expected
+                pred = nonfrag_prediction(params)
+                assert (pred.center, pred.radius, pred.lo, pred.hi) == expected
+                checked += 1
+    assert checked == 3_564
 
 
 @pytest.mark.parametrize("grid", [

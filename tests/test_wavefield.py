@@ -68,6 +68,29 @@ def test_well_params_validation():
     assert odd.threshold == 3 and type(odd.threshold) is int
 
 
+def test_well_params_keep_a_fraction_and_convert_other_inputs():
+    lam, tau = Fraction(5, 2), Fraction(1, 3)
+    kept = WellParams(lam, 1, tau)
+    assert kept.lam is lam and kept.tau is tau
+    for raw_lam, raw_tau, exact in [(3, 0, (Fraction(3), Fraction(0))),
+                                    ("5/2", "1/3", (lam, tau)),
+                                    (2.5, Fraction(1, 3), (lam, tau))]:
+        p = WellParams(raw_lam, 2, raw_tau)
+        assert type(p.lam) is Fraction and type(p.tau) is Fraction
+        assert (p.lam, p.tau) == exact
+        twin = WellParams(exact[0], 2, exact[1])
+        assert p == twin and hash(p) == hash(twin)
+    for bad_lam in (1, "1", Fraction(1), Fraction(1, 2), 0, -3):
+        with pytest.raises(ValueError, match="expansion factor"):
+            WellParams(bad_lam, 1, tau)
+    for bad_n in (0, -1):
+        with pytest.raises(ValueError, match="eigenstate"):
+            WellParams(lam, bad_n, tau)
+    for bad_tau in (-1, "-1/3", Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="fractional time"):
+            WellParams(lam, 1, bad_tau)
+
+
 def test_n_lam_is_computed_once_and_params_compare_as_before():
     p = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
     fresh = pickle.dumps(p)
