@@ -5,7 +5,8 @@ closed-form predictions (JSON), the conjecture scan, Gauss-sum inspection,
 and regeneration of the nine reference figure panels.  All rationals are
 printed as "num/den" strings and floats with 12 significant digits, so
 identical invocations produce byte-identical output.  A scan record is its
-JSON line, rendered in the pool worker; the scan output only joins them.
+JSON line, rendered in the scan process that ran its detector; the scan
+output only joins them.
 A call builds only the parser of the command it names, from `COMMANDS`:
 building all six took about a third of a large-q `plateaux` call.
 """

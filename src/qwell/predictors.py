@@ -12,10 +12,11 @@ not an error.
 
 The scan runs the detector once per Galois orbit of each (lam, q) task
 (galois_links; the identity is stated at plateau.conjugate_report).  A scan
-record is its JSON line, made in the pool worker from integers: predictions
-are integer numerators (_predicted_numerators), and most lines a template.
-The pool ships builtins only; detect_plateaux(record.params) gives a
-record's intervals.
+record is its JSON line, made from integers in the process that ran the
+task: predictions are integer numerators (_predicted_numerators), and most
+lines a template.  A forked worker sends its rows back with marshal, so they
+hold builtins only; detect_plateaux(record.params) gives a record's
+intervals.
 """
 from __future__ import annotations
 
@@ -237,7 +238,7 @@ def _check_record(params: WellParams, report: PlateauReport, exists: bool) -> st
 
 def _scan_row(params: WellParams, report: PlateauReport) -> tuple[int, int, str, int, str]:
     """(n_state, a, note, zero_checks, line) of one configuration: builtins
-    only, so that the pool pickles no Fraction or report.  A consistent line
+    only, so that a forked worker can marshal them.  A consistent line
     with no interval, most of a scan, is a template filled with integers."""
     exists = doubled_drift_is_odd(params)
     note = _check_record(params, report, exists)
@@ -334,6 +335,80 @@ def scan_workers(requested: int | None = None) -> int:
     return max(1, requested or available or 1)
 
 
+def _forked_map(fn, tasks: list, n_procs: int) -> list:
+    """[fn(task) for task in tasks], computed by this process and n_procs - 1
+    forked children.  Each process takes the next task index from one
+    counter, an 8-byte integer held in a pipe: a process that reads it holds
+    it alone until it writes the next index back.  A child sends its
+    {index: result} on its own pipe as one marshal blob, so results must be
+    builtins; its exception is pickled instead and raised here with its type
+    and message.  The children are forked, not spawned, so they see this
+    process's module globals as they are (a wrapped detect_plateaux too);
+    this process must run no other thread.  A child ends with os._exit, so
+    it flushes no inherited buffer and runs no atexit hook.  Every child is
+    reaped before this returns or raises, and killed first if this
+    process's own share raises."""
+    import marshal
+
+    def run() -> dict:
+        done = {}
+        while True:
+            index = int.from_bytes(os.read(counter_r, 8), "little")
+            os.write(counter_w, (index + 1).to_bytes(8, "little"))
+            if index >= len(tasks):
+                return done
+            done[index] = fn(tasks[index])
+
+    counter_r, counter_w = os.pipe()
+    os.write(counter_w, bytes(8))
+    children: dict[int, int] = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(n_procs - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        blob = b"m" + marshal.dumps(run())
+                    except Exception as exc:
+                        import pickle
+
+                        blob = b"p" + pickle.dumps(exc)
+                    with open(result_w, "wb") as out:
+                        out.write(blob)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(result_w)
+            children[pid] = result_r
+        done = run()
+        for result_r in children.values():
+            with open(result_r, "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            if blob[:1] == b"m":
+                done.update(marshal.loads(blob[1:]))
+            elif blob:
+                import pickle
+
+                raise pickle.loads(blob[1:])
+            else:
+                raise ChildProcessError("a scan worker ended without its results")
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, result_r in children.items():
+            os.close(result_r)
+            os.waitpid(pid, 0)
+        os.close(counter_r)
+        os.close(counter_w)
+    return [done[index] for index in range(len(tasks))]
+
+
 def conjecture_scan(
     lambda_dens: int = 8,
     lambda_max: Fraction = Fraction(6),
@@ -346,7 +421,7 @@ def conjecture_scan(
     interval / zero-level picture.
 
     Results come back in deterministic grid order regardless of worker
-    scheduling.  Inconsistent records are returned, never raised.  A grid
+    scheduling; workers beyond this process are forked (_forked_map).  Inconsistent records are returned, never raised.  A grid
     with lambda_dens, q_max or n_max below 1, whose closed-form bound on
     configurations exceeds MAX_SCAN_CONFIGS, or that holds no configuration,
     raises ValueError before any work starts.
@@ -373,13 +448,10 @@ def conjecture_scan(
         raise ValueError(f"the scan grid holds no configuration: no lambda = u/v in (1,"
                          f" {lambda_max}] with v <= {lambda_dens} lies below the"
                          f" threshold of a q <= {q_max}")
-    n_workers = scan_workers(workers)
-    if n_workers == 1 or len(tasks) < 2:
+    n_procs = min(scan_workers(workers), len(tasks))
+    if n_procs == 1 or not hasattr(os, "fork"):
         chunks = list(map(_scan_chunk, tasks))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks, chunksize=8))
+        chunks = _forked_map(_scan_chunk, tasks, n_procs)
     return [ScanRecord(lam, q, *row) for (lam, q, _), chunk in zip(tasks, chunks)
             for row in chunk]

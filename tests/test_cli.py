@@ -171,13 +171,47 @@ def test_the_exact_commands_start_and_run_without_numpy(tmp_path, capsys):
 
 
 def test_the_cli_starts_without_the_process_pool():
-    # the pool's import (multiprocessing, pickle, socket, ...) is paid by the
-    # scan alone, not by every plateaux, predict or gauss call
+    # no plateaux, predict or gauss call pays for a process pool's modules
+    # (multiprocessing, pickle, socket, ...) or for mmap and select; the
+    # forked scan needs none of them
     env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
-    probe = "import sys, qwell.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = ("import sys, qwell.cli; print(sorted({'concurrent.futures.process', 'mmap',"
+             " 'select'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+# Runs `qwell scan --out -` on the benchmark's tiny grid with the worker count
+# given as argv[1], as bench/child.py does, then reports to stderr which of the
+# process pool's modules got loaded.  The leading space is still in the stdout
+# buffer when the workers fork.
+FRESH_SCAN = """
+import sys
+from functools import partial
+import qwell.cli as cli
+sys.stdout.write(" ")
+cli.conjecture_scan = partial(cli.conjecture_scan, workers=int(sys.argv[1]))
+code = cli.main(["scan", "--lambda-den", "4", "--lambda-max", "3/2", "--qmax", "8",
+                 "--nmax", "2", "--out", "-"])
+sys.stdout.flush()
+pool = {"concurrent.futures", "multiprocessing", "pickle"}
+sys.stderr.write(repr((code, sorted(pool & set(sys.modules)))))
+"""
+
+
+def test_a_forked_scan_prints_one_document_and_imports_no_pool():
+    # each forked worker ends with os._exit, so none of them prints the
+    # document again or flushes the parent's buffered space
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    outs = []
+    for workers in (1, 2):
+        done = subprocess.run([sys.executable, "-c", FRESH_SCAN, str(workers)], env=env,
+                              capture_output=True, check=True, timeout=60)
+        assert done.stderr.decode().endswith("(0, [])")
+        outs.append(done.stdout)
+    assert outs[1] == outs[0]
+    assert json.loads(outs[0])["total"] == 120
 
 
 def test_importing_qwell_loads_none_of_its_modules():

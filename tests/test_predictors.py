@@ -1,14 +1,19 @@
 import json
+import marshal
 import math
+import os
 import pickle
+import struct
+import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from qwell import predictors
+from qwell import cli, predictors
 from qwell.cli import _scan_json, main
-from qwell.plateau import ZERO_LEVEL, build_cells, detect_plateaux
+from qwell.plateau import ZERO_LEVEL, ExactFloatMismatch, build_cells, detect_plateaux
 from qwell.predictors import (
     CASE_MOD4,
     CASE_MOD4_PLUS2,
@@ -355,6 +360,104 @@ def test_the_pool_gives_the_records_and_bytes_of_the_serial_scan():
     assert _scan_json(pooled, *TINY_SCAN_GRID) == _scan_json(serial, *TINY_SCAN_GRID)
 
 
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("grid,workers,tasks", [
+    ((1, Fraction(2), 6, 2), 8, 3),    # more workers than tasks
+    ((1, Fraction(2), 3, 2), 2, 1),    # a single task
+    (TINY_SCAN_GRID, 3, 18),
+])
+def test_a_forked_scan_gives_the_records_of_the_serial_scan(grid, workers, tasks):
+    serial = conjecture_scan(*grid, workers=1)
+    assert len(dict.fromkeys((r.lam, r.q) for r in serial)) == tasks
+    assert conjecture_scan(*grid, workers=workers) == serial
+    assert_no_child_is_left()
+
+
+def test_a_platform_without_fork_scans_serially(monkeypatch):
+    serial = conjecture_scan(*TINY_SCAN_GRID, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert conjecture_scan(*TINY_SCAN_GRID, workers=2) == serial
+
+
+def _raising_in_the_children(error):
+    # the parent sleeps before each of its tasks, so a child takes one
+    parent, real_chunk = os.getpid(), predictors._scan_chunk
+
+    def chunk(task):
+        if os.getpid() != parent:
+            raise error
+        time.sleep(0.02)
+        return real_chunk(task)
+    return chunk
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("error", [
+    ValueError("the cyclotomic order M = 7 is beyond the range of the F_ell images"),
+    ExactFloatMismatch("exact zero test disagrees with float shadow"),
+])
+def test_a_workers_error_reaches_the_caller_unchanged(monkeypatch, workers, error):
+    monkeypatch.setattr(predictors, "_scan_chunk", _raising_in_the_children(error))
+    with pytest.raises(type(error)) as raised:
+        conjecture_scan(*TINY_SCAN_GRID, workers=workers)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_error_in_the_parents_share_kills_and_reaps_the_children(monkeypatch, workers):
+    parent, real_chunk = os.getpid(), predictors._scan_chunk
+
+    def chunk(task):
+        if os.getpid() == parent:
+            raise ExactFloatMismatch("raised in the parent")
+        return real_chunk(task)
+
+    monkeypatch.setattr(predictors, "_scan_chunk", chunk)
+    with pytest.raises(ExactFloatMismatch, match="raised in the parent"):
+        conjecture_scan(*BENCH_SCAN_GRID, workers=workers)
+    assert_no_child_is_left()
+
+
+def test_a_workers_value_error_makes_the_cli_exit_2(monkeypatch, tmp_path, capsys):
+    message = "the cyclotomic order M = 7 is beyond the range of the F_ell images"
+    monkeypatch.setattr(predictors, "_scan_chunk", _raising_in_the_children(ValueError(message)))
+    monkeypatch.setattr(cli, "conjecture_scan", partial(conjecture_scan, workers=2))
+    grid = ["--lambda-den", "4", "--lambda-max", "3/2", "--qmax", "8", "--nmax", "2"]
+    assert main(["scan", *grid, "--out", str(tmp_path / "scan.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "scan.json").exists()
+    assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_the_latency_hook_sees_every_detector_run_in_every_process(monkeypatch, tmp_path,
+                                                                   workers):
+    # bench/child.py times the scan by wrapping predictors.detect_plateaux in
+    # the parent and appending one 8-byte record per call to an O_APPEND file;
+    # a task claimed twice, or never, would change the count
+    path = tmp_path / "latency.bin"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def timed_detect(params):
+        os.write(fd, struct.pack("d", 0.0))
+        return detect_plateaux(params)
+
+    monkeypatch.setattr(predictors, "detect_plateaux", timed_detect)
+    try:
+        records = conjecture_scan(*TINY_SCAN_GRID, workers=workers)
+    finally:
+        os.close(fd)
+    representatives = sum(galois_links(lam, q, TINY_SCAN_GRID[3]).count(None)
+                          for lam, q in dict.fromkeys((r.lam, r.q) for r in records))
+    assert path.stat().st_size == 8 * representatives == 8 * 48
+    assert_no_child_is_left()
+
+
 def test_a_scan_detects_each_galois_orbit_once(monkeypatch):
     detected = []
 
@@ -416,8 +519,8 @@ def test_scan_lines_equal_json_dumps(monkeypatch):
 
 @pytest.mark.parametrize("task", [(Fraction(5, 2), 3, 2), (Fraction(7, 4), 8, 3)])
 def test_a_scan_chunk_ships_only_builtins(task):
-    # a Fraction, WellParams, PlateauReport or CycInt crossing the process
-    # boundary costs more to pickle than the pool saves by rendering the lines
+    # a forked scan worker sends its rows with marshal, which carries no
+    # Fraction, WellParams, PlateauReport or CycInt
     rows = predictors._scan_chunk(task)
     assert rows and type(rows) is list
     for row in rows:
@@ -425,6 +528,7 @@ def test_a_scan_chunk_ships_only_builtins(task):
         assert all(type(value) in (str, int, bool) for value in row)
     shipped = pickle.dumps(rows)
     assert b"qwell" not in shipped and b"fractions" not in shipped
+    assert marshal.loads(marshal.dumps(rows)) == rows
 
 
 def _off_radius(predict):
