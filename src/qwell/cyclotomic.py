@@ -1,17 +1,18 @@
-"""Exact arithmetic in Z[zeta_M], the ring of integer combinations of M-th
+"""Exact zero tests in Z[zeta_M], the ring of integer combinations of M-th
 roots of unity.
 
 Elements are sparse: a canonical, sorted tuple of (exponent, coefficient)
-pairs, so arithmetic, the float shadow and the zero test cost the number of
-terms, not M.  The zero test decides vanishing exactly, with no numeric
-thresholds, by splitting the order one prime at a time (the structure of
-vanishing sums of roots of unity, Lam and Leung, J. Algebra 224, 2000).  The
-cyclotomic polynomials, as coefficient tuples, and the remainder modulo them
-(`reduced`) are kept as a canonical form and as an independent oracle for
-that test.  `image_root` gives a ring map Z[zeta_M] -> F_ell into a prime
-field, under which a nonzero image certifies a nonzero element; ell lies just
-above 2^29, so it fits one 30-bit CPython digit, and a false zero image (a
-chance of about 2^-29 per nonzero element) only costs one exact test.
+pairs, made in one pass from a term list, so building an element, its float
+shadow and the zero test cost the number of terms, not M.  The zero test
+decides vanishing exactly, with no numeric thresholds, by splitting the order
+one prime at a time (the structure of vanishing sums of roots of unity, Lam
+and Leung, J. Algebra 224, 2000).  The cyclotomic polynomials, as coefficient
+tuples, and the remainder modulo them (`reduced`) are kept as a canonical form
+and as an independent oracle for that test.  `image_root` gives a ring map
+Z[zeta_M] -> F_ell into a prime field, under which a nonzero image certifies a
+nonzero element; ell lies just above 2^29, so it fits one 30-bit CPython
+digit, and a false zero image (a chance of about 2^-29 per nonzero element)
+only costs one exact test.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ class CycInt:
     enumerate(dense_coeffs); it is stored canonically, as (j mod M, total
     coefficient) pairs sorted by j with the zero totals dropped.  Structural
     equality (same order, same terms) is not equality of the represented
-    complex numbers; (a - b).is_zero() decides that.
+    complex numbers; is_zero() on a's terms plus b's negated decides that.
     """
 
     order: int
@@ -214,19 +215,6 @@ class CycInt:
             acc[j] = acc.get(j, 0) + c
         object.__setattr__(self, "terms", tuple(sorted(t for t in acc.items() if t[1])))
 
-    @staticmethod
-    def zero(order: int) -> "CycInt":
-        return CycInt(order, ())
-
-    @staticmethod
-    def root(order: int, exponent: int) -> "CycInt":
-        """zeta_order^exponent."""
-        return CycInt(order, ((exponent, 1),))
-
-    @staticmethod
-    def integer(order: int, n: int) -> "CycInt":
-        return CycInt(order, ((0, n),))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Dense view: coeffs[j] is the coefficient of zeta_M^j."""
@@ -234,31 +222,6 @@ class CycInt:
         for j, c in self.terms:
             out[j] = c
         return tuple(out)
-
-    def _match(self, other: "CycInt") -> None:
-        if self.order != other.order:
-            raise ValueError(f"orders differ: {self.order} and {other.order}")
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        self._match(other)
-        return CycInt(self.order, self.terms + other.terms)
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return self + -other
-
-    def __neg__(self) -> "CycInt":
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.order, ((j, other * c) for j, c in self.terms))
-        self._match(other)
-        # cyclic convolution over the supports: zeta^M = 1
-        return CycInt(
-            self.order, ((i + j, a * b) for i, a in self.terms for j, b in other.terms)
-        )
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         """Exact test: does this element equal 0 as a complex number?"""
@@ -277,14 +240,3 @@ class CycInt:
         turn = 2 * math.pi  # rect(c, x) is bit for bit c * exp(ix)
         return sum([cmath.rect(c, turn * j / self.order) for j, c in self.terms], 0j)
 
-
-def galois_conjugate(z: CycInt, m: int) -> CycInt:
-    """Apply zeta -> zeta^m for gcd(m, order) = 1.
-
-    Permutes exponents j -> m*j mod order; vanishing is preserved in both
-    directions because the substitution fixes rational-coefficient relations
-    among conjugate roots.
-    """
-    if math.gcd(m, z.order) != 1:
-        raise ValueError(f"gcd({m}, {z.order}) != 1: not a valid conjugation")
-    return CycInt(z.order, ((m * j, c) for j, c in z.terms))

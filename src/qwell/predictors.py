@@ -337,17 +337,17 @@ def scan_workers(requested: int | None = None) -> int:
 
 def _forked_map(fn, tasks: list, n_procs: int) -> list:
     """[fn(task) for task in tasks], computed by this process and n_procs - 1
-    forked children.  Each process takes the next task index from one
-    counter, an 8-byte integer held in a pipe: a process that reads it holds
-    it alone until it writes the next index back.  A child sends its
-    {index: result} on its own pipe as one marshal blob, so results must be
-    builtins; its exception is pickled instead and raised here with its type
-    and message.  The children are forked, not spawned, so they see this
-    process's module globals as they are (a wrapped detect_plateaux too);
-    this process must run no other thread.  A child ends with os._exit, so
-    it flushes no inherited buffer and runs no atexit hook.  Every child is
-    reaped before this returns or raises, and killed first if this
-    process's own share raises."""
+    forked children; with n_procs = 1 it forks nothing and this process runs
+    every task.  Each process takes the next task index from one counter, an
+    8-byte integer held in a pipe: a process that reads it holds it alone
+    until it writes the next index back.  A child sends its {index: result} on
+    its own pipe as one marshal blob, so results must be builtins; its
+    exception is pickled instead and raised here with its type and message.
+    The children are forked, not spawned, so they see this process's module
+    globals as they are (a wrapped detect_plateaux too); this process must run
+    no other thread.  A child ends with os._exit, so it flushes no inherited
+    buffer and runs no atexit hook.  Every child is reaped before this returns
+    or raises, and killed first if this process's own share raises."""
     import marshal
 
     def run() -> dict:
@@ -365,7 +365,12 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
     try:
         for _ in range(n_procs - 1):
             result_r, result_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(result_r)
+                os.close(result_w)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -421,10 +426,12 @@ def conjecture_scan(
     interval / zero-level picture.
 
     Results come back in deterministic grid order regardless of worker
-    scheduling; workers beyond this process are forked (_forked_map).  Inconsistent records are returned, never raised.  A grid
-    with lambda_dens, q_max or n_max below 1, whose closed-form bound on
-    configurations exceeds MAX_SCAN_CONFIGS, or that holds no configuration,
-    raises ValueError before any work starts.
+    scheduling.  Every scan runs through one map, _forked_map: workers beyond
+    this process are forked, and without os.fork this process scans alone.
+    Inconsistent records are returned, never raised.  A grid with lambda_dens,
+    q_max or n_max below 1, whose closed-form bound on configurations exceeds
+    MAX_SCAN_CONFIGS, or that holds no configuration, raises ValueError before
+    any work starts.
     """
     if min(lambda_dens, q_max, n_max) < 1:
         raise ValueError(
@@ -448,10 +455,7 @@ def conjecture_scan(
         raise ValueError(f"the scan grid holds no configuration: no lambda = u/v in (1,"
                          f" {lambda_max}] with v <= {lambda_dens} lies below the"
                          f" threshold of a q <= {q_max}")
-    n_procs = min(scan_workers(workers), len(tasks))
-    if n_procs == 1 or not hasattr(os, "fork"):
-        chunks = list(map(_scan_chunk, tasks))
-    else:
-        chunks = _forked_map(_scan_chunk, tasks, n_procs)
+    n_procs = min(scan_workers(workers), len(tasks)) if hasattr(os, "fork") else 1
+    chunks = _forked_map(_scan_chunk, tasks, n_procs)
     return [ScanRecord(lam, q, *row) for (lam, q, _), chunk in zip(tasks, chunks)
             for row in chunk]

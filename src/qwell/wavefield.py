@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .gauss import coefficient_c, contributing, gauss_sum_direct
@@ -56,15 +55,11 @@ class WellParams:
     def q(self) -> int:
         return self.tau.denominator
 
-    @cached_property
-    def n_lam(self) -> Fraction:
-        """N * lam, whose reduced denominator drives the cyclotomic order;
-        computed once per instance."""
-        return self.n_state * self.lam
-
     @property
-    def s(self) -> int:
-        return self.n_lam.denominator
+    def n_lam(self) -> Fraction:
+        """N * lam, the frequency of the initial profile sin(2 pi N lam (x - xc));
+        density_p reads it once per call."""
+        return self.n_state * self.lam
 
     @property
     def threshold(self) -> int:

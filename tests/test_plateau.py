@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwell import cyclotomic, plateau, predictors
-from qwell.cyclotomic import CycInt, galois_conjugate
+from qwell.cyclotomic import CycInt
 from qwell.gauss import coefficient_c, coefficient_exponent, gauss_abs_sq
 from qwell.plateau import (
     POSITIVE_LEVEL,
@@ -104,7 +104,7 @@ def survivors(report):
     for iv in report.intervals:
         s_plus, s_minus = window_sums(interval_cell(p, iv), terms)
         out.append({SIDE_PLUS: s_minus, SIDE_MINUS: s_plus}.get(
-            iv.vanishing_side, CycInt.zero(terms.order)))
+            iv.vanishing_side, CycInt(terms.order, ())))
     return out
 
 
@@ -364,7 +364,7 @@ def test_vanishing_sums_are_galois_stable():
                 if s.is_zero():
                     for m in range(2, s.order):
                         if math.gcd(m, s.order) == 1:
-                            assert galois_conjugate(s, m).is_zero()
+                            assert CycInt(s.order, ((m * j, c) for j, c in s.terms)).is_zero()
 
 
 def test_fragmentation_implies_zero_level_only():
@@ -378,7 +378,8 @@ def test_fragmentation_implies_zero_level_only():
 def test_cyclotomic_order_is_q_s_for_odd_q():
     for lam, n_state, tau in [g[:3] for g in GOLDEN_PLATEAUX] + LATTICE_CASES:
         p = WellParams(lam, n_state, tau)
-        expected = p.q * p.s if p.q % 2 else math.lcm(8, 4 * p.q, p.q * p.s)
+        s = p.n_lam.denominator
+        expected = p.q * s if p.q % 2 else math.lcm(8, 4 * p.q, p.q * s)
         assert exponent_rule(p)[0] == expected
 
 
@@ -505,7 +506,7 @@ def detect_by_cell(params):
         zp = checked_is_zero(s_plus, cell)
         zm = checked_is_zero(s_minus, cell)
         if zp and zm:
-            verdicts.append((cell, SIDE_BOTH, CycInt.zero(s_plus.order)))
+            verdicts.append((cell, SIDE_BOTH, CycInt(s_plus.order, ())))
         elif zp:
             verdicts.append((cell, SIDE_PLUS, s_minus))
         elif zm:

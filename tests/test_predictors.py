@@ -1,3 +1,4 @@
+import errno
 import json
 import marshal
 import math
@@ -381,6 +382,34 @@ def test_a_platform_without_fork_scans_serially(monkeypatch):
     serial = conjecture_scan(*TINY_SCAN_GRID, workers=1)
     monkeypatch.delattr(os, "fork")
     assert conjecture_scan(*TINY_SCAN_GRID, workers=2) == serial
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("workers,failing", [(1, 1), (2, 1), (3, 2)])
+def test_a_failed_fork_reaches_the_caller_and_leaves_no_pipe_or_child(monkeypatch, workers,
+                                                                       failing):
+    # the failing-th fork raises, as os.fork does with EAGAIN; one process
+    # forks nothing, so it still gives the serial records
+    serial, real_fork, forks = conjecture_scan(*TINY_SCAN_GRID, workers=1), os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == failing:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = open_fds()
+    if workers == 1:
+        assert conjecture_scan(*TINY_SCAN_GRID, workers=workers) == serial
+    else:
+        with pytest.raises(OSError, match="fork refused"):
+            conjecture_scan(*TINY_SCAN_GRID, workers=workers)
+    assert (len(forks), open_fds()) == (failing * (workers > 1), before)
+    assert_no_child_is_left()
 
 
 def _raising_in_the_children(error):

