@@ -341,13 +341,15 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
     every task.  Each process takes the next task index from one counter, an
     8-byte integer held in a pipe: a process that reads it holds it alone
     until it writes the next index back.  A child sends its {index: result} on
-    its own pipe as one marshal blob, so results must be builtins; its
-    exception is pickled instead and raised here with its type and message.
-    The children are forked, not spawned, so they see this process's module
-    globals as they are (a wrapped detect_plateaux too); this process must run
-    no other thread.  A child ends with os._exit, so it flushes no inherited
-    buffer and runs no atexit hook.  Every child is reaped before this returns
-    or raises, and killed first if this process's own share raises."""
+    its own pipe as one marshal blob, so results must be builtins, or nothing
+    if fn raises there.  Once the children are reaped, this process runs each
+    task that no process returned, so fn must be pure: its error is raised
+    here as itself, and a child that dies costs a re-run.  The children are
+    forked, not spawned, so they see this process's module globals as they
+    are (a wrapped detect_plateaux too); this process must run no other
+    thread.  A child ends with os._exit, so it flushes no inherited buffer and
+    runs no atexit hook.  Every child is reaped before this returns or raises,
+    and killed first if this process's own share raises."""
     import marshal
 
     def run() -> dict:
@@ -372,33 +374,19 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
                 os.close(result_w)
                 raise
             if pid == 0:
-                status = 1
                 try:
-                    try:
-                        blob = b"m" + marshal.dumps(run())
-                    except Exception as exc:
-                        import pickle
-
-                        blob = b"p" + pickle.dumps(exc)
                     with open(result_w, "wb") as out:
-                        out.write(blob)
-                    status = 0
+                        out.write(marshal.dumps(run()))
                 finally:
-                    os._exit(status)
+                    os._exit(0)
             os.close(result_w)
             children[pid] = result_r
         done = run()
         for result_r in children.values():
             with open(result_r, "rb", closefd=False) as pipe:
                 blob = pipe.read()
-            if blob[:1] == b"m":
-                done.update(marshal.loads(blob[1:]))
-            elif blob:
-                import pickle
-
-                raise pickle.loads(blob[1:])
-            else:
-                raise ChildProcessError("a scan worker ended without its results")
+            if blob:
+                done.update(marshal.loads(blob))
     except BaseException:
         import signal
 
@@ -411,7 +399,7 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
             os.waitpid(pid, 0)
         os.close(counter_r)
         os.close(counter_w)
-    return [done[index] for index in range(len(tasks))]
+    return [done[index] if index in done else fn(tasks[index]) for index in range(len(tasks))]
 
 
 def conjecture_scan(
@@ -428,10 +416,11 @@ def conjecture_scan(
     Results come back in deterministic grid order regardless of worker
     scheduling.  Every scan runs through one map, _forked_map: workers beyond
     this process are forked, and without os.fork this process scans alone.
-    Inconsistent records are returned, never raised.  A grid with lambda_dens,
-    q_max or n_max below 1, whose closed-form bound on configurations exceeds
-    MAX_SCAN_CONFIGS, or that holds no configuration, raises ValueError before
-    any work starts.
+    A task no worker returned runs again here, so its error is raised as
+    itself and a lost worker changes no record.  Inconsistent records are
+    returned, never raised.  A grid with lambda_dens, q_max or n_max below 1,
+    whose closed-form bound on configurations exceeds MAX_SCAN_CONFIGS, or
+    that holds no configuration, raises ValueError before any work starts.
     """
     if min(lambda_dens, q_max, n_max) < 1:
         raise ValueError(

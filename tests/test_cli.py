@@ -185,13 +185,26 @@ def test_the_cli_starts_without_the_process_pool():
 # Runs `qwell scan --out -` on the benchmark's tiny grid with the worker count
 # given as argv[1], as bench/child.py does, then reports to stderr which of the
 # process pool's modules got loaded.  The leading space is still in the stdout
-# buffer when the workers fork.
+# buffer when the workers fork.  With argv[2] = "kill", each forked worker
+# writes "killed;" to stderr and SIGKILLs itself on its first task, and the
+# parent sleeps before each of its own, so a worker takes one.
 FRESH_SCAN = """
-import sys
+import os, signal, sys, time
 from functools import partial
 import qwell.cli as cli
+import qwell.predictors as predictors
 sys.stdout.write(" ")
 cli.conjecture_scan = partial(cli.conjecture_scan, workers=int(sys.argv[1]))
+if sys.argv[2:] == ["kill"]:
+    parent, chunk = os.getpid(), predictors._scan_chunk
+
+    def killed_in_a_worker(task):
+        if os.getpid() != parent:
+            os.write(2, b"killed;")
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.02)
+        return chunk(task)
+    predictors._scan_chunk = killed_in_a_worker
 code = cli.main(["scan", "--lambda-den", "4", "--lambda-max", "3/2", "--qmax", "8",
                  "--nmax", "2", "--out", "-"])
 sys.stdout.flush()
@@ -202,15 +215,18 @@ sys.stderr.write(repr((code, sorted(pool & set(sys.modules)))))
 
 def test_a_forked_scan_prints_one_document_and_imports_no_pool():
     # each forked worker ends with os._exit, so none of them prints the
-    # document again or flushes the parent's buffered space
+    # document again or flushes the parent's buffered space; a killed worker
+    # costs the parent a re-run of its tasks, not the scan
     env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
-    outs = []
-    for workers in (1, 2):
-        done = subprocess.run([sys.executable, "-c", FRESH_SCAN, str(workers)], env=env,
+    outs, errs = [], []
+    for argv in (["1"], ["2"], ["2", "kill"]):
+        done = subprocess.run([sys.executable, "-c", FRESH_SCAN, *argv], env=env,
                               capture_output=True, check=True, timeout=60)
-        assert done.stderr.decode().endswith("(0, [])")
         outs.append(done.stdout)
-    assert outs[1] == outs[0]
+        errs.append(done.stderr.decode())
+    assert all(err.endswith("(0, [])") for err in errs)
+    assert [err.count("killed;") for err in errs] == [0, 0, 1]
+    assert outs[1] == outs[2] == outs[0]
     assert json.loads(outs[0])["total"] == 120
 
 
@@ -539,6 +555,39 @@ def test_large_q_report_bytes_pinned(tmp_path, capsys, q):
     )
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == LARGE_Q_REPORT_DIGESTS[q]
+
+
+# sha256 of the stdout of `predict` and `gauss`
+PRINTED_DIGESTS = {
+    # fragmentation: odd q, 0 mod 4 and 2 mod 4
+    "predict --lambda 107/10 --N 1 --tau 2/7":
+        "8f9cd36d71417910c0faa120772b7bcb94780d4a2f27dbae1499c0e9094a63bf",
+    "predict --lambda 107/10 --N 2 --tau 1/12":
+        "a6bed9623bf941681d5965d4fcd4a02d200646ea724b1ab6a7506455c2ef8a20",
+    "predict --lambda 107/10 --N 1 --tau 3/10":
+        "7472ed72893b59645e25a12106b2263f828fdc6d7c08ad69cc9e902db6b75ccb",
+    # critical
+    "predict --lambda 3 --N 1 --tau 1/3":
+        "742c4d74e80d58af5c17024c26d4ea0c29344959f8d45ac2ee39856de02b4004",
+    # uniform: a zero level, a positive level and no plateau
+    "predict --lambda 3/2 --N 1 --tau 1/3":
+        "26b42bbb9509a3974f21c8ed185cc99c64e78be4faf625de54ec5d02ab306290",
+    "predict --lambda 5/2 --N 1 --tau 1/3":
+        "20d43c1fd32f64b5cd5928a32e9c022f3047ba2f9a0a284e61e4aa8b1a46307c",
+    "predict --lambda 5/2 --N 2 --tau 1/3":
+        "8c8cd81a264cb4a336d1e2573de47e591d46e33f89b657e88cd0c6147bd9d522",
+    "gauss 5 2 12": "018e721b62ccde14e29a858ef9cad6dfb87a98c2e597bbe394a24e8f04d6b82d",
+    "gauss 3 2 7": "a5327e1f6514ccd368541954aa4192f03cdcf1bd6cc308f6a4ad3c9e43bda98a",
+    # a vanishing coefficient
+    "gauss 5 1 12": "3280a40428ea41b77e7c6697b0fd69d8fe8ed21c6f6682318e818aaabd7f284f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PRINTED_DIGESTS))
+def test_predict_and_gauss_bytes_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRINTED_DIGESTS[argv]
 
 
 def test_scan_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys):

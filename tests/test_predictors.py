@@ -4,6 +4,7 @@ import marshal
 import math
 import os
 import pickle
+import signal
 import struct
 import time
 from dataclasses import replace
@@ -412,28 +413,104 @@ def test_a_failed_fork_reaches_the_caller_and_leaves_no_pipe_or_child(monkeypatc
     assert_no_child_is_left()
 
 
-def _raising_in_the_children(error):
-    # the parent sleeps before each of its tasks, so a child takes one
+# the tiny grid's last task, which only a child can take first (see below)
+FAILING_TASK = (Fraction(3, 2), 8, 2)
+ATTEMPT = struct.Struct("qqqq")  # pid and the task's lam (numerator, denominator) and q
+
+
+def _raising_on_one_task(error, log):
+    # FAILING_TASK raises in whichever process runs it, and every call appends
+    # its (pid, task) to an O_APPEND file.  A child holds its first task until
+    # the parent has taken one, so each process's first task is one of the
+    # first n_procs; the parent holds its own until a child has met the error,
+    # so the parent runs that task again only after the children are reaped
     parent, real_chunk = os.getpid(), predictors._scan_chunk
 
+    def attempts():
+        return [(pid, (Fraction(num, den), q, FAILING_TASK[2]))
+                for pid, num, den, q in ATTEMPT.iter_unpack(log.read_bytes())]
+
+    def may_go_on():
+        if os.getpid() == parent:
+            return any(pid != parent and task == FAILING_TASK for pid, task in attempts())
+        return any(pid == parent for pid, _ in attempts())
+
     def chunk(task):
-        if os.getpid() != parent:
+        lam, q, _ = task
+        with open(log, "ab") as out:
+            out.write(ATTEMPT.pack(os.getpid(), lam.numerator, lam.denominator, q))
+        deadline = time.monotonic() + 30
+        while not may_go_on() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if task == FAILING_TASK:
             raise error
-        time.sleep(0.02)
         return real_chunk(task)
-    return chunk
+    return chunk, attempts
+
+
+def assert_a_child_met_the_error_first(attempts):
+    # one child took the failing task from the counter, then the caller ran it again
+    pids = [pid for pid, task in attempts() if task == FAILING_TASK]
+    assert len(pids) == 2 and pids[0] != os.getpid() == pids[1]
+
+
+class _TwoArgumentError(Exception):
+    # pickle rebuilds an exception from its args, here one message, so this
+    # one would come back from a worker as a TypeError
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("error", [
     ValueError("the cyclotomic order M = 7 is beyond the range of the F_ell images"),
     ExactFloatMismatch("exact zero test disagrees with float shadow"),
+    _TwoArgumentError("the exact zero test failed", "q = 8"),
 ])
-def test_a_workers_error_reaches_the_caller_unchanged(monkeypatch, workers, error):
-    monkeypatch.setattr(predictors, "_scan_chunk", _raising_in_the_children(error))
+def test_a_workers_error_reaches_the_caller_unchanged(monkeypatch, tmp_path, workers, error):
+    chunk, attempts = _raising_on_one_task(error, tmp_path / "attempts.bin")
+    monkeypatch.setattr(predictors, "_scan_chunk", chunk)
     with pytest.raises(type(error)) as raised:
         conjecture_scan(*TINY_SCAN_GRID, workers=workers)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert_a_child_met_the_error_first(attempts)
+    assert_no_child_is_left()
+
+
+def _failing_in_the_children(fail, log):
+    # a child creates log, then fails; the parent holds its first task until
+    # a child has failed
+    parent, real_chunk = os.getpid(), predictors._scan_chunk
+
+    def chunk(task):
+        if os.getpid() != parent:
+            log.touch()
+            fail()
+        deadline = time.monotonic() + 30
+        while not log.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return real_chunk(task)
+    return chunk
+
+
+def _raise_runtime_error():
+    raise RuntimeError("raised in a child only")
+
+
+def _kill_this_process():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("fail", [_raise_runtime_error, _kill_this_process])
+def test_a_task_lost_in_a_child_is_run_by_the_caller(monkeypatch, tmp_path, workers, fail):
+    # a child whose task raises there only, or that is killed (as by the OOM
+    # killer), sends nothing; the caller runs the tasks no child returned
+    serial, log = conjecture_scan(*TINY_SCAN_GRID, workers=1), tmp_path / "failed"
+    monkeypatch.setattr(predictors, "_scan_chunk", _failing_in_the_children(fail, log))
+    before = open_fds()
+    assert conjecture_scan(*TINY_SCAN_GRID, workers=workers) == serial
+    assert open_fds() == before and log.exists()
     assert_no_child_is_left()
 
 
@@ -454,12 +531,14 @@ def test_an_error_in_the_parents_share_kills_and_reaps_the_children(monkeypatch,
 
 def test_a_workers_value_error_makes_the_cli_exit_2(monkeypatch, tmp_path, capsys):
     message = "the cyclotomic order M = 7 is beyond the range of the F_ell images"
-    monkeypatch.setattr(predictors, "_scan_chunk", _raising_in_the_children(ValueError(message)))
+    chunk, attempts = _raising_on_one_task(ValueError(message), tmp_path / "attempts.bin")
+    monkeypatch.setattr(predictors, "_scan_chunk", chunk)
     monkeypatch.setattr(cli, "conjecture_scan", partial(conjecture_scan, workers=2))
     grid = ["--lambda-den", "4", "--lambda-max", "3/2", "--qmax", "8", "--nmax", "2"]
     assert main(["scan", *grid, "--out", str(tmp_path / "scan.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "scan.json").exists()
+    assert_a_child_met_the_error_first(attempts)
     assert_no_child_is_left()
 
 
