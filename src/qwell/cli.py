@@ -33,10 +33,10 @@ from .predictors import (
     has_fragmentation,
     is_critical,
     doubled_drift_is_odd,
+    format_rational,
     nonfrag_prediction,
     peak_count,
 )
-from .rationals import format_rational, parse_rational
 from .wavefield import PANELS, WellParams
 
 # The largest q that plateaux, density and gauss accept, checked before any
@@ -61,6 +61,18 @@ SAMPLES_HELP = (
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "u/v", an integer or a decimal like "10.7" exactly; refuse float overflow."""
+    try:
+        value = Fraction(text.strip())
+        float(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
+    except OverflowError:
+        raise ValueError(f"too large for a float: {text!r}") from None
+    return value
 
 
 def _params_from(args) -> WellParams:
@@ -194,8 +206,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_gauss(args) -> int:
     _check_q(args.q)
-    value = gauss_sum_direct(args.a, args.k, args.q)
-    abs_sq = gauss_abs_sq(args.a, args.k, args.q)
+    abs_sq = gauss_abs_sq(args.a, args.k, args.q)  # exact, and checks gcd(a, q) = 1
+    value = gauss_sum_direct(args.a, args.k, args.q) if abs_sq else 0j
     re = 0.0 if abs(value.real) < 1e-12 else _round12(value.real)
     im = 0.0 if abs(value.imag) < 1e-12 else _round12(value.imag)
     out = {

@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .cyclotomic import image_root
 from .plateau import (ZERO_LEVEL, PlateauReport, build_cells, conjugate_report,
                       detect_plateaux, exponent_rule)
-from .rationals import format_rational
 from .wavefield import WellParams, fragmentation_threshold
 
 # one encoder renders every scan record line, as json.dumps would with these options
@@ -162,19 +161,6 @@ def peak_count(params: WellParams) -> int:
     return params.threshold * params.n_state
 
 
-def count_local_maxima(params: WellParams, samples: int = 10_000) -> int:
-    """Local maxima of the density on the grid of figures.density_samples,
-    the numeric cross-check for peak_count.  Each run of equal samples counts
-    as one sample, so a peak whose two nearest samples tie is counted once."""
-    import numpy as np
-
-    from .figures import density_samples
-
-    ps = density_samples(params, samples)[:, 1]
-    ps = ps[np.r_[True, ps[1:] != ps[:-1]]]
-    return int(np.count_nonzero((ps[:-2] < ps[1:-1]) & (ps[1:-1] > ps[2:])))
-
-
 def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
     return sorted(
         Fraction(u, v)
@@ -186,6 +172,11 @@ def _lambda_grid(lambda_dens: int, lambda_max: Fraction) -> list[Fraction]:
 
 def _round12(v: float) -> float:
     return float(f"{v:.12g}")
+
+
+def format_rational(x: Fraction) -> str:
+    """Serialize as "num/den" (never a float), e.g. Fraction(2, 15) -> "2/15"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _params_json(params: WellParams) -> dict:
@@ -344,12 +335,14 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
     its own pipe as one marshal blob, so results must be builtins, or nothing
     if fn raises there.  Once the children are reaped, this process runs each
     task that no process returned, so fn must be pure: its error is raised
-    here as itself, and a child that dies costs a re-run.  The children are
-    forked, not spawned, so they see this process's module globals as they
-    are (a wrapped detect_plateaux too); this process must run no other
-    thread.  A child ends with os._exit, so it flushes no inherited buffer and
-    runs no atexit hook.  Every child is reaped before this returns or raises,
-    and killed first if this process's own share raises."""
+    here as itself, and a child that dies costs a re-run, unless it dies
+    while it holds the counter: then the pipe stays empty and every process
+    blocks on it for good.  The children are forked, not spawned, so they see
+    this process's module globals as they are (a wrapped detect_plateaux
+    too); this process must run no other thread.  A child ends with os._exit,
+    so it flushes no inherited buffer and runs no atexit hook.  Every child is
+    reaped before this returns or raises, and killed first if this process's
+    own share raises."""
     import marshal
 
     def run() -> dict:

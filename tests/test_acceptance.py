@@ -13,19 +13,13 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from oracles import count_local_maxima, series_oracle, special_time_identity_residual
 from qwell.cli import _scan_json
 from qwell.cyclotomic import CycInt, cyclotomic_poly
 from qwell.gauss import factorization_residual, gauss_abs_sq, gauss_sum_direct
 from qwell.plateau import ZERO_LEVEL, detect_plateaux
-from qwell.predictors import (conjecture_scan, count_local_maxima, fragmentation_layout,
-                              galois_links)
-from qwell.wavefield import (
-    WellParams,
-    density_p,
-    psi_fractional,
-    series_oracle,
-    special_time_identity_residual,
-)
+from qwell.predictors import conjecture_scan, fragmentation_layout, galois_links
+from qwell.wavefield import WellParams, density_p, psi_fractional
 
 GOLDEN = [
     (Fraction(5, 2), 1, Fraction(1, 3), Fraction(2, 15), Fraction(1, 5), False),

@@ -11,14 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "qwell").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-# test-only references kept in src/ on purpose: name -> why it stays
-ORACLES = {
-    "series_oracle": "the eigenseries that cross-validates the q-translate formula",
-    "special_time_identity_residual": "checks the closed forms at t = T/2, T/4 and T/8",
-    "count_local_maxima": "the sampled peak count that checks peak_count",
-    "dist_nearest_int": "the distance to the nearest integer the case laws are stated in",
-}
-
 
 def references(node) -> Counter:
     """Counts of ("attribute", name) for attributes and the strings of a
@@ -63,6 +55,4 @@ def test_every_name_in_src_has_a_caller():
             own = references(node)
             if all(used[kind, name] <= own[kind, name] for kind in kinds):
                 uncalled.add(name)
-    assert uncalled == set(ORACLES), (
-        f"no caller: {sorted(uncalled - set(ORACLES))}; "
-        f"called after all, so not an oracle: {sorted(set(ORACLES) - uncalled)}")
+    assert not uncalled, f"no caller: {sorted(uncalled)}"

@@ -54,8 +54,9 @@ def test_plateaux_reports_fragmentation_only_above_the_period(capsys, lam, tau, 
     assert json.loads(out)["fragmentation"] is fragmentation
 
 
-def test_gauss_zero_case(capsys):
-    code, out, _ = run_cli(capsys, "gauss", "1", "0", "2")
+@pytest.mark.parametrize("a, k, q", [("1", "0", "2"), ("1", "3", "13780")])
+def test_gauss_zero_case(capsys, a, k, q):
+    code, out, _ = run_cli(capsys, "gauss", a, k, q)
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == [0.0, 0.0]

@@ -13,6 +13,7 @@ from functools import partial
 
 import pytest
 
+from oracles import count_local_maxima, dist_nearest_int
 from qwell import cli, predictors
 from qwell.cli import _scan_json, main
 from qwell.plateau import ZERO_LEVEL, ExactFloatMismatch, build_cells, detect_plateaux
@@ -21,7 +22,6 @@ from qwell.predictors import (
     CASE_MOD4_PLUS2,
     CASE_ODD,
     conjecture_scan,
-    count_local_maxima,
     doubled_drift_is_odd,
     fragmentation_layout,
     galois_links,
@@ -31,7 +31,6 @@ from qwell.predictors import (
     peak_count,
     zero_level_predicted,
 )
-from qwell.rationals import dist_nearest_int
 from qwell.wavefield import WellParams, fragmentation_threshold
 
 

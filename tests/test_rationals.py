@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwell.rationals import dist_nearest_int, format_rational, parse_rational
+from oracles import dist_nearest_int
+from qwell.cli import parse_rational
+from qwell.predictors import format_rational
 
 
 def test_dist_nearest_int_examples():

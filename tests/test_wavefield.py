@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _series_cutoff, series_oracle, special_time_identity_residual
 from qwell.figures import density_samples
 from qwell.gauss import coefficient_c
 from qwell.wavefield import (
@@ -16,11 +17,8 @@ from qwell.wavefield import (
     WellParams,
     density_p,
     initial_g,
-    _series_cutoff,
     interval_I,
     psi_fractional,
-    series_oracle,
-    special_time_identity_residual,
 )
 
 
