@@ -208,8 +208,11 @@ def _cmd_gauss(args) -> int:
     _check_q(args.q)
     abs_sq = gauss_abs_sq(args.a, args.k, args.q)  # exact, and checks gcd(a, q) = 1
     value = gauss_sum_direct(args.a, args.k, args.q) if abs_sq else 0j
-    re = 0.0 if abs(value.real) < 1e-12 else _round12(value.real)
-    im = 0.0 if abs(value.imag) < 1e-12 else _round12(value.imag)
+    # a nonzero G has its phase on the lattice 2 pi / (8q): j = 2q (mod 4q)
+    # puts it on the imaginary axis, j = 0 on the real axis
+    j = round(math.atan2(value.imag, value.real) * 4 * args.q / math.pi) % (4 * args.q)
+    re = 0.0 if j == 2 * args.q else _round12(value.real)
+    im = 0.0 if j == 0 else _round12(value.imag)
     out = {
         "a": args.a,
         "k": args.k,

@@ -260,37 +260,35 @@ def galois_links(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int]
     sigma_t (plateau.conjugate_report).
 
     The links are those conjugate_report accepts, (a, N) to (a t^-1 mod q, N')
-    with t coprime to lcm(q, W), W = v q / gcd(u, q) for lam = u/v, and
-    t N = +-N' (mod W).  The t are
-    bucketed per N by t N mod W; the first configuration in grid order not
-    yet reached is a representative, and every configuration its buckets
-    send it to with N' >= N is read from it, unless an earlier
-    representative claimed it already.  So every source precedes its targets
-    and is detected itself.
+    with t coprime to L = lcm(q, W), W = v q / gcd(u, q) for lam = u/v, and
+    t N = sign N' (mod W).  A configuration is keyed by (g, min(x, -x mod m)),
+    g = gcd(N, W), m = gcd(q, W/g), x = a N/g mod m, and the first one of a
+    key in grid order represents it.  Target (a', N') of source (a, N) takes
+    sign = 1 if x = x' (mod m), else -1, and the least unit t of [1, L) with
+    t = a a'^-1 (mod q) and t N = sign N' (mod W).  The keys are the orbits:
+    t is fixed mod q by a, and mod W/g by N, as N/g is a unit mod W/g; the
+    two residues agree mod m exactly when the keys match, and the unit mod
+    lcm(q, W/g) they give lifts to a unit mod L.
     """
     w = lam.denominator * q // math.gcd(lam.numerator, q)
     modulus = math.lcm(q, w)
-    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
-    inverse = {t: pow(t, -1, q) for t in units}
-    buckets = {n_state: {} for n_state in range(1, n_max + 1)}
-    for n_state, bucket in buckets.items():
-        for t in units:
-            bucket.setdefault(t * n_state % w, []).append(t)
-    configs = _task_configs(q, n_max)
-    position = {config: i for i, config in enumerate(configs)}
-    links: list[tuple[int, int, int] | None] = [None] * len(configs)
-    reached = [False] * len(configs)
-    for source, (n_state, a) in enumerate(configs):
-        if reached[source]:
+    representatives: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    links: list[tuple[int, int, int] | None] = []
+    for target, (n_state, a) in enumerate(_task_configs(q, n_max)):
+        g = math.gcd(n_state, w)
+        m = math.gcd(q, w // g)
+        x = a * (n_state // g) % m
+        key = (g, min(x, -x % m))
+        if key not in representatives:
+            representatives[key] = (target, n_state, a, x)
+            links.append(None)
             continue
-        reached[source] = True
-        for target_n in range(n_state, n_max + 1):
-            for sign in (1, -1):
-                for t in buckets[n_state].get(sign * target_n % w, ()):
-                    target = position[target_n, a * inverse[t] % q]
-                    if not reached[target]:
-                        reached[target] = True
-                        links[target] = (source, t, sign)
+        source, n_source, a_source, x_source = representatives[key]
+        sign = 1 if x_source == x else -1
+        for t in range(a_source * pow(a, -1, q) % q, modulus, q):
+            if (t * n_source - sign * n_state) % w == 0 and math.gcd(t, modulus) == 1:
+                break
+        links.append((source, t, sign))
     return links
 
 
@@ -303,8 +301,7 @@ def _scan_chunk(args: tuple[Fraction, int, int]) -> list[tuple[int, int, str, in
     on q and s only), are built first, though both are cached: else the first
     detector run of the task or order pays for them, a slow tail in latency."""
     lam, q, n_max = args
-    taus = [Fraction(a, q) for a in range(1, q) if math.gcd(a, q) == 1]  # _task_configs' order
-    grid = [WellParams(lam, n_state, tau) for n_state in range(1, n_max + 1) for tau in taus]
+    grid = [WellParams(lam, n_state, Fraction(a, q)) for n_state, a in _task_configs(q, n_max)]
     build_cells(lam, q)
     for order in {exponent_rule(params)[0] for params in grid[::len(grid) // n_max]}:  # one per N
         image_root(order)

@@ -1,6 +1,7 @@
 """Independent oracles that only the tests call: the eigenseries of the
 expanded well, the closed-form identities at t = T/2, T/4 and T/8, the
-sampled peak count and the distance to the nearest integer.
+sampled peak count, the distance to the nearest integer and the unit-group
+search for the scan's Galois orbit map.
 
 pytest does not collect this module (its name is not test_*.py); the tests
 import it as `from oracles import ...`, since tests/ is on sys.path.
@@ -11,6 +12,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from qwell.predictors import _task_configs
 from qwell.wavefield import WellParams
 
 # extra eigenmodes beyond the L2-tail requirement, for pointwise accuracy
@@ -129,3 +131,36 @@ def dist_nearest_int(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, always in [0, 1/2]."""
     frac = x - math.floor(x)
     return min(frac, 1 - frac)
+
+
+def galois_links_search(lam: Fraction, q: int, n_max: int) -> list[tuple[int, int, int] | None]:
+    """predictors.galois_links found by searching the unit group: every unit
+    t of lcm(q, W), W = v q / gcd(u, q) for lam = u/v, is bucketed per N by
+    t N mod W; the first configuration in grid order not yet reached is a
+    representative, and every configuration its buckets send it to with
+    N' >= N is read from it, unless an earlier representative claimed it
+    already."""
+    w = lam.denominator * q // math.gcd(lam.numerator, q)
+    modulus = math.lcm(q, w)
+    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
+    inverse = {t: pow(t, -1, q) for t in units}
+    buckets = {n_state: {} for n_state in range(1, n_max + 1)}
+    for n_state, bucket in buckets.items():
+        for t in units:
+            bucket.setdefault(t * n_state % w, []).append(t)
+    configs = _task_configs(q, n_max)
+    position = {config: i for i, config in enumerate(configs)}
+    links: list[tuple[int, int, int] | None] = [None] * len(configs)
+    reached = [False] * len(configs)
+    for source, (n_state, a) in enumerate(configs):
+        if reached[source]:
+            continue
+        reached[source] = True
+        for target_n in range(n_state, n_max + 1):
+            for sign in (1, -1):
+                for t in buckets[n_state].get(sign * target_n % w, ()):
+                    target = position[target_n, a * inverse[t] % q]
+                    if not reached[target]:
+                        reached[target] = True
+                        links[target] = (source, t, sign)
+    return links

@@ -64,6 +64,18 @@ def test_gauss_zero_case(capsys, a, k, q):
     assert payload["abs"] == 0.0
 
 
+@pytest.mark.parametrize("q, value", [
+    # G(1, 0, q) is sqrt(q) for q = 1 (mod 4) and i sqrt(q) for q = 3 (mod 4),
+    # while the float sums leave a component of a few 1e-12
+    ("100001", [316.229347152, 0.0]),
+    ("199999", [0.0, 447.212477465]),
+])
+def test_gauss_prints_an_exactly_zero_component_as_zero(capsys, q, value):
+    code, out, _ = run_cli(capsys, "gauss", "1", "0", q)
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
 def test_gauss_residual_reported_small(capsys):
     code, out, _ = run_cli(capsys, "gauss", "3", "2", "7")
     payload = json.loads(out)

@@ -13,7 +13,7 @@ from functools import partial
 
 import pytest
 
-from oracles import count_local_maxima, dist_nearest_int
+from oracles import count_local_maxima, dist_nearest_int, galois_links_search
 from qwell import cli, predictors
 from qwell.cli import _scan_json, main
 from qwell.plateau import ZERO_LEVEL, ExactFloatMismatch, build_cells, detect_plateaux
@@ -611,6 +611,18 @@ def test_the_orbit_map_reads_each_configuration_from_an_earlier_representative(g
         representatives += links.count(None)
         configurations += len(links)
     assert (representatives, configurations) == counts
+
+
+@pytest.mark.parametrize("grid", [
+    (8, Fraction(6), 20, 3),     # the default grid
+    (16, Fraction(4), 24, 4),
+])
+def test_the_orbit_keys_give_the_links_of_the_unit_group_search(grid):
+    lambda_dens, lambda_max, q_max, n_max = grid
+    tasks = [(lam, q) for lam in predictors._lambda_grid(lambda_dens, lambda_max)
+             for q in range(2, q_max + 1) if lam < fragmentation_threshold(q)]
+    for lam, q in tasks:
+        assert galois_links(lam, q, n_max) == galois_links_search(lam, q, n_max), (lam, q)
 
 
 def test_scan_lines_equal_json_dumps(monkeypatch):
