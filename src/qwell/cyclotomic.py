@@ -19,8 +19,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -191,29 +191,32 @@ def _difference(b: dict[int, int], base: dict[int, int]) -> list[tuple[int, int]
     return [t for t in out.items() if t[1]]
 
 
-@dataclass(frozen=True)
-class CycInt:
+class _CycFields(NamedTuple):
+    order: int
+    terms: tuple[tuple[int, int], ...]
+
+
+class CycInt(_CycFields):
     """An element of Z[zeta_M]: sum of c zeta_M^j over the (j, c) in terms.
 
     Any iterable of (exponent, coefficient) pairs may be passed, such as
     enumerate(dense_coeffs); it is stored canonically, as (j mod M, total
-    coefficient) pairs sorted by j with the zero totals dropped.  Structural
+    coefficient) pairs sorted by j with the zero totals dropped.  _replace
+    and _make skip that, so build a new CycInt instead.  Structural
     equality (same order, same terms) is not equality of the represented
     complex numbers; is_zero() on a's terms plus b's negated decides that.
     """
 
-    order: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        order = self.order
+    def __new__(cls, order: int, terms):
         if order < 1:
             raise ValueError("order must be positive")
         acc: dict[int, int] = {}
-        for j, c in self.terms:
+        for j, c in terms:
             j %= order
             acc[j] = acc.get(j, 0) + c
-        object.__setattr__(self, "terms", tuple(sorted(t for t in acc.items() if t[1])))
+        return tuple.__new__(cls, (order, tuple(sorted(t for t in acc.items() if t[1]))))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

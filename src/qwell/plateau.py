@@ -35,7 +35,6 @@ import cmath
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -92,8 +91,7 @@ class Cell(NamedTuple):
     members: range
 
 
-@dataclass(frozen=True)
-class PlateauInterval:
+class PlateauInterval(NamedTuple):
     lo: Fraction
     hi: Fraction
     level: float         # (lam/q) |c(k)|^2 |surviving sum|^2, +0.0 for forbidden zones
@@ -105,8 +103,7 @@ class PlateauInterval:
         return ZERO_LEVEL if self.vanishing_side == SIDE_BOTH else POSITIVE_LEVEL
 
 
-@dataclass(frozen=True)
-class PlateauReport:
+class PlateauReport(NamedTuple):
     params: WellParams
     intervals: tuple[PlateauInterval, ...]
     # the cell sides decided, 2 len(build_cells(lam, q)), most by an F_ell image
@@ -171,8 +168,7 @@ def _float_bound(n: int) -> float:
     return n * (FLOAT_ERROR_C * sys.float_info.epsilon)  # C eps = 2^-45 exactly
 
 
-@dataclass(frozen=True)
-class _TermTable:
+class _TermTable(NamedTuple):
     """The terms of both windowed sums as one sequence over a symmetric range
     of k, read forwards for S_plus and mirrored for S_minus (term_table)."""
 

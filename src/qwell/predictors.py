@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ CASE_MOD4 = "0mod4"
 CASE_MOD4_PLUS2 = "2mod4"
 
 
-@dataclass(frozen=True)
-class FragmentationLayout:
+class FragmentationLayout(NamedTuple):
     case: str
     centers: tuple[Fraction, ...]
     radius: Fraction
@@ -53,8 +51,7 @@ class FragmentationLayout:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class PlateauPrediction:
+class PlateauPrediction(NamedTuple):
     center: Fraction
     radius: Fraction
     zero_level: bool
@@ -325,34 +322,44 @@ def scan_workers(requested: int | None = None) -> int:
 
 def _forked_map(fn, tasks: list, n_procs: int) -> list:
     """[fn(task) for task in tasks], computed by this process and n_procs - 1
-    forked children; with n_procs = 1 it forks nothing and this process runs
-    every task.  Each process takes the next task index from one counter, an
-    8-byte integer held in a pipe: a process that reads it holds it alone
-    until it writes the next index back.  A child sends its {index: result} on
-    its own pipe as one marshal blob, so results must be builtins, or nothing
-    if fn raises there.  Once the children are reaped, this process runs each
-    task that no process returned, so fn must be pure: its error is raised
-    here as itself, and a child that dies costs a re-run, unless it dies
-    while it holds the counter: then the pipe stays empty and every process
-    blocks on it for good.  The children are forked, not spawned, so they see
-    this process's module globals as they are (a wrapped detect_plateaux
-    too); this process must run no other thread.  A child ends with os._exit,
-    so it flushes no inherited buffer and runs no atexit hook.  Every child is
-    reaped before this returns or raises, and killed first if this process's
-    own share raises."""
+    forked children; with n_procs = 1 this process runs every task, in
+    order.  Each process takes the next task index from one counter, an
+    8-byte integer (an empty file reads 0) in an unlinked temporary file: a
+    process claims it with a POSIX record lock (fcntl.lockf), reads it and
+    writes the next index back before it unlocks.  The kernel drops the lock
+    of a process that dies, so a child killed while it holds the claim
+    leaves the counter at its index or one past it, and the other processes
+    go on.  A child sends its {index: result} on its own pipe as one marshal
+    blob, so results must be builtins, or nothing if fn raises there.  Once
+    the children are reaped, this process runs each task that no process
+    returned, so fn must be pure: its error is raised here as itself, and a
+    child that dies costs a re-run.  The children are forked, not spawned,
+    so they see this process's module globals as they are (a wrapped
+    detect_plateaux too); this process must run no other thread.  A child
+    ends with os._exit, so it flushes no inherited buffer and runs no atexit
+    hook.  Every child is reaped before this returns or raises, and killed
+    first if this process's own share raises."""
+    if n_procs == 1:
+        return [fn(task) for task in tasks]
+    import fcntl
     import marshal
+    import tempfile
 
     def run() -> dict:
         done = {}
         while True:
-            index = int.from_bytes(os.read(counter_r, 8), "little")
-            os.write(counter_w, (index + 1).to_bytes(8, "little"))
+            fcntl.lockf(counter, fcntl.LOCK_EX)
+            try:
+                index = int.from_bytes(os.pread(counter, 8, 0), "little")
+                os.pwrite(counter, (index + 1).to_bytes(8, "little"), 0)
+            finally:
+                fcntl.lockf(counter, fcntl.LOCK_UN)
             if index >= len(tasks):
                 return done
             done[index] = fn(tasks[index])
 
-    counter_r, counter_w = os.pipe()
-    os.write(counter_w, bytes(8))
+    counter_file = tempfile.TemporaryFile()
+    counter = counter_file.fileno()
     children: dict[int, int] = {}  # pid -> the read end of its result pipe
     try:
         for _ in range(n_procs - 1):
@@ -387,8 +394,7 @@ def _forked_map(fn, tasks: list, n_procs: int) -> list:
         for pid, result_r in children.items():
             os.close(result_r)
             os.waitpid(pid, 0)
-        os.close(counter_r)
-        os.close(counter_w)
+        counter_file.close()
     return [done[index] if index in done else fn(tasks[index]) for index in range(len(tasks))]
 
 

@@ -10,9 +10,8 @@ function that samples arrays, so the exact layers start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gauss import coefficient_c, contributing, gauss_sum_direct
 
@@ -22,25 +21,30 @@ if TYPE_CHECKING:
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class WellParams:
-    """One experiment: expansion factor lam > 1, initial eigenstate index
-    n_state >= 1, and the fractional time tau = a/q in lowest terms."""
-
+class _WellFields(NamedTuple):
     lam: Fraction
     n_state: int
     tau: Fraction
 
-    def __post_init__(self):
-        lam, tau = self.lam, self.tau  # a Fraction is kept, not rebuilt
-        object.__setattr__(self, "lam", lam if type(lam) is Fraction else Fraction(lam))
-        object.__setattr__(self, "tau", tau if type(tau) is Fraction else Fraction(tau))
-        if self.lam.numerator <= self.lam.denominator:
+
+class WellParams(_WellFields):
+    """One experiment: expansion factor lam > 1, initial eigenstate index
+    n_state >= 1, and the fractional time tau = a/q in lowest terms.  The
+    constructor checks and coerces; _replace and _make skip it, so change a
+    field by building a new WellParams."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam, n_state: int, tau):
+        lam = lam if type(lam) is Fraction else Fraction(lam)  # a Fraction is kept, not rebuilt
+        tau = tau if type(tau) is Fraction else Fraction(tau)
+        if lam.numerator <= lam.denominator:
             raise ValueError("expansion factor must exceed 1")
-        if self.n_state < 1:
+        if n_state < 1:
             raise ValueError("initial eigenstate index must be >= 1")
-        if self.tau.numerator < 0:
+        if tau.numerator < 0:
             raise ValueError("fractional time must be nonnegative")
+        return tuple.__new__(cls, (lam, n_state, tau))
 
     @property
     def a(self) -> int:

@@ -186,10 +186,11 @@ def test_the_exact_commands_start_and_run_without_numpy(tmp_path, capsys):
 def test_the_cli_starts_without_the_process_pool():
     # no plateaux, predict or gauss call pays for a process pool's modules
     # (multiprocessing, pickle, socket, ...) or for mmap and select; the
-    # forked scan needs none of them
+    # forked scan needs none of them.  Nor for dataclasses and the inspect,
+    # ast and dis it pulls in: the value types are NamedTuples
     env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
     probe = ("import sys, qwell.cli; print(sorted({'concurrent.futures.process', 'mmap',"
-             " 'select'} & set(sys.modules)))")
+             " 'select', 'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
@@ -200,24 +201,39 @@ def test_the_cli_starts_without_the_process_pool():
 # process pool's modules got loaded.  The leading space is still in the stdout
 # buffer when the workers fork.  With argv[2] = "kill", each forked worker
 # writes "killed;" to stderr and SIGKILLs itself on its first task, and the
-# parent sleeps before each of its own, so a worker takes one.
+# parent sleeps before each of its own, so a worker takes one.  With
+# argv[2] = "kill-holding", each forked worker does so at its first claim of
+# the task counter, right after its lock is granted, so it dies holding it.
 FRESH_SCAN = """
-import os, signal, sys, time
+import fcntl, os, signal, sys, time
 from functools import partial
 import qwell.cli as cli
 import qwell.predictors as predictors
 sys.stdout.write(" ")
 cli.conjecture_scan = partial(cli.conjecture_scan, workers=int(sys.argv[1]))
+parent = os.getpid()
+
+def die_in_a_worker():
+    if os.getpid() != parent:
+        os.write(2, b"killed;")
+        os.kill(os.getpid(), signal.SIGKILL)
+
 if sys.argv[2:] == ["kill"]:
-    parent, chunk = os.getpid(), predictors._scan_chunk
+    chunk = predictors._scan_chunk
 
     def killed_in_a_worker(task):
-        if os.getpid() != parent:
-            os.write(2, b"killed;")
-            os.kill(os.getpid(), signal.SIGKILL)
+        die_in_a_worker()
         time.sleep(0.02)
         return chunk(task)
     predictors._scan_chunk = killed_in_a_worker
+if sys.argv[2:] == ["kill-holding"]:
+    lockf = fcntl.lockf
+
+    def killed_holding_the_lock(fd, cmd, *args):
+        lockf(fd, cmd, *args)
+        if cmd == fcntl.LOCK_EX:
+            die_in_a_worker()
+    fcntl.lockf = killed_holding_the_lock
 code = cli.main(["scan", "--lambda-den", "4", "--lambda-max", "3/2", "--qmax", "8",
                  "--nmax", "2", "--out", "-"])
 sys.stdout.flush()
@@ -241,6 +257,21 @@ def test_a_forked_scan_prints_one_document_and_imports_no_pool():
     assert [err.count("killed;") for err in errs] == [0, 0, 1]
     assert outs[1] == outs[2] == outs[0]
     assert json.loads(outs[0])["total"] == 120
+
+
+def test_a_worker_killed_holding_the_task_counter_stalls_no_other():
+    # the kernel drops a dead process's record lock, so the parent claims
+    # the counter next and runs every task itself
+    env = dict(os.environ, PYTHONPATH=str(Path(qwell.__file__).resolve().parent.parent))
+    outs, errs = [], []
+    for argv in (["1"], ["2", "kill-holding"], ["3", "kill-holding"]):
+        done = subprocess.run([sys.executable, "-c", FRESH_SCAN, *argv], env=env,
+                              capture_output=True, check=True, timeout=60)
+        outs.append(done.stdout)
+        errs.append(done.stderr.decode())
+    assert all(err.endswith("(0, [])") for err in errs)
+    assert [err.count("killed;") for err in errs] == [0, 1, 2]
+    assert outs[1] == outs[2] == outs[0]
 
 
 def test_importing_qwell_loads_none_of_its_modules():

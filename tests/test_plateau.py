@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import gc
 import math
 import sys
@@ -254,7 +253,7 @@ def test_window_sums_check_the_cell_shadow_of_the_term_table():
     # one real prefix gains 2^-20: the cell's mirrored slice moves, its plus slice does not
     re, im = terms.shadows
     moved = [x + (plateau.SHADOW_SCALE >> 20) if i == m1 else x for i, x in enumerate(re)]
-    corrupt = dataclasses.replace(terms, shadows=(moved, im))
+    corrupt = terms._replace(shadows=(moved, im))
     window_sums(cell, terms)
     with pytest.raises(ExactFloatMismatch, match="window sum shadow"):
         window_sums(cell, corrupt)
@@ -685,7 +684,7 @@ def test_a_conjugate_report_needs_a_galois_partner():
         with pytest.raises(ValueError, match="is not the image of"):
             conjugate_report(detect_plateaux(mate), params, t, sign)
     with pytest.raises(ValueError, match="is not the image of"):  # a cell left undecided
-        conjugate_report(dataclasses.replace(partner, zero_checks=partner.zero_checks - 2),
+        conjugate_report(partner._replace(zero_checks=partner.zero_checks - 2),
                          params, -1, -1)
 
 

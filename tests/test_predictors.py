@@ -7,7 +7,6 @@ import pickle
 import signal
 import struct
 import time
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -294,12 +293,13 @@ def sweep_against_the_cases(q, lams, units):
             assert (layout.case, layout.centers, layout.radius, layout.intervals) == (
                 layout_by_case(params))
             for n_state in (1, 2, 3):
-                config = replace(params, n_state=n_state)
+                config = WellParams(params.lam, n_state, params.tau)
                 assert peak_count(config) == peaks_by_case(config)
             checked += 4
             continue
         for n_state in (1, 2, 3):
-            if is_critical(params) or not doubled_drift_is_odd(replace(params, n_state=n_state)):
+            if is_critical(params) or not doubled_drift_is_odd(
+                    WellParams(params.lam, n_state, params.tau)):
                 continue
             for a in units:
                 config = WellParams(lam, n_state, Fraction(a, q))
@@ -375,6 +375,31 @@ def test_a_forked_scan_gives_the_records_of_the_serial_scan(grid, workers, tasks
     serial = conjecture_scan(*grid, workers=1)
     assert len(dict.fromkeys((r.lam, r.q) for r in serial)) == tasks
     assert conjecture_scan(*grid, workers=workers) == serial
+    assert_no_child_is_left()
+
+
+def test_forked_processes_claim_each_task_once(tmp_path):
+    # more processes than cores contend for the task counter; an update of it
+    # lost to a race would hand one task to two processes
+    tasks, claims = list(range(2000)), tmp_path / "claims.bin"
+    log = os.open(claims, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def square(task):
+        os.write(log, struct.pack("q", task))
+        return task * task
+
+    def stop(signum, frame):
+        raise TimeoutError("the forked map did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(60)
+    try:
+        assert predictors._forked_map(square, tasks, 4) == [task * task for task in tasks]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(log)
+    assert sorted(task for (task,) in struct.iter_unpack("q", claims.read_bytes())) == tasks
     assert_no_child_is_left()
 
 
@@ -737,7 +762,7 @@ def test_an_interval_off_at_either_end_is_noted():
     assert predictors._check_record(params, report, True) == ""
     step = Fraction(1, 100)
     for lo, hi in [(found.lo, found.hi + step), (found.lo + step, found.hi)]:
-        moved = replace(report, intervals=(replace(found, lo=lo, hi=hi),))
+        moved = report._replace(intervals=(found._replace(lo=lo, hi=hi),))
         assert predictors._check_record(params, moved, True).startswith(
             f"interval [{lo}, {hi}] != predicted [{found.lo}, {found.hi}]")
 
